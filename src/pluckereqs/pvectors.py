@@ -13,6 +13,17 @@ form absorbs the quadratic scale of the equations, a T-term equation can
 drift by at most ``2*T*eps`` relative to its largest term (T <= 10 here),
 and the measured factor at the reference test point is 8.
 
+Decomposability in the exact fields is decided in the standard affine chart
+of the Plucker embedding (Griffiths & Harris, *Principles of Algebraic
+Geometry*, ch. 1 section 5): the smallest non-zero coefficient names a
+chart, the coefficients one index away from it give p vectors, and ``h`` is
+simple exactly when their wedge is a multiple of ``h``.  This needs no
+equation system, and over cleared integers (Q) or Gaussian integers (Q_i)
+it needs no division.  Both equation systems cut out the same set, so the
+verdict does not depend on the system chosen.  The float field keeps the
+equation path, because its verdict is defined by the per-equation relative
+tolerance above; it builds the system on every call and caches nothing.
+
 The identities evaluated here relate basis coefficients only; no inner
 product on the underlying space is involved, so no orthonormality
 assumption enters the code.
@@ -21,14 +32,14 @@ assumption enters the code.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import isfinite, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .equations import EquationSystem, Label, QuadraticEquation, gen_generalized
+from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, gen_generalized
 from .multiindex import GrassmannParams, MultiIndex, as_multiindex
 
 FIELDS = ("Q", "Q_i", "f64")
@@ -132,6 +143,42 @@ class GaussianRational:
         return self.re * self.re + self.im * self.im
 
 
+class _GaussInt:
+    """Exact Gaussian integer ``re + im*i``, the cleared form of a Q_i scalar.
+
+    Only the ring operations the term kernel and the wedge need are defined;
+    integer operands are the real term coefficients.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int) -> None:
+        self.re = re
+        self.im = im
+
+    def __add__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.re + other.re, self.im + other.im)
+
+    def __neg__(self) -> "_GaussInt":
+        return _GaussInt(-self.re, -self.im)
+
+    def __mul__(self, other: "_GaussInt | int") -> "_GaussInt":
+        if isinstance(other, int):
+            return _GaussInt(self.re * other, self.im * other)
+        return _GaussInt(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _GaussInt) and self.re == other.re and self.im == other.im
+
+
 Scalar = Union[Fraction, GaussianRational, float]
 
 
@@ -169,7 +216,10 @@ def _coerce_scalar(value, field: str) -> Scalar:
         if coerced is None:
             raise ValueError(f"field Q_i cannot hold {type(value).__name__}")
         return coerced
-    return float(value)
+    value = float(value)
+    if not isfinite(value):
+        raise ValueError(f"field f64 needs finite coefficients, got {value}")
+    return value
 
 
 def pvector(params: GrassmannParams, coeffs: Mapping, field: str = "Q") -> PVector:
@@ -197,41 +247,58 @@ def scaled(h: PVector, factor) -> PVector:
     return PVector(h.params, {idx: factor * v for idx, v in h.coeffs.items()}, h.field)
 
 
-def _det(rows: list[list[Scalar]]) -> Scalar:
-    """Exact determinant by Gaussian elimination (partial pivoting for floats)."""
-    size = len(rows)
-    work = [list(r) for r in rows]
-    use_abs = size and isinstance(work[0][0], float)
-    sign = 1
-    for col in range(size):
-        pivot_row = None
-        if use_abs:
-            best = 0.0
-            for r in range(col, size):
-                if abs(work[r][col]) > best:
-                    best = abs(work[r][col])
-                    pivot_row = r
-        else:
-            for r in range(col, size):
-                if work[r][col]:
-                    pivot_row = r
-                    break
-        if pivot_row is None:
-            return work[0][0] * 0 if size else 1
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pivot = work[col][col]
-        for r in range(col + 1, size):
-            if not work[r][col]:
-                continue
-            factor = work[r][col] / pivot
-            for c in range(col, size):
-                work[r][c] = work[r][c] - factor * work[col][c]
-    det = work[0][0]
-    for d in range(1, size):
-        det = det * work[d][d]
-    return sign * det if sign < 0 else det
+def _cleared(values: Mapping, field: str) -> tuple[dict, int]:
+    """Exact ``values`` times the lcm of their denominators, and that lcm.
+
+    Q scalars become ``int`` and Q_i scalars :class:`_GaussInt`.  Scaling
+    keeps the zero set of every homogeneous identity intact and lets the hot
+    loops run on machine integers without division.
+    """
+    if field == "Q":
+        denominator = lcm(*(v.denominator for v in values.values()))
+        return {
+            key: v.numerator * (denominator // v.denominator) for key, v in values.items()
+        }, denominator
+    denominator = lcm(*(part.denominator for v in values.values() for part in (v.re, v.im)))
+    return {
+        key: _GaussInt(
+            v.re.numerator * (denominator // v.re.denominator),
+            v.im.numerator * (denominator // v.im.denominator),
+        )
+        for key, v in values.items()
+    }, denominator
+
+
+def _uncleared(value: int | _GaussInt, denominator: int) -> Fraction | GaussianRational:
+    """The exact scalar ``value / denominator`` in the field ``value`` was cleared from."""
+    if isinstance(value, _GaussInt):
+        return GaussianRational(Fraction(value.re, denominator), Fraction(value.im, denominator))
+    return Fraction(value, denominator)
+
+
+def _wedge_coeffs(rows: Sequence[Mapping[int, Scalar]]) -> dict[MultiIndex, Scalar]:
+    """Non-zero coefficients of the wedge of sparse rows ``{column: value}``.
+
+    Built as ``((r1 ^ r2) ^ r3) ^ ...``: appending ``e_j`` to a sorted
+    blade ``e_K`` passes every entry of ``K`` above ``j``, so each product
+    carries the sign ``(-1) ** #{k in K : k > j}``.  Only ring operations
+    are used, so the result is exact for integer and Gaussian-integer rows.
+    """
+    blades: dict[MultiIndex, Scalar] = {(): 1}
+    for row in rows:
+        grown: dict[MultiIndex, Scalar] = {}
+        for key, weight in blades.items():
+            for j, value in row.items():
+                pos = bisect_left(key, j)
+                if pos < len(key) and key[pos] == j:
+                    continue
+                product = weight * value
+                if (len(key) - pos) % 2:
+                    product = -product
+                target = key[:pos] + (j,) + key[pos:]
+                grown[target] = grown[target] + product if target in grown else product
+        blades = {key: value for key, value in grown.items() if value}
+    return blades
 
 
 def wedge(vectors: Sequence[Sequence], n: int | None = None) -> PVector:
@@ -258,30 +325,39 @@ def wedge(vectors: Sequence[Sequence], n: int | None = None) -> PVector:
         field = "Q_i"
     else:
         field = "Q"
-    coerced = [[_coerce_scalar(v, field) for v in r] for r in rows]
-    coeffs: dict[MultiIndex, Scalar] = {}
-    for cols in combinations(range(1, n + 1), p):
-        minor = _det([[row[c - 1] for c in cols] for row in coerced])
-        if minor:
-            coeffs[cols] = minor
-    return PVector(params, coeffs, field)
+    sparse = []
+    for row in rows:
+        coerced = (_coerce_scalar(v, field) for v in row)
+        sparse.append({col: v for col, v in enumerate(coerced, start=1) if v})
+    if field == "f64":
+        return PVector(params, _wedge_coeffs(sparse), field)
+    # The wedge is multilinear, so it is taken on cleared rows and the
+    # product of the row denominators is divided out once at the end.
+    cleared = [_cleared(row, field) for row in sparse]
+    denominator = prod(row_denominator for _, row_denominator in cleared)
+    blades = _wedge_coeffs([row for row, _ in cleared])
+    return PVector(params, {idx: _uncleared(v, denominator) for idx, v in blades.items()}, field)
+
+
+def _term_values(terms: Iterable[QuadTerm], coeffs: Mapping[MultiIndex, object]) -> list:
+    """The non-zero products ``coefficient * lam_left * lam_right`` of one equation.
+
+    This is the module's only term-evaluation loop.  It runs on field
+    scalars, on cleared integers (Q) and on cleared Gaussian integers (Q_i).
+    """
+    return [
+        coefficient * a * b
+        for coefficient, left, right in terms
+        if (a := coeffs.get(left)) and (b := coeffs.get(right))
+    ]
 
 
 def evaluate(eq: QuadraticEquation, h: PVector) -> Scalar:
     """Exact (or float) value of one equation at ``h``."""
     if eq.params != h.params:
         raise ValueError(f"equation is for {eq.params}, p-vector for {h.params}")
-    total = None
-    for term in eq.terms:
-        a = h.coeffs.get(term.left)
-        if not a:
-            continue
-        b = h.coeffs.get(term.right)
-        if not b:
-            continue
-        contribution = term.coefficient * a * b
-        total = contribution if total is None else total + contribution
-    return total if total is not None else _zero(h.field)
+    values = _term_values(eq.terms, h.coeffs)
+    return sum(values[1:], values[0]) if values else _zero(h.field)
 
 
 class Residual(NamedTuple):
@@ -295,16 +371,6 @@ class Residual(NamedTuple):
     violations: list[tuple[Label, Scalar]]
 
 
-def _scaled_int_coeffs(h: PVector) -> tuple[dict[MultiIndex, int], int]:
-    # Clearing denominators keeps the zero set intact (terms are degree-2
-    # homogeneous) and lets the hot loop run on machine integers.
-    denominator = lcm(*(v.denominator for v in h.coeffs.values())) if h.coeffs else 1
-    scaled_coeffs = {
-        idx: v.numerator * (denominator // v.denominator) for idx, v in h.coeffs.items()
-    }
-    return scaled_coeffs, denominator
-
-
 def residual(system: EquationSystem, h: PVector, tolerance: float | None = None) -> Residual:
     """Evaluate every equation of ``system`` at ``h`` and report violations.
 
@@ -314,54 +380,60 @@ def residual(system: EquationSystem, h: PVector, tolerance: float | None = None)
     if system.params != h.params:
         raise ValueError(f"system is for {system.params}, p-vector for {h.params}")
     violations: list[tuple[Label, Scalar]] = []
-    if h.field == "Q":
-        coeffs, denominator = _scaled_int_coeffs(h)
-        square = denominator * denominator
+    if h.field == "f64":
+        tol = 1e-9 if tolerance is None else float(tolerance)
+        worst = 0.0
         for eq in system.equations:
-            value = 0
-            for term in eq.terms:
-                a = coeffs.get(term.left)
-                if not a:
-                    continue
-                b = coeffs.get(term.right)
-                if not b:
-                    continue
-                value += term.coefficient * a * b
-            if value:
-                violations.append((eq.label, Fraction(value, square)))
-        worst = max((abs(v) for _, v in violations), default=Fraction(0))
-        return Residual(worst, violations)
-    if h.field == "Q_i":
-        for eq in system.equations:
-            value = evaluate(eq, h)
-            if value:
+            values = _term_values(eq.terms, h.coeffs)
+            value = 0.0
+            for term_value in values:  # left to right, as the tolerance bound assumes
+                value += term_value
+            if abs(value) > tol * max(map(abs, values), default=0.0):
                 violations.append((eq.label, value))
-        worst = max((v.norm_sq() for _, v in violations), default=Fraction(0))
+                worst = max(worst, abs(value))
         return Residual(worst, violations)
-    tol = 1e-9 if tolerance is None else float(tolerance)
-    worst = 0.0
+    coeffs, denominator = _cleared(h.coeffs, h.field)
+    square = denominator * denominator
+    zero = 0 if h.field == "Q" else _GaussInt(0, 0)
     for eq in system.equations:
-        value = 0.0
-        max_term = 0.0
-        for term in eq.terms:
-            a = h.coeffs.get(term.left)
-            if not a:
-                continue
-            b = h.coeffs.get(term.right)
-            if not b:
-                continue
-            contribution = term.coefficient * a * b
-            value += contribution
-            max_term = max(max_term, abs(contribution))
-        if abs(value) > tol * max_term:
-            violations.append((eq.label, value))
-            worst = max(worst, abs(value))
+        value = sum(_term_values(eq.terms, coeffs), zero)
+        if value:
+            violations.append((eq.label, _uncleared(value, square)))
+    if h.field == "Q":
+        worst = max((abs(v) for _, v in violations), default=Fraction(0))
+    else:
+        worst = max((v.norm_sq() for _, v in violations), default=Fraction(0))
     return Residual(worst, violations)
 
 
-@lru_cache(maxsize=None)
-def _cached_system(n: int, p: int, m: int) -> EquationSystem:
-    return gen_generalized(GrassmannParams(n, p), m)
+def _chart_is_simple(coeffs: Mapping[MultiIndex, int | _GaussInt], p: int) -> bool:
+    """Exact decomposability of non-zero cleared coefficients ``coeffs``.
+
+    Let ``I = (i_1 < ... < i_p)`` be the smallest key and ``c = coeffs[I]``.
+    Row ``a`` holds ``c`` at ``i_a``, zero at the rest of ``I``, and at each
+    ``j`` outside ``I`` the coefficient of ``I`` with ``i_a`` replaced by
+    ``j``, negated when an odd number of entries of ``I`` lie strictly
+    between ``i_a`` and ``j``.  The rows span the point's subspace read in
+    the affine chart ``lam_I != 0``, so ``h`` is simple exactly when their
+    wedge equals ``c**(p-1) * h``.
+    """
+    pivot_idx = min(coeffs)
+    pivot = coeffs[pivot_idx]
+    rows = [{i: pivot} for i in pivot_idx]
+    for key, value in coeffs.items():
+        moved = [pos for pos, j in enumerate(key) if j not in pivot_idx]
+        if len(moved) != 1:
+            continue
+        below = moved[0]  # entries of I other than i_a that lie below j
+        a = next(pos for pos, i in enumerate(pivot_idx) if i not in key)
+        rows[a][key[below]] = -value if (below - a) % 2 else value
+    scale = 1
+    for _ in range(p - 1):
+        scale = scale * pivot
+    blades = _wedge_coeffs(rows)
+    return len(blades) == len(coeffs) and all(
+        blades.get(key) == scale * value for key, value in coeffs.items()
+    )
 
 
 def _normalize_choice(system_choice: str) -> str:
@@ -374,8 +446,14 @@ def _normalize_choice(system_choice: str) -> str:
 def is_simple(h: PVector, system_choice: str = "plucker", tolerance: float | None = None) -> bool:
     """Decide decomposability of ``h`` under the chosen equation system.
 
-    For the two-index system with p outside 2..n-2 the system is trivial and
-    every vector passes.  The zero vector is reported simple by convention.
+    Exact fields (Q, Q_i) are decided by the affine-chart wedge test of
+    :func:`_chart_is_simple` on cleared coefficients, with no equation
+    system built; both systems cut out the Grassmannian, so the verdict is
+    the one the equations would give.  The float field evaluates the chosen
+    system under the relative ``tolerance`` (see the module docstring),
+    building it on each call.  For the two-index system with p outside
+    2..n-2 the system is trivial and every vector passes.  The zero vector
+    is reported simple by convention.
     """
     choice = _normalize_choice(system_choice)
     n, p = h.params.n, h.params.p
@@ -387,25 +465,13 @@ def is_simple(h: PVector, system_choice: str = "plucker", tolerance: float | Non
         if not 1 <= p <= n - 1:
             raise ValueError(f"one-index system needs 1 <= p <= n-1, got p={p}, n={n}")
         m = 1
-    system = _cached_system(n, p, m)
-    if h.field == "Q":
-        coeffs, _ = _scaled_int_coeffs(h)
-        for eq in system.equations:
-            value = 0
-            for term in eq.terms:
-                a = coeffs.get(term.left)
-                if not a:
-                    continue
-                b = coeffs.get(term.right)
-                if not b:
-                    continue
-                value += term.coefficient * a * b
-            if value:
-                return False
+    if h.field == "f64":
+        system = gen_generalized(h.params, m)
+        return not residual(system, h, tolerance).violations
+    if h.is_zero:
         return True
-    if h.field == "Q_i":
-        return all(not evaluate(eq, h) for eq in system.equations)
-    return not residual(system, h, tolerance).violations
+    coeffs, _ = _cleared(h.coeffs, h.field)
+    return _chart_is_simple(coeffs, p)
 
 
 def random_pvector(params: GrassmannParams, seed: int) -> PVector:
@@ -452,31 +518,38 @@ def pvector_to_dict(h: PVector) -> dict:
     return {"n": h.params.n, "p": h.params.p, "field": h.field, "coeffs": entries}
 
 
+def _entry_from_dict(entry: dict, field: str) -> tuple[MultiIndex, Scalar]:
+    idx = as_multiindex(entry["idx"])
+    if field == "Q":
+        return idx, _fraction_from_text(entry["re"])
+    if field == "Q_i":
+        return idx, GaussianRational(
+            _fraction_from_text(entry["re"]),
+            _fraction_from_text(entry["im"]) if "im" in entry else Fraction(0),
+        )
+    return idx, _coerce_scalar(entry["re"], field)
+
+
 def pvector_from_dict(data: dict) -> PVector:
+    """Parse the p-vector JSON document; every malformed input raises ``ValueError``."""
     try:
         params = GrassmannParams(int(data["n"]), int(data["p"]))
         field = data["field"]
         entries = data["coeffs"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed p-vector JSON: {exc}") from exc
     if field not in FIELDS:
         raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
     coeffs: dict[MultiIndex, Scalar] = {}
-    for entry in entries:
-        idx = as_multiindex(entry["idx"])
-        if idx in coeffs:
-            raise ValueError(f"duplicate coefficient index {idx}")
-        if field == "Q":
-            value: Scalar = _fraction_from_text(entry["re"])
-        elif field == "Q_i":
-            value = GaussianRational(
-                _fraction_from_text(entry["re"]),
-                _fraction_from_text(entry["im"]) if "im" in entry else Fraction(0),
-            )
-        else:
-            value = float(entry["re"])
-        if value:
-            coeffs[idx] = value
+    try:
+        for entry in entries:
+            idx, value = _entry_from_dict(entry, field)
+            if idx in coeffs:
+                raise ValueError(f"duplicate coefficient index {idx}")
+            if value:
+                coeffs[idx] = value
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed coefficient entry: {type(exc).__name__}: {exc}") from exc
     return pvector(params, coeffs, field)
 
 

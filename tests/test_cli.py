@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pluckereqs import pvector, pvector_to_json, wedge
 from pluckereqs.cli import main
 from pluckereqs.multiindex import GrassmannParams
@@ -122,6 +124,29 @@ def test_check_malformed_input(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"re": "1"},  # no "idx"
+        {"idx": [1, 2, 3], "re": "1/0"},
+        {"idx": [1, 2, 3], "re": float("inf")},
+    ],
+    ids=["missing_idx", "zero_denominator", "infinity"],
+)
+def test_check_malformed_entry_exits_2(tmp_path, capsys, entry):
+    field = "f64" if isinstance(entry["re"], float) else "Q"
+    data = {"n": 6, "p": 3, "field": field, "coeffs": [entry, {"idx": [4, 5, 6], "re": "1"}]}
+    if field == "f64":
+        data["coeffs"][1]["re"] = 1.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_check_param_mismatch(tmp_path, capsys):

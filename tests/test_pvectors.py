@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pluckereqs import (
@@ -71,6 +73,46 @@ def test_wedge_repeated_vector_is_zero():
     h = wedge([E[0], E[0], E[2]])
     assert h.is_zero
     assert is_simple(h, "plucker") and is_simple(h, "plucker_like")
+
+
+def _leibniz_minors(rows, zero):
+    # Brute-force reference: every p x p minor as a signed permutation sum.
+    p, n = len(rows), len(rows[0])
+    minors = {}
+    for cols in combinations(range(n), p):
+        total = zero
+        for perm in permutations(range(p)):
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(p), 2))
+            product = -1 if inversions % 2 else 1
+            for row, col in zip(rows, perm):
+                product = product * row[cols[col]]
+            total = total + product
+        if total:
+            minors[tuple(c + 1 for c in cols)] = total
+    return minors
+
+
+@pytest.mark.parametrize("field", ["Q_i", "f64"])
+def test_wedge_matches_leibniz_minors(field):
+    if field == "Q_i":
+        g = lambda re, im: GaussianRational(Fraction(re), Fraction(im))  # noqa: E731
+        rows = [
+            [g(1, 2), 0, g(Fraction(1, 2), -1), 3, g(0, 1)],
+            [0, g(2, -1), 1, g(-1, Fraction(1, 3)), 2],
+            [g(-2, 0), 1, g(0, 3), 0, g(1, 1)],
+        ]
+        zero = GaussianRational(0)
+    else:
+        # Dyadic entries keep every float product and sum exact.
+        rows = [
+            [0.5, 0.0, -1.25, 2.0, 1.0, 0.0],
+            [1.0, -2.0, 0.0, 0.75, 0.0, 3.0],
+            [0.0, 1.5, 1.0, -1.0, 2.0, 0.25],
+        ]
+        zero = 0.0
+    h = wedge(rows)
+    assert h.field == field
+    assert dict(h.coeffs) == _leibniz_minors(rows, zero)
 
 
 def test_wedge_dimension_mismatch():
@@ -292,3 +334,63 @@ def test_pvector_json_rejects_malformed():
             '{"n": 6, "p": 3, "field": "Q", "coeffs": ['
             '{"idx": [1, 2, 3], "re": "1"}, {"idx": [1, 2, 3], "re": "2"}]}'
         )
+
+
+@lru_cache(maxsize=None)
+def _systems(n, p):
+    params = GrassmannParams(n, p)
+    return gen_plucker(params), gen_plucker_like(params)
+
+
+@st.composite
+def exact_pvectors(draw):
+    """Q or Q_i p-vectors at 4 <= n <= 7 that stress the chart pivot.
+
+    Shapes: a wedge (optionally with a zero at the would-be pivot
+    ``(1, ..., p)``), a sum of two wedges, or one non-zero coefficient.
+    """
+    n = draw(st.integers(4, 7))
+    p = draw(st.integers(2, n - 2))
+    params = GrassmannParams(n, p)
+    field = draw(st.sampled_from(["Q", "Q_i"]))
+    if field == "Q":
+        entry = st.integers(-2, 2)
+    else:
+        entry = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=p, max_size=p)
+    shape = draw(st.sampled_from(["wedge", "zero_pivot", "sum", "single"]))
+    if shape == "single":
+        idx = draw(st.sampled_from(list(combinations(params.indices, p))))
+        coeffs = {idx: draw(entry.filter(bool))}
+    elif shape == "sum":
+        first, second = wedge(draw(rows), n).coeffs, wedge(draw(rows), n).coeffs
+        zero = 0 if field == "Q" else GaussianRational(0)
+        coeffs = {
+            idx: first.get(idx, zero) + second.get(idx, zero) for idx in {*first, *second}
+        }
+    else:
+        drawn = draw(rows)
+        if shape == "zero_pivot":
+            # Equal leading p x p blocks in two rows kill the (1..p) minor.
+            drawn[0][:p] = drawn[1][:p]
+        coeffs = dict(wedge(drawn, n).coeffs)
+    denominator = draw(st.integers(1, 6))
+    coeffs = {idx: v * Fraction(1, denominator) for idx, v in coeffs.items()}
+    return pvector(params, coeffs, field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_pvectors())
+@example(pvector(GrassmannParams(6, 3), {(1, 2, 3): 1, (4, 5, 6): 1}))
+@example(pvector(GrassmannParams(5, 2), {(2, 4): Fraction(-3, 2)}, "Q"))
+def test_chart_verdict_matches_equation_oracle(h):
+    # Two independent oracles: the affine-chart wedge test inside is_simple,
+    # and "no equation of the system is violated".  The cleared residual is
+    # itself pinned against evaluate() on the field's own scalars.
+    for system in _systems(h.params.n, h.params.p):
+        report = residual(system, h)
+        assert report.violations == [
+            (eq.label, value) for eq in system if (value := evaluate(eq, h))
+        ]
+        choice = "plucker" if system.m == 1 else "plucker_like"
+        assert is_simple(h, choice) == (not report.violations)
