@@ -14,6 +14,7 @@ import sys
 from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, size_ratio
 from .multiindex import GrassmannParams
 from .pvectors import (
+    _decide,
     is_simple,
     pvector_from_json,
     random_pvector,
@@ -121,11 +122,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("simple (zero vector)")
         return EXIT_OK
     choice = "plucker" if args.m == 1 else "plucker_like"
-    if is_simple(h, choice, tolerance=args.tolerance):
+    simple, report = _decide(h, choice, args.tolerance)
+    if simple:
         print("simple")
         return EXIT_OK
-    system = gen_generalized(params, args.m)
-    report = residual(system, h, tolerance=args.tolerance)
+    if report is None:
+        report = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance)
     style = resolve_style(params.n)
     print(f"not simple: {len(report.violations)} violated equations")
     for label, value in report.violations:

@@ -39,9 +39,19 @@ def as_multiindex(values: Iterable[int]) -> MultiIndex:
     (1, 3, 4)
     >>> as_multiindex(())
     ()
+
+    Entries must be ``int`` themselves; nothing is converted, so a float or
+    a bool is rejected rather than truncated:
+
+    >>> as_multiindex([1.5, 2, 3])
+    Traceback (most recent call last):
+    ...
+    ValueError: multi-index entries must be integers, got 1.5
     """
-    idx = tuple(int(v) for v in values)
+    idx = tuple(values)
     for pos, value in enumerate(idx):
+        if type(value) is not int:
+            raise ValueError(f"multi-index entries must be integers, got {value!r}")
         if value < 1:
             raise ValueError(f"multi-index entries must be >= 1, got {value}")
         if pos and idx[pos - 1] >= value:

@@ -32,6 +32,7 @@ assumption enters the code.
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -455,23 +456,35 @@ def is_simple(h: PVector, system_choice: str = "plucker", tolerance: float | Non
     2..n-2 the system is trivial and every vector passes.  The zero vector
     is reported simple by convention.
     """
+    return _decide(h, system_choice, tolerance)[0]
+
+
+def _decide(
+    h: PVector, system_choice: str, tolerance: float | None
+) -> tuple[bool, Residual | None]:
+    """:func:`is_simple`'s verdict, plus the residual it was read from.
+
+    The residual is returned only when the verdict came from evaluating
+    the system (the float field on a non-trivial system), so a caller that
+    lists violations need not build the system a second time.
+    """
     choice = _normalize_choice(system_choice)
     n, p = h.params.n, h.params.p
     if choice == "plucker_like":
         if not 2 <= p <= n - 2:
-            return True
+            return True, None
         m = 2
     else:
         if not 1 <= p <= n - 1:
             raise ValueError(f"one-index system needs 1 <= p <= n-1, got p={p}, n={n}")
         m = 1
     if h.field == "f64":
-        system = gen_generalized(h.params, m)
-        return not residual(system, h, tolerance).violations
+        report = residual(gen_generalized(h.params, m), h, tolerance)
+        return not report.violations, report
     if h.is_zero:
-        return True
+        return True, None
     coeffs, _ = _cleared(h.coeffs, h.field)
-    return _chart_is_simple(coeffs, p)
+    return _chart_is_simple(coeffs, p), None
 
 
 def random_pvector(params: GrassmannParams, seed: int) -> PVector:
@@ -495,9 +508,17 @@ def random_simple(params: GrassmannParams, seed: int) -> PVector:
     return wedge(vectors)
 
 
+# An optional sign, digits, then at most one of "/digits" or ".digits".  An
+# exponent is refused: Fraction expands it exactly, so "1e10000000" alone
+# would take seconds to parse.
+_EXACT_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def _fraction_from_text(text) -> Fraction:
-    if not isinstance(text, str):
-        raise ValueError(f"exact coefficients must be 'num/den' strings, got {text!r}")
+    if not isinstance(text, str) or not _EXACT_TEXT.fullmatch(text):
+        raise ValueError(
+            f"exact coefficients must be strings 'a', 'a/b' or 'a.b', got {text!r}"
+        )
     return Fraction(text)
 
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .equations import (
+    EquationSystem,
     Label,
     QuadraticEquation,
     QuadTerm,
@@ -86,14 +88,17 @@ class QClass:
 
     @property
     def kind(self) -> str:
-        """"3-term" (q = p-2, raw pairs collapse), "10-term" (q = p-3,
-        family stratum) or "large" (q <= p-4)."""
-        p = len(self.j_prime) + 2 + self.q_size
-        if self.q_size == p - 2:
-            return "3-term"
-        if self.q_size == p - 3:
-            return "10-term"
-        return "large"
+        return _stratum_kind(self.q_size, len(self.j_prime) + 2 + self.q_size)
+
+
+def _stratum_kind(q_size: int, p: int) -> str:
+    """"3-term" (q = p-2, raw pairs collapse), "10-term" (q = p-3,
+    family stratum) or "large" (q <= p-4)."""
+    if q_size == p - 2:
+        return "3-term"
+    if q_size == p - 3:
+        return "10-term"
+    return "large"
 
 
 def classify(params: GrassmannParams, j: Iterable[int], k: Iterable[int]) -> QClass:
@@ -221,7 +226,18 @@ def census(params: GrassmannParams) -> CensusReport:
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"census needs 2 <= p <= n-2, got p={p}, n={n}")
-    system = gen_plucker_like(params)
+    return _census(params, gen_plucker_like(params))[0]
+
+
+def _census(
+    params: GrassmannParams, system: EquationSystem
+) -> tuple[CensusReport, list[tuple[QuadTerm, ...]]]:
+    """Census of an already generated two-index system.
+
+    Also returns the canonical terms of every equation, in system order,
+    so a caller holding the system need not canonicalize it again.
+    """
+    n, p = params.n, params.p
     canonical_terms: list[tuple[QuadTerm, ...]] = []
     term_counts: dict[int, set[int]] = {}
     observed: Counter[int] = Counter()
@@ -242,14 +258,14 @@ def census(params: GrassmannParams) -> CensusReport:
         classes.append(
             QClassCensus(
                 q_size=q_size,
-                kind={p - 2: "3-term", p - 3: "10-term"}.get(q_size, "large"),
+                kind=_stratum_kind(q_size, p),
                 observed=observed.get(q_size, 0),
                 predicted=_predicted_class_count(params, q_size),
                 expected_terms=expected_terms,
                 observed_terms=tuple(sorted(term_counts.get(q_size, ()))),
             )
         )
-    return CensusReport(
+    report = CensusReport(
         params=params,
         total_observed=len(system.equations),
         total_predicted=comb(n, p - 2) * comb(n, p + 2),
@@ -259,6 +275,7 @@ def census(params: GrassmannParams) -> CensusReport:
         all_distinct=len(set(canonical_terms)) == len(canonical_terms),
         all_nontrivial=all(canonical_terms),
     )
+    return report, canonical_terms
 
 
 def one_index_decomposition(
@@ -285,14 +302,23 @@ def one_index_decomposition(
     return expansion
 
 
+# Where the checks read raw equations: ``raw(j, k, m)``.  The public
+# per-label checks generate them; ``verify_structure`` looks them up in
+# the systems it generated once.
+_RawSource = Callable[[MultiIndex, MultiIndex, int], QuadraticEquation]
+
+
 def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[int]) -> bool:
     """Verify the raw decomposition identity exactly for one label."""
+    return _decomposition_holds(params, j, k, partial(raw_equation, params))
+
+
+def _decomposition_holds(params: GrassmannParams, j, k, raw: _RawSource) -> bool:
     parts = [
-        (sign, raw_equation(params, pj, pk, 1))
-        for sign, (pj, pk) in one_index_decomposition(params, j, k)
+        (sign, raw(pj, pk, 1)) for sign, (pj, pk) in one_index_decomposition(params, j, k)
     ]
     lhs = collect_terms(linear_combination(parts, params).terms)
-    doubled = linear_combination([(2, raw_equation(params, j, k, 2))], params)
+    doubled = linear_combination([(2, raw(j, k, 2))], params)
     return lhs == collect_terms(doubled.terms)
 
 
@@ -359,14 +385,27 @@ def pair_combine(
 def check_pair_combine(params: GrassmannParams, family: PairFamily, i: int, i2: int) -> bool:
     """Exact raw identity ``E_i + (-1)**(i+i2) E_i2 = 2*(-1)**i2 * raw_1(target)``
     plus equality of canonical forms."""
-    first = raw_equation(params, *family.members[i - 1], 2)
-    second = raw_equation(params, *family.members[i2 - 1], 2)
+    return _pair_combine_holds(
+        params, family, i, i2, partial(raw_equation, params), lambda eq: canonicalize(eq).terms
+    )
+
+
+def _pair_combine_holds(
+    params: GrassmannParams,
+    family: PairFamily,
+    i: int,
+    i2: int,
+    raw: _RawSource,
+    canonical_terms: Callable[[QuadraticEquation], tuple[QuadTerm, ...]],
+) -> bool:
+    first = raw(*family.members[i - 1], 2)
+    second = raw(*family.members[i2 - 1], 2)
     combo = linear_combination([(1, first), ((-1) ** (i + i2), second)], params)
-    target = raw_equation(params, *_combined_label(family, i, i2), 1)
+    target = raw(*_combined_label(family, i, i2), 1)
     scaled_target = linear_combination([(2 * (-1) ** i2, target)], params)
     if collect_terms(combo.terms) != collect_terms(scaled_target.terms):
         return False
-    return canonicalize(combo).terms == canonicalize(target).terms
+    return canonicalize(combo).terms == canonical_terms(target)
 
 
 @dataclass(frozen=True)
@@ -584,34 +623,53 @@ class VerifyReport:
 
 
 def _check_family_structure(
-    params: GrassmannParams, family: PairFamily, canonical_by_label: dict[Label, QuadraticEquation]
+    family: PairFamily, canonical_by_label: dict[Label, tuple[QuadTerm, ...]]
 ) -> bool:
     canons = []
     for label in family.members:
-        eq = canonical_by_label.get(label)
-        if eq is None:
+        terms = canonical_by_label.get(label)
+        if terms is None:
             return False
-        canons.append(eq)
-    if any(len(eq.terms) != 10 for eq in canons):
+        canons.append(terms)
+    if any(len(terms) != 10 for terms in canons):
         return False
-    supports = {frozenset((t.left, t.right) for t in eq.terms) for eq in canons}
+    supports = {frozenset((t.left, t.right) for t in terms) for terms in canons}
     if len(supports) != 1:
         return False
-    return len({eq.terms for eq in canons}) == 6
+    return len(set(canons)) == 6
 
 
 def verify_structure(params: GrassmannParams) -> VerifyReport:
-    """Run every structural check at one (n, p) and collect failures."""
+    """Run every structural check at one (n, p) and collect failures.
+
+    Each system is generated once; every check reads its raw and canonical
+    equations from label maps built from those two systems.
+    """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
-    report = VerifyReport(params=params, census=census(params))
     two_index = gen_plucker_like(params)
-    canonical_by_label = {eq.label: canonicalize(eq) for eq in two_index.equations}
+    census_report, two_canonical = _census(params, two_index)
+    report = VerifyReport(params=params, census=census_report)
+    canonical_by_label = {
+        eq.label: terms for eq, terms in zip(two_index.equations, two_canonical)
+    }
+    one_index = gen_plucker(params)
+    raw_by_label = {
+        1: {eq.label: eq for eq in one_index.equations},
+        2: {eq.label: eq for eq in two_index.equations},
+    }
+    one_canonical = {eq.label: canonicalize(eq).terms for eq in one_index.equations}
+
+    def shared_raw(j: MultiIndex, k: MultiIndex, m: int) -> QuadraticEquation:
+        return raw_by_label[m][j, k]
+
+    def shared_canonical(eq: QuadraticEquation) -> tuple[QuadTerm, ...]:
+        return one_canonical[eq.label]
 
     for eq in two_index.equations:
         report.decompositions_checked += 1
-        if not check_decomposition(params, *eq.label):
+        if not _decomposition_holds(params, *eq.label, shared_raw):
             report.decomposition_failures.append(eq.label)
 
     families = pair_families(params)
@@ -623,23 +681,22 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     member_labels = {label for family in families for label in family.members}
     for family in families:
         report.families_checked += 1
-        if not _check_family_structure(params, family, canonical_by_label):
+        if not _check_family_structure(family, canonical_by_label):
             report.family_failures.append((family.q, family.l))
         for i, i2 in combinations(range(1, 7), 2):
             report.combinations_checked += 1
-            if not check_pair_combine(params, family, i, i2):
+            if not _pair_combine_holds(params, family, i, i2, shared_raw, shared_canonical):
                 report.combination_failures.append((family.q, family.l, i, i2))
     if member_labels != family_stratum_labels:
         report.family_failures.append(("partition", "mismatch"))
 
-    one_index = gen_plucker(params)
-    one_counts = Counter(canonicalize(eq).terms for eq in one_index.equations)
-    two_counts = Counter(eq.terms for eq in canonical_by_label.values())
+    one_counts = Counter(one_canonical.values())
+    two_counts = Counter(canonical_by_label.values())
     for eq in two_index.equations:
         if len(intersection(*eq.label)) != p - 2:
             continue
-        canon = canonical_by_label[eq.label]
-        if one_counts.get(canon.terms, 0) != 4 or two_counts.get(canon.terms, 0) != 1:
+        terms = canonical_by_label[eq.label]
+        if one_counts.get(terms, 0) != 4 or two_counts.get(terms, 0) != 1:
             report.multiplicity_ok = False
             report.multiplicity_failures.append(eq.label)
     return report

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -132,8 +133,11 @@ def test_check_malformed_input(tmp_path, capsys):
         {"re": "1"},  # no "idx"
         {"idx": [1, 2, 3], "re": "1/0"},
         {"idx": [1, 2, 3], "re": float("inf")},
+        {"idx": [1.5, 2, 3], "re": "1"},
+        {"idx": [True, 2, 3], "re": "1"},
+        {"idx": [1, 2, 3], "re": "1e10000000"},
     ],
-    ids=["missing_idx", "zero_denominator", "infinity"],
+    ids=["missing_idx", "zero_denominator", "infinity", "float_idx", "bool_idx", "exponent"],
 )
 def test_check_malformed_entry_exits_2(tmp_path, capsys, entry):
     field = "f64" if isinstance(entry["re"], float) else "Q"
@@ -142,11 +146,43 @@ def test_check_malformed_entry_exits_2(tmp_path, capsys, entry):
         data["coeffs"][1]["re"] = 1.0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
+    started = time.perf_counter()
     code, out, err = run(capsys, "check", str(path))
+    # Rejected at the boundary: an exact exponent expansion would take seconds.
+    assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
+    import pluckereqs.cli
+    import pluckereqs.pvectors
+    from pluckereqs.equations import gen_generalized
+
+    builds = []
+
+    def counting(params, m, jobs=1):
+        builds.append(m)
+        return gen_generalized(params, m, jobs)
+
+    monkeypatch.setattr(pluckereqs.cli, "gen_generalized", counting)
+    monkeypatch.setattr(pluckereqs.pvectors, "gen_generalized", counting)
+    params = GrassmannParams(6, 3)
+    path = tmp_path / "h.json"
+    path.write_text(pvector_to_json(pvector(params, {(1, 2, 3): 1.0, (4, 5, 6): 1.0}, "f64")))
+    code, out, _ = run(capsys, "check", str(path), "--m", m)
+    assert code == 1
+    assert out.startswith("not simple: ")
+    assert len(out.splitlines()) == 1 + int(out.split()[2])
+    assert builds == [int(m)]
+    # p outside 2..n-2: the two-index system is trivial, nothing is built.
+    builds.clear()
+    path.write_text(pvector_to_json(pvector(GrassmannParams(6, 1), {(1,): 1.0}, "f64")))
+    code, out, _ = run(capsys, "check", str(path), "--m", "2")
+    assert (code, out, builds) == (0, "simple\n", [])
 
 
 def test_check_param_mismatch(tmp_path, capsys):

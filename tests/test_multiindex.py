@@ -33,6 +33,10 @@ def test_as_multiindex_validates():
         as_multiindex([2, 2])
     with pytest.raises(ValueError):
         as_multiindex([3, 1])
+    # Entries are never converted: a float or bool is rejected, not truncated.
+    for bad in ([1.5, 2, 3], [1.0, 2], [True, 2], ["1", "2"]):
+        with pytest.raises(ValueError, match="integers"):
+            as_multiindex(bad)
 
 
 def test_params_validation():

@@ -15,6 +15,7 @@ from pluckereqs import (
     gen_plucker_like,
     is_simple,
     pvector,
+    pvector_from_dict,
     pvector_from_json,
     pvector_to_json,
     random_pvector,
@@ -334,6 +335,32 @@ def test_pvector_json_rejects_malformed():
             '{"n": 6, "p": 3, "field": "Q", "coeffs": ['
             '{"idx": [1, 2, 3], "re": "1"}, {"idx": [1, 2, 3], "re": "2"}]}'
         )
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", Fraction(3)), ("-2/3", Fraction(-2, 3)), ("+4/6", Fraction(2, 3)),
+     ("0.25", Fraction(1, 4)), ("-1.50", Fraction(-3, 2)), ("1/0", None)],
+)
+def test_exact_coefficient_grammar_accepts(text, value):
+    doc = '{"n": 3, "p": 1, "field": "Q_i", "coeffs": [{"idx": [1], "re": "1", "im": "%s"}]}'
+    if value is None:  # well-formed, but a zero denominator
+        with pytest.raises(ValueError):
+            pvector_from_json(doc % text)
+        return
+    assert pvector_from_json(doc % text).coefficient((1,)) == GaussianRational(1, value)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e10000000", "1E5", "2.5e-3", ".5", "5.", "1_000", " 1", "1 ", "0x10",
+             "inf", "nan", "1/2/3", "1/-2", "", "\u0661"],
+)
+def test_exact_coefficient_grammar_rejects(text):
+    for field, key in (("Q", "re"), ("Q_i", "re"), ("Q_i", "im")):
+        entry = {"idx": [1], "re": "1", key: text}
+        doc = {"n": 3, "p": 1, "field": field, "coeffs": [entry]}
+        with pytest.raises(ValueError, match="exact coefficients"):
+            pvector_from_dict(doc)
 
 
 @lru_cache(maxsize=None)

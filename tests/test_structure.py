@@ -3,8 +3,13 @@ from math import comb
 
 import pytest
 
+import pluckereqs.equations
+import pluckereqs.structure
 from pluckereqs import (
+    EquationSystem,
     GrassmannParams,
+    QuadraticEquation,
+    QuadTerm,
     ProbeReport,
     canonicalize,
     stratum_probe,
@@ -13,6 +18,7 @@ from pluckereqs import (
     check_decomposition,
     classify,
     collect_terms,
+    gen_plucker,
     gen_plucker_like,
     linear_combination,
     multinomial,
@@ -261,3 +267,80 @@ def test_verify_structure_7_4():
     assert report.ok
     assert report.families_checked == 7
     assert report.combinations_checked == 7 * 15
+
+
+def test_verify_structure_generates_each_system_once(monkeypatch):
+    calls = []
+
+    def counting(params, j, k, m):
+        calls.append(m)
+        return raw_equation(params, j, k, m)
+
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", counting)
+    monkeypatch.setattr(pluckereqs.structure, "raw_equation", counting)
+    n, p = 7, 4
+    assert verify_structure(GrassmannParams(n, p)).ok
+    assert calls.count(1) == comb(n, p - 1) * comb(n, p + 1)
+    assert calls.count(2) == comb(n, p - 2) * comb(n, p + 2)
+    assert len(calls) == 882
+
+
+def test_verify_structure_catches_flipped_one_index_sign(monkeypatch):
+    # Flip one one-index equation both where verify_structure reads it (its
+    # generated system) and where the public per-label checks read it
+    # (raw_equation); the batch report must then fail exactly where they do.
+    params = GrassmannParams(7, 4)
+    flipped = ((1, 2, 3), (1, 4, 5, 6, 7))
+
+    def flip(eq):
+        if eq.label != flipped:
+            return eq
+        terms = tuple(QuadTerm(-t.coefficient, t.left, t.right) for t in eq.terms)
+        return QuadraticEquation(eq.params, eq.label, terms)
+
+    monkeypatch.setattr(
+        pluckereqs.structure,
+        "gen_plucker",
+        lambda params: EquationSystem(params, 1, tuple(map(flip, gen_plucker(params)))),
+    )
+    monkeypatch.setattr(
+        pluckereqs.structure,
+        "raw_equation",
+        lambda params, j, k, m: flip(raw_equation(params, j, k, m)),
+    )
+    report = verify_structure(params)
+    assert not report.ok
+    assert report.first_failure.startswith("decomposition identity at label ")
+    decomposition_failures = [
+        eq.label for eq in gen_plucker_like(params) if not check_decomposition(params, *eq.label)
+    ]
+    assert report.decomposition_failures == decomposition_failures
+    assert ((1, 3), (1, 2, 4, 5, 6, 7)) in decomposition_failures
+    combination_failures = [
+        (family.q, family.l, i, i2)
+        for family in pair_families(params)
+        for i, i2 in combinations(range(1, 7), 2)
+        if not check_pair_combine(params, family, i, i2)
+    ]
+    assert report.combination_failures == combination_failures != []
+
+
+@pytest.mark.parametrize("n, p", [(6, 3), (7, 3), (7, 4), (8, 4)])
+def test_verify_structure_matches_per_label_checks(n, p):
+    params = GrassmannParams(n, p)
+    report = verify_structure(params)
+    labels = [eq.label for eq in gen_plucker_like(params)]
+    families = pair_families(params)
+    assert report.decompositions_checked == len(labels)
+    assert report.decomposition_failures == [
+        label for label in labels if not check_decomposition(params, *label)
+    ]
+    assert report.families_checked == len(families)
+    assert report.combinations_checked == 15 * len(families)
+    assert report.combination_failures == [
+        (family.q, family.l, i, i2)
+        for family in families
+        for i, i2 in combinations(range(1, 7), 2)
+        if not check_pair_combine(params, family, i, i2)
+    ]
+    assert report.ok
