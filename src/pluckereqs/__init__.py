@@ -2,8 +2,6 @@
 coefficient identities cutting out the Grassmannian embedding."""
 
 from .equations import (
-    CANONICAL,
-    RAW,
     EquationSystem,
     Label,
     QuadraticEquation,

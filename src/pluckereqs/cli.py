@@ -8,7 +8,6 @@ an identity failed), 2 usage or input error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, size_ratio
@@ -28,17 +27,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-JOBS_ENV = "PLUCKEREQS_JOBS"
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
@@ -68,7 +56,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    system = gen_generalized(params, args.m, jobs=args.jobs)
+    system = gen_generalized(params, args.m)
     if args.dedupe:
         reduced, _ = dedupe(system)
         system = EquationSystem(params, args.m, tuple(reduced))
@@ -243,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--format", choices=FORMATS, default="text")
     p_gen.add_argument("--raw", action="store_true", help="emit generation-order raw terms")
     p_gen.add_argument("--dedupe", action="store_true", help="drop trivial/repeated equations")
-    p_gen.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
+    p_gen.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p_gen.add_argument("--experimental", action="store_true", help="allow m >= 3")
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_generate)

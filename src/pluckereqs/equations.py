@@ -15,8 +15,7 @@ positive.  An empty term list is the trivial equation ``0 = 0``.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -32,14 +31,9 @@ from .multiindex import (
     symmetric_difference,
 )
 
-RAW = "raw"
-CANONICAL = "canonical"
-
 Label = tuple[MultiIndex, MultiIndex]
 
 __all__ = [
-    "RAW",
-    "CANONICAL",
     "Label",
     "QuadTerm",
     "QuadraticEquation",
@@ -82,14 +76,13 @@ def make_term(coefficient: int, a: MultiIndex, b: MultiIndex) -> QuadTerm:
 class QuadraticEquation:
     """A signed list of quadratic terms with its generating label ``(j, k)``.
 
-    ``form`` records whether the terms are as generated ("raw") or
-    normalized ("canonical"); it is bookkeeping and excluded from equality.
+    The terms are either as generated (raw) or normalized by
+    ``canonicalize``; ``eq.terms == canonicalize(eq).terms`` tells which.
     """
 
     params: GrassmannParams
     label: Label
     terms: tuple[QuadTerm, ...]
-    form: str = field(default=RAW, compare=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -137,15 +130,7 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     for ii in combinations(moved, m):
         sign = -1 if inversion_pairs(sym, ii) & 1 else 1
         terms.append(make_term(sign, ordered_union(j, ii), difference(k, ii)))
-    return QuadraticEquation(params, (j, k), tuple(terms), RAW)
-
-
-def _equations_for_j(task: tuple[GrassmannParams, int, MultiIndex]) -> list[QuadraticEquation]:
-    params, m, j = task
-    return [
-        raw_equation(params, j, k, m)
-        for k in combinations(params.indices, params.p + m)
-    ]
+    return QuadraticEquation(params, (j, k), tuple(terms))
 
 
 def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationSystem:
@@ -155,25 +140,21 @@ def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationS
     construction is parametric but only those two carry structural
     guarantees.  Requires ``1 <= m <= min(p, n - p)``.
 
-    With ``jobs > 1`` the labels are generated in a process pool; results
-    are assembled in the deterministic row-major order either way.
+    ``jobs`` is accepted for compatibility and ignored: generation is one
+    serial loop, because a process pool was slower at every measured size
+    (it pickles each equation back to the parent).
     """
     n, p = params.n, params.p
     if not 1 <= m <= min(p, n - p):
         raise ValueError(
             f"m must satisfy 1 <= m <= min(p, n-p) = {min(p, n - p)}, got {m}"
         )
-    j_list = list(combinations(params.indices, p - m))
-    if jobs > 1 and len(j_list) > 1:
-        tasks = [(params, m, j) for j in j_list]
-        chunksize = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_equations_for_j, tasks, chunksize=chunksize))
-        equations = tuple(eq for block in blocks for eq in block)
-    else:
-        equations = tuple(
-            eq for j in j_list for eq in _equations_for_j((params, m, j))
-        )
+    k_list = list(combinations(params.indices, p + m))
+    equations = tuple(
+        raw_equation(params, j, k, m)
+        for j in combinations(params.indices, p - m)
+        for k in k_list
+    )
     return EquationSystem(params, m, equations)
 
 
@@ -208,7 +189,7 @@ def canonicalize(eq: QuadraticEquation) -> QuadraticEquation:
     """Return the canonical form of ``eq``; idempotent."""
     collected = sorted(collect_terms(eq.terms).items())
     if not collected:
-        return QuadraticEquation(eq.params, eq.label, (), CANONICAL)
+        return QuadraticEquation(eq.params, eq.label, ())
     divisor = 0
     for _, coeff in collected:
         divisor = gcd(divisor, abs(coeff))
@@ -217,7 +198,7 @@ def canonicalize(eq: QuadraticEquation) -> QuadraticEquation:
     terms = tuple(
         QuadTerm(coeff // divisor, left, right) for (left, right), coeff in collected
     )
-    return QuadraticEquation(eq.params, eq.label, terms, CANONICAL)
+    return QuadraticEquation(eq.params, eq.label, terms)
 
 
 def linear_combination(
@@ -232,7 +213,7 @@ def linear_combination(
             continue
         for term in eq.terms:
             terms.append(QuadTerm(weight * term.coefficient, term.left, term.right))
-    return QuadraticEquation(params, label, tuple(terms), RAW)
+    return QuadraticEquation(params, label, tuple(terms))
 
 
 def dedupe(

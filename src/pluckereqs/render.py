@@ -12,14 +12,7 @@ import csv
 import io
 import json
 
-from .equations import (
-    CANONICAL,
-    RAW,
-    EquationSystem,
-    QuadraticEquation,
-    QuadTerm,
-    canonicalize,
-)
+from .equations import EquationSystem, QuadraticEquation, QuadTerm
 from .multiindex import GrassmannParams, MultiIndex, as_multiindex
 
 FORMATS = ("text", "latex", "json", "csv")
@@ -149,35 +142,56 @@ def system_to_dict(system: EquationSystem) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _label_index(values, n: int) -> MultiIndex:
+    idx = as_multiindex(values)
+    if idx and idx[-1] > n:
+        raise ValueError(f"label entries must lie in 1..{n}, got {idx}")
+    return idx
+
+
+def _equation_from_dict(params: GrassmannParams, entry: dict) -> QuadraticEquation:
+    n, p = params.n, params.p
+    label = (_label_index(entry["j"], n), _label_index(entry["k"], n))
+    terms = []
+    for t in entry["terms"]:
+        coefficient = t["c"]
+        if type(coefficient) is not int or coefficient == 0:
+            raise ValueError(
+                f"term coefficient must be a non-zero JSON integer, got {coefficient!r}"
+            )
+        left = as_multiindex(t["left"])
+        right = as_multiindex(t["right"])
+        if len(left) != p or len(right) != p or left[-1] > n or right[-1] > n:
+            raise ValueError(
+                f"term multi-indices must have {p} entries in 1..{n}, got {left}, {right}"
+            )
+        if right < left:
+            raise ValueError("terms must be stored with left <= right")
+        terms.append(QuadTerm(coefficient, left, right))
+    return QuadraticEquation(params, label, tuple(terms))
+
+
 def system_from_dict(data: dict) -> EquationSystem:
     """Rebuild a system from its JSON dictionary form.
 
-    The raw/canonical flag is not stored on the wire; it is re-derived by
-    comparing each equation with its own canonical form.
+    Malformed input raises ``ValueError``.  ``n``, ``p``, ``m`` and each
+    term's ``c`` must be JSON integers; term multi-indices have ``p``
+    entries in 1..n, and label entries lie in 1..n.  Label sizes are not
+    checked, because library-built systems may carry ``((), ())`` labels.
     """
     try:
-        params = GrassmannParams(int(data["n"]), int(data["p"]))
-        m = int(data["m"])
-        raw_equations = data["equations"]
+        params = GrassmannParams(_json_int(data["n"], "n"), _json_int(data["p"], "p"))
+        m = _json_int(data["m"], "m")
+        equations = tuple(_equation_from_dict(params, entry) for entry in data["equations"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed equation-system JSON: {exc}") from exc
-    equations = []
-    for entry in raw_equations:
-        label = (as_multiindex(entry["j"]), as_multiindex(entry["k"]))
-        terms = tuple(
-            QuadTerm(int(t["c"]), as_multiindex(t["left"]), as_multiindex(t["right"]))
-            for t in entry["terms"]
-        )
-        for term in terms:
-            if term.coefficient == 0:
-                raise ValueError("zero coefficient in equation terms")
-            if term.right < term.left:
-                raise ValueError("terms must be stored with left <= right")
-        eq = QuadraticEquation(params, label, terms, RAW)
-        if terms == canonicalize(eq).terms:
-            eq = QuadraticEquation(params, label, terms, CANONICAL)
-        equations.append(eq)
-    return EquationSystem(params, m, tuple(equations))
+        raise ValueError(f"malformed equation-system JSON: {exc!r}") from exc
+    return EquationSystem(params, m, equations)
 
 
 def system_from_json(text: str) -> EquationSystem:

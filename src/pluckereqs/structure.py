@@ -314,6 +314,7 @@ def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[i
 
 
 def _decomposition_holds(params: GrassmannParams, j, k, raw: _RawSource) -> bool:
+    j, k = as_multiindex(j), as_multiindex(k)
     parts = [
         (sign, raw(pj, pk, 1)) for sign, (pj, pk) in one_index_decomposition(params, j, k)
     ]
@@ -551,11 +552,14 @@ def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
             if overlap > max_overlap:
                 max_overlap = overlap
     size_histogram = Counter(len(members) for members in groups.values())
-    plucker_reduced, _ = dedupe(gen_plucker(params))
-    plucker_by_terms = {eq.terms: eq.label for eq in plucker_reduced}
+    searchable = [members for members in groups.values() if len(members) >= min(sizes)]
+    plucker_by_terms = {}
+    if searchable:
+        plucker_reduced, _ = dedupe(gen_plucker(params))
+        plucker_by_terms = {eq.terms: eq.label for eq in plucker_reduced}
     tried = 0
     collapses = []
-    for members in groups.values():
+    for members in searchable:
         for count in sizes:
             if len(members) < count:
                 continue

@@ -120,7 +120,7 @@ def test_criterion_04_decomposition_oracle(golden_selected, golden_two_index):
 
     combo = linear_combination(
         [
-            (w, QuadraticEquation(params, row.label, row.terms, "canonical"))
+            (w, QuadraticEquation(params, row.label, row.terms))
             for w, row in weighted
         ],
         params,
@@ -195,8 +195,8 @@ def test_criterion_06_pair_combination(params63, golden_two_index, golden_reduce
     eleven = golden_two_index[10]
     summed = linear_combination(
         [
-            (1, QuadraticEquation(params63, six.label, six.terms, "canonical")),
-            (1, QuadraticEquation(params63, eleven.label, eleven.terms, "canonical")),
+            (1, QuadraticEquation(params63, six.label, six.terms)),
+            (1, QuadraticEquation(params63, eleven.label, eleven.terms)),
         ],
         params63,
     )

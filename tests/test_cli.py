@@ -223,15 +223,20 @@ def test_verify_larger_params(capsys):
     assert "3024/3024 labels ok" in out
 
 
-def test_jobs_env_var_default(monkeypatch):
-    from pluckereqs.cli import build_parser
+def test_jobs_flag_and_env_var_are_ignored(capsys, monkeypatch):
+    import multiprocessing.process
 
-    monkeypatch.setenv("PLUCKEREQS_JOBS", "4")
-    args = build_parser().parse_args(["generate", "--n", "6", "--p", "3"])
-    assert args.jobs == 4
-    monkeypatch.setenv("PLUCKEREQS_JOBS", "junk")
-    args = build_parser().parse_args(["generate", "--n", "6", "--p", "3"])
-    assert args.jobs == 1
+    def no_workers(self):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_workers)
+    args = ("generate", "--n", "6", "--p", "3")
+    expected = run(capsys, *args, "--jobs", "1")
+    assert expected[0] == 0
+    assert run(capsys, *args, "--jobs", "8") == expected
+    for value in ("4", "junk"):
+        monkeypatch.setenv("PLUCKEREQS_JOBS", value)
+        assert run(capsys, *args) == expected
 
 
 def test_export_reads_stdin(monkeypatch, capsys):
@@ -289,6 +294,39 @@ def test_export_round_trip(tmp_path, capsys):
     assert len(out.splitlines()) == 36
     code, _, _ = run(capsys, "export", "--in", str(tmp_path / "nope.json"))
     assert code == 3
+
+
+_TERM = {"c": 1, "left": [1, 2, 3], "right": [1, 4, 5]}
+_EQUATION = {"j": [1], "k": [2, 3, 4, 5, 6], "terms": [_TERM]}
+
+
+@pytest.mark.parametrize(
+    "n, entry",
+    [
+        (6, {"j": [1], "k": [2, 3, 4, 5, 6]}),
+        (6, 5),
+        (6, {**_EQUATION, "terms": [{**_TERM, "c": 1.5}]}),
+        (6, {**_EQUATION, "terms": [{**_TERM, "c": True}]}),
+        (6, {**_EQUATION, "terms": [{**_TERM, "right": [4, 5, 10]}]}),
+        (6, {**_EQUATION, "terms": [{**_TERM, "left": [1, 2]}]}),
+        (6, {**_EQUATION, "k": [2, 3, 4, 5, 10]}),
+        ("6", _EQUATION),
+    ],
+    ids=[
+        "missing_terms", "entry_not_object", "float_c", "bool_c",
+        "index_above_n", "short_term", "label_above_n", "string_n",
+    ],
+)
+def test_export_malformed_system_exits_2(tmp_path, capsys, n, entry):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"n": 6, "p": 3, "m": 2, "equations": [_EQUATION]}))
+    assert run(capsys, "export", "--in", str(path))[0] == 0
+    path.write_text(json.dumps({"n": n, "p": 3, "m": 2, "equations": [entry]}))
+    code, out, err = run(capsys, "export", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_probe_json(capsys):

@@ -87,7 +87,6 @@ def test_canonicalize_idempotent(pluckerlike63):
     for eq in pluckerlike63:
         once = canonicalize(eq)
         assert canonicalize(once) == once
-        assert once.form == "canonical"
 
 
 def test_canonical_coefficients_unit_for_m_1_and_2():

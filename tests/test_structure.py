@@ -109,6 +109,8 @@ def test_one_index_decomposition_labels_and_signs(params63):
 def test_decomposition_identity_all_labels_6_3(params63, pluckerlike63):
     for eq in pluckerlike63:
         assert check_decomposition(params63, *eq.label)
+        # One-shot iterables are read once, not consumed by validation.
+        assert check_decomposition(params63, iter(eq.label[0]), iter(eq.label[1]))
 
 
 def test_decomposition_identity_with_j_inside_k():
@@ -233,6 +235,22 @@ def test_stratum_probe_8_4():
     assert report.collapses == ()
     assert 0 < report.max_support_overlap < 15
     assert report.note == "exploratory - no claim"
+
+
+def test_stratum_probe_skips_one_index_system_without_groups(monkeypatch):
+    # Every support group at (9,4) q=0 is a singleton: nothing to search,
+    # so the one-index system is never built.
+    builds = []
+
+    def counting(params, jobs=1):
+        builds.append(params)
+        return gen_plucker(params, jobs)
+
+    monkeypatch.setattr(pluckereqs.structure, "gen_plucker", counting)
+    report = stratum_probe(GrassmannParams(9, 4), 0)
+    assert report.admissible
+    assert report.combinations_tried == 0
+    assert builds == []
 
 
 def test_stratum_probe_empty(params63):
