@@ -14,6 +14,7 @@ from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, si
 from .multiindex import GrassmannParams
 from .pvectors import (
     _decide,
+    checked_tolerance,
     is_simple,
     pvector_from_json,
     random_pvector,
@@ -51,11 +52,7 @@ def _add_params(parser: argparse.ArgumentParser, required: bool = True) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     params = GrassmannParams(args.n, args.p)
     if args.m >= 3 and not args.experimental:
-        print(
-            "error: m >= 3 has no structural guarantees; pass --experimental to proceed",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError("m >= 3 has no structural guarantees; pass --experimental to proceed")
     system = gen_generalized(params, args.m)
     if args.dedupe:
         reduced, _ = dedupe(system)
@@ -71,11 +68,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _run_selftest(args: argparse.Namespace) -> int:
     if args.n is None or args.p is None:
-        print("error: --selftest requires --n and --p", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--selftest requires --n and --p")
     if args.seed is None:
-        print("error: --selftest requires --seed", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--selftest requires --seed")
     params = GrassmannParams(args.n, args.p)
     count = args.selftest
     failures = 0
@@ -100,22 +95,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _run_selftest(args)
     h = pvector_from_json(_read_input(args.pvector))
     if args.n is not None and args.n != h.params.n:
-        print(f"error: --n {args.n} does not match input n={h.params.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--n {args.n} does not match input n={h.params.n}")
     if args.p is not None and args.p != h.params.p:
-        print(f"error: --p {args.p} does not match input p={h.params.p}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--p {args.p} does not match input p={h.params.p}")
+    # Checked before the zero-vector shortcut, so no field or value skips it.
+    tolerance = checked_tolerance(args.tolerance)
     params = h.params
     if h.is_zero:
         print("simple (zero vector)")
         return EXIT_OK
     choice = "plucker" if args.m == 1 else "plucker_like"
-    simple, report = _decide(h, choice, args.tolerance)
+    simple, report = _decide(h, choice, tolerance)
     if simple:
         print("simple")
         return EXIT_OK
     if report is None:
-        report = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance)
+        report = residual(gen_generalized(params, args.m), h, tolerance=tolerance)
     style = resolve_style(params.n)
     print(f"not simple: {len(report.violations)} violated equations")
     for label, value in report.violations:
@@ -125,12 +120,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 2 <= args.p <= args.n - 2:
-        print(
-            f"error: verification needs 2 <= p <= n-2, got p={args.p}, n={args.n}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     params = GrassmannParams(args.n, args.p)
     report = verify_structure(params)
     print(
@@ -155,12 +144,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    if not 2 <= args.p <= args.n - 2:
-        print(
-            f"error: census needs 2 <= p <= n-2, got p={args.p}, n={args.n}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     params = GrassmannParams(args.n, args.p)
     report = census(params)
     if args.format == "json":

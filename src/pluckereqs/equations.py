@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple
 from .multiindex import (
     GrassmannParams,
     MultiIndex,
-    as_multiindex,
     difference,
     inversion_pairs,
     ordered_union,
@@ -39,6 +38,7 @@ __all__ = [
     "QuadraticEquation",
     "EquationSystem",
     "make_term",
+    "check_width",
     "raw_equation",
     "gen_plucker",
     "gen_plucker_like",
@@ -108,6 +108,14 @@ class EquationSystem:
         return iter(self.equations)
 
 
+def check_width(params: GrassmannParams, m: int) -> int:
+    """Return ``m`` if it is a width a system can move: ``1 <= m <= min(p, n-p)``."""
+    bound = min(params.p, params.n - params.p)
+    if not 1 <= m <= bound:
+        raise ValueError(f"m must satisfy 1 <= m <= min(p, n-p) = {bound}, got {m}")
+    return m
+
+
 def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m: int) -> QuadraticEquation:
     """Generate the raw equation for one label ``(j, k)`` moving ``m`` indices.
 
@@ -115,15 +123,8 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     order over ``ii``, with coefficient ``(-1) ** <j^k | ii>`` where ``^`` is
     the symmetric difference and ``< | >`` the inversion-pair count.
     """
-    j = as_multiindex(j)
-    k = as_multiindex(k)
-    if len(j) != params.p - m or len(k) != params.p + m:
-        raise ValueError(
-            f"label sizes must be (p-m, p+m) = ({params.p - m}, {params.p + m}), "
-            f"got ({len(j)}, {len(k)})"
-        )
-    if (j and j[-1] > params.n) or (k and k[-1] > params.n):
-        raise ValueError(f"label indices must lie in 1..{params.n}")
+    j = params.multiindex(j, params.p - m)
+    k = params.multiindex(k, params.p + m)
     moved = difference(k, j)
     sym = symmetric_difference(j, k)
     terms = []
@@ -144,11 +145,8 @@ def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationS
     serial loop, because a process pool was slower at every measured size
     (it pickles each equation back to the parent).
     """
-    n, p = params.n, params.p
-    if not 1 <= m <= min(p, n - p):
-        raise ValueError(
-            f"m must satisfy 1 <= m <= min(p, n-p) = {min(p, n - p)}, got {m}"
-        )
+    check_width(params, m)
+    p = params.p
     k_list = list(combinations(params.indices, p + m))
     equations = tuple(
         raw_equation(params, j, k, m)

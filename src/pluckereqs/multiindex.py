@@ -49,13 +49,15 @@ def as_multiindex(values: Iterable[int]) -> MultiIndex:
     ValueError: multi-index entries must be integers, got 1.5
     """
     idx = tuple(values)
-    for pos, value in enumerate(idx):
+    previous = 0
+    for value in idx:
         if type(value) is not int:
             raise ValueError(f"multi-index entries must be integers, got {value!r}")
-        if value < 1:
-            raise ValueError(f"multi-index entries must be >= 1, got {value}")
-        if pos and idx[pos - 1] >= value:
+        if value <= previous:
+            if value < 1:
+                raise ValueError(f"multi-index entries must be >= 1, got {value}")
             raise ValueError(f"multi-index must be strictly increasing, got {idx}")
+        previous = value
     return idx
 
 
@@ -76,6 +78,27 @@ class GrassmannParams:
     def indices(self) -> range:
         """The index universe 1..n."""
         return range(1, self.n + 1)
+
+    def multiindex(self, values: Iterable[int], size: int | None = None) -> MultiIndex:
+        """Validate ``values`` as a multi-index over 1..n and return it as a tuple.
+
+        When ``size`` is given the multi-index must have exactly that many
+        entries.  This is the one place the rule is written; every label,
+        term and coefficient index read by the package passes through it.
+
+        >>> GrassmannParams(6, 3).multiindex([1, 4, 6], 3)
+        (1, 4, 6)
+        >>> GrassmannParams(6, 3).multiindex([1, 2, 3, 4, 8])
+        Traceback (most recent call last):
+        ...
+        ValueError: multi-index entries must lie in 1..6, got (1, 2, 3, 4, 8)
+        """
+        idx = as_multiindex(values)
+        if size is not None and len(idx) != size:
+            raise ValueError(f"multi-index {idx} must have {size} entries")
+        if idx and idx[-1] > self.n:
+            raise ValueError(f"multi-index entries must lie in 1..{self.n}, got {idx}")
+        return idx
 
 
 def inversion_pairs(a: Sequence[int], b: Sequence[int]) -> int:

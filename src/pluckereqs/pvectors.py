@@ -40,8 +40,10 @@ from itertools import combinations
 from math import isfinite, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, gen_generalized
-from .multiindex import GrassmannParams, MultiIndex, as_multiindex
+from .documents import json_int, load_document, read_document
+from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm
+from .equations import check_width, gen_generalized
+from .multiindex import GrassmannParams, MultiIndex
 
 FIELDS = ("Q", "Q_i", "f64")
 
@@ -229,11 +231,7 @@ def pvector(params: GrassmannParams, coeffs: Mapping, field: str = "Q") -> PVect
         raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
     cleaned: dict[MultiIndex, Scalar] = {}
     for raw_idx, value in coeffs.items():
-        idx = as_multiindex(raw_idx)
-        if len(idx) != params.p:
-            raise ValueError(f"coefficient index {idx} must have {params.p} entries")
-        if idx and idx[-1] > params.n:
-            raise ValueError(f"coefficient index {idx} exceeds n={params.n}")
+        idx = params.multiindex(raw_idx, params.p)
         scalar = _coerce_scalar(value, field)
         if scalar:
             cleaned[idx] = scalar
@@ -372,17 +370,33 @@ class Residual(NamedTuple):
     violations: list[tuple[Label, Scalar]]
 
 
+def checked_tolerance(tolerance: float | None) -> float:
+    """The float-mode relative tolerance: ``tolerance``, or 1e-9 when it is None.
+
+    It must be a finite number >= 0 whatever the field, so a NaN or an
+    infinity cannot pass every equation and a negative value cannot fail
+    every one.
+    """
+    if tolerance is None:
+        return 1e-9
+    tol = float(tolerance)
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    return tol
+
+
 def residual(system: EquationSystem, h: PVector, tolerance: float | None = None) -> Residual:
     """Evaluate every equation of ``system`` at ``h`` and report violations.
 
     Exact fields report every label with a non-zero value; the float field
-    reports values exceeding the relative tolerance (default 1e-9).
+    reports values exceeding the relative tolerance (default 1e-9), which
+    must be a finite number >= 0 in every field.
     """
     if system.params != h.params:
         raise ValueError(f"system is for {system.params}, p-vector for {h.params}")
+    tol = checked_tolerance(tolerance)
     violations: list[tuple[Label, Scalar]] = []
     if h.field == "f64":
-        tol = 1e-9 if tolerance is None else float(tolerance)
         worst = 0.0
         for eq in system.equations:
             values = _term_values(eq.terms, h.coeffs)
@@ -469,15 +483,14 @@ def _decide(
     lists violations need not build the system a second time.
     """
     choice = _normalize_choice(system_choice)
+    tolerance = checked_tolerance(tolerance)
     n, p = h.params.n, h.params.p
     if choice == "plucker_like":
         if not 2 <= p <= n - 2:
             return True, None
         m = 2
     else:
-        if not 1 <= p <= n - 1:
-            raise ValueError(f"one-index system needs 1 <= p <= n-1, got p={p}, n={n}")
-        m = 1
+        m = check_width(h.params, 1)
     if h.field == "f64":
         report = residual(gen_generalized(h.params, m), h, tolerance)
         return not report.violations, report
@@ -540,7 +553,7 @@ def pvector_to_dict(h: PVector) -> dict:
 
 
 def _entry_from_dict(entry: dict, field: str) -> tuple[MultiIndex, Scalar]:
-    idx = as_multiindex(entry["idx"])
+    idx = tuple(entry["idx"])
     if field == "Q":
         return idx, _fraction_from_text(entry["re"])
     if field == "Q_i":
@@ -551,27 +564,23 @@ def _entry_from_dict(entry: dict, field: str) -> tuple[MultiIndex, Scalar]:
     return idx, _coerce_scalar(entry["re"], field)
 
 
-def pvector_from_dict(data: dict) -> PVector:
-    """Parse the p-vector JSON document; every malformed input raises ``ValueError``."""
-    try:
-        params = GrassmannParams(int(data["n"]), int(data["p"]))
-        field = data["field"]
-        entries = data["coeffs"]
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed p-vector JSON: {exc}") from exc
+def _pvector_from_document(data: dict) -> PVector:
+    params = GrassmannParams(json_int(data["n"], "n"), json_int(data["p"], "p"))
+    field = data["field"]
     if field not in FIELDS:
         raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
     coeffs: dict[MultiIndex, Scalar] = {}
-    try:
-        for entry in entries:
-            idx, value = _entry_from_dict(entry, field)
-            if idx in coeffs:
-                raise ValueError(f"duplicate coefficient index {idx}")
-            if value:
-                coeffs[idx] = value
-    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"malformed coefficient entry: {type(exc).__name__}: {exc}") from exc
+    for entry in data["coeffs"]:
+        idx, value = _entry_from_dict(entry, field)
+        if idx in coeffs:
+            raise ValueError(f"duplicate coefficient index {idx}")
+        coeffs[idx] = value
     return pvector(params, coeffs, field)
+
+
+def pvector_from_dict(data: dict) -> PVector:
+    """Parse the p-vector JSON document; every malformed input raises ``ValueError``."""
+    return read_document(_pvector_from_document, data, "p-vector")
 
 
 def pvector_to_json(h: PVector) -> str:
@@ -581,10 +590,4 @@ def pvector_to_json(h: PVector) -> str:
 
 
 def pvector_from_json(text: str) -> PVector:
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    return pvector_from_dict(data)
+    return load_document(_pvector_from_document, text, "p-vector")

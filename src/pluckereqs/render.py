@@ -12,8 +12,9 @@ import csv
 import io
 import json
 
-from .equations import EquationSystem, QuadraticEquation, QuadTerm
-from .multiindex import GrassmannParams, MultiIndex, as_multiindex
+from .documents import json_int, load_document, read_document
+from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
+from .multiindex import GrassmannParams, MultiIndex
 
 FORMATS = ("text", "latex", "json", "csv")
 INDEX_STYLES = ("auto", "concat", "dots")
@@ -142,64 +143,42 @@ def system_to_dict(system: EquationSystem) -> dict:
     }
 
 
-def _json_int(value, name: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _label_index(values, n: int) -> MultiIndex:
-    idx = as_multiindex(values)
-    if idx and idx[-1] > n:
-        raise ValueError(f"label entries must lie in 1..{n}, got {idx}")
-    return idx
-
-
 def _equation_from_dict(params: GrassmannParams, entry: dict) -> QuadraticEquation:
-    n, p = params.n, params.p
-    label = (_label_index(entry["j"], n), _label_index(entry["k"], n))
+    label = (params.multiindex(entry["j"]), params.multiindex(entry["k"]))
     terms = []
     for t in entry["terms"]:
-        coefficient = t["c"]
-        if type(coefficient) is not int or coefficient == 0:
-            raise ValueError(
-                f"term coefficient must be a non-zero JSON integer, got {coefficient!r}"
-            )
-        left = as_multiindex(t["left"])
-        right = as_multiindex(t["right"])
-        if len(left) != p or len(right) != p or left[-1] > n or right[-1] > n:
-            raise ValueError(
-                f"term multi-indices must have {p} entries in 1..{n}, got {left}, {right}"
-            )
+        coefficient = json_int(t["c"], "term coefficient")
+        if coefficient == 0:
+            raise ValueError("term coefficient must be non-zero")
+        left = params.multiindex(t["left"], params.p)
+        right = params.multiindex(t["right"], params.p)
         if right < left:
             raise ValueError("terms must be stored with left <= right")
         terms.append(QuadTerm(coefficient, left, right))
     return QuadraticEquation(params, label, tuple(terms))
 
 
+def _system_from_document(data: dict) -> EquationSystem:
+    params = GrassmannParams(json_int(data["n"], "n"), json_int(data["p"], "p"))
+    m = check_width(params, json_int(data["m"], "m"))
+    equations = tuple(_equation_from_dict(params, entry) for entry in data["equations"])
+    return EquationSystem(params, m, equations)
+
+
 def system_from_dict(data: dict) -> EquationSystem:
     """Rebuild a system from its JSON dictionary form.
 
     Malformed input raises ``ValueError``.  ``n``, ``p``, ``m`` and each
-    term's ``c`` must be JSON integers; term multi-indices have ``p``
-    entries in 1..n, and label entries lie in 1..n.  Label sizes are not
-    checked, because library-built systems may carry ``((), ())`` labels.
+    term's ``c`` must be JSON integers, with ``1 <= m <= min(p, n-p)``;
+    term multi-indices have ``p`` entries in 1..n, and label entries lie in
+    1..n.  Label sizes are not checked, because library-built systems may
+    carry ``((), ())`` labels.
     """
-    try:
-        params = GrassmannParams(_json_int(data["n"], "n"), _json_int(data["p"], "p"))
-        m = _json_int(data["m"], "m")
-        equations = tuple(_equation_from_dict(params, entry) for entry in data["equations"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed equation-system JSON: {exc!r}") from exc
-    return EquationSystem(params, m, equations)
+    return read_document(_system_from_document, data, "equation-system")
 
 
 def system_from_json(text: str) -> EquationSystem:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    return system_from_dict(data)
+    return load_document(_system_from_document, text, "equation-system")
 
 
 def _render_json(system: EquationSystem) -> str:

@@ -103,13 +103,9 @@ def _stratum_kind(q_size: int, p: int) -> str:
 
 def classify(params: GrassmannParams, j: Iterable[int], k: Iterable[int]) -> QClass:
     """Split a two-index label into shared part ``q`` and remainders."""
-    j = as_multiindex(j)
-    k = as_multiindex(k)
     p = params.p
-    if len(j) != p - 2 or len(k) != p + 2:
-        raise ValueError(
-            f"label sizes must be (p-2, p+2) = ({p - 2}, {p + 2}), got ({len(j)}, {len(k)})"
-        )
+    j = params.multiindex(j, p - 2)
+    k = params.multiindex(k, p + 2)
     shared = intersection(j, k)
     q_size = len(shared)
     return QClass(
@@ -288,12 +284,8 @@ def one_index_decomposition(
     ``sum_i sign_i * raw_1(j+i, k-i) == 2 * raw_2(j, k)`` after collecting
     like terms.
     """
-    j = as_multiindex(j)
-    k = as_multiindex(k)
-    if len(j) != params.p - 2 or len(k) != params.p + 2:
-        raise ValueError(
-            f"label sizes must be (p-2, p+2), got ({len(j)}, {len(k)})"
-        )
+    j = params.multiindex(j, params.p - 2)
+    k = params.multiindex(k, params.p + 2)
     sym = symmetric_difference(j, k)
     expansion = []
     for i in difference(k, j):
@@ -455,37 +447,6 @@ class ProbeReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "ProbeReport":
-        data = json.loads(text)
-        collapses = tuple(
-            (
-                tuple((as_multiindex(j), as_multiindex(k)) for j, k in entry["labels"]),
-                tuple(int(c) for c in entry["coefficients"]),
-                (
-                    as_multiindex(entry["result_label"][0]),
-                    as_multiindex(entry["result_label"][1]),
-                ),
-            )
-            for entry in data["collapses"]
-        )
-        return ProbeReport(
-            n=int(data["n"]),
-            p=int(data["p"]),
-            q_size=int(data["q_size"]),
-            admissible=bool(data["admissible"]),
-            equation_count=int(data["equation_count"]),
-            support_group_sizes=tuple(
-                (int(a), int(b)) for a, b in data["support_group_sizes"]
-            ),
-            max_support_overlap=int(data["max_support_overlap"]),
-            coefficient_bound=int(data["coefficient_bound"]),
-            combination_sizes=tuple(int(s) for s in data["combination_sizes"]),
-            combinations_tried=int(data["combinations_tried"]),
-            collapses=collapses,
-            note=data["note"],
-        )
 
 
 def _primitive_coefficient_vectors(size: int, bound: int) -> list[tuple[int, ...]]:

@@ -1,9 +1,14 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pluckereqs import pvector, pvector_to_json, wedge
+from pluckereqs import gen_plucker_like, pvector, pvector_to_json, render, wedge
 from pluckereqs.cli import main
 from pluckereqs.multiindex import GrassmannParams
 
@@ -12,6 +17,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_input_error(result) -> str:
+    """A rejected input: exit 2, empty stdout, one ``error:`` line and no traceback."""
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
 def test_generate_full_plucker_row_count(capsys):
@@ -41,16 +56,12 @@ def test_generate_pluckerlike_latex(capsys):
 
 
 def test_generate_rejects_bad_params(capsys):
-    code, _, err = run(capsys, "generate", "--n", "6", "--p", "7", "--m", "1")
-    assert code == 2
-    assert "error" in err
-    code, _, err = run(capsys, "generate", "--n", "6", "--p", "3", "--m", "9")
-    assert code == 2
+    assert_input_error(run(capsys, "generate", "--n", "6", "--p", "7", "--m", "1"))
+    assert_input_error(run(capsys, "generate", "--n", "6", "--p", "3", "--m", "9"))
 
 
 def test_generate_m3_needs_experimental(capsys):
-    code, _, err = run(capsys, "generate", "--n", "6", "--p", "3", "--m", "3")
-    assert code == 2
+    err = assert_input_error(run(capsys, "generate", "--n", "6", "--p", "3", "--m", "3"))
     assert "--experimental" in err
     code, out, _ = run(
         capsys, "generate", "--n", "6", "--p", "3", "--m", "3", "--experimental"
@@ -121,8 +132,10 @@ def test_check_zero_vector(tmp_path, capsys):
 def test_check_malformed_input(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 2
+    assert_input_error(run(capsys, "check", str(path)))
+    # Nesting deeper than the interpreter recurses is malformed input too.
+    path.write_text("[" * 100_000)
+    assert_input_error(run(capsys, "check", str(path)))
     code, _, _ = run(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 3
 
@@ -147,13 +160,42 @@ def test_check_malformed_entry_exits_2(tmp_path, capsys, entry):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     started = time.perf_counter()
-    code, out, err = run(capsys, "check", str(path))
+    result = run(capsys, "check", str(path))
     # Rejected at the boundary: an exact exponent expansion would take seconds.
     assert time.perf_counter() - started < 1.0
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert_input_error(result)
+
+
+@pytest.mark.parametrize(
+    "n, p, idx",
+    [(6.9, 3, [1, 2, 3]), (6, "3", [1, 2, 3]), (6, True, [1]), (True, 1, [1])],
+    ids=["float_n", "string_p", "bool_p", "bool_n"],
+)
+def test_check_non_integer_n_p_exits_2(tmp_path, capsys, n, p, idx):
+    # Each document would name a valid vector if n and p were read with int().
+    data = {"n": n, "p": p, "field": "Q", "coeffs": [{"idx": idx, "re": "1"}]}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    err = assert_input_error(run(capsys, "check", str(path)))
+    assert "JSON integer" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+def test_check_rejects_bad_tolerance(tmp_path, capsys, tolerance):
+    params = GrassmannParams(6, 3)
+    vectors = [
+        pvector(params, {(1, 2, 3): 1.0, (4, 5, 6): 1.0}, "f64"),
+        wedge([[1.0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
+        pvector(params, {(1, 2, 3): 1, (4, 5, 6): 1}),
+        pvector(params, {}, "f64"),
+    ]
+    path = tmp_path / "h.json"
+    for h in vectors:
+        path.write_text(pvector_to_json(h))
+        for m in ("1", "2"):
+            argv = ("check", str(path), "--m", m, f"--tolerance={tolerance}")
+            err = assert_input_error(run(capsys, *argv))
+            assert "tolerance" in err
 
 
 @pytest.mark.parametrize("m", ["1", "2"])
@@ -189,8 +231,9 @@ def test_check_param_mismatch(tmp_path, capsys):
     params = GrassmannParams(6, 3)
     path = tmp_path / "h.json"
     path.write_text(pvector_to_json(pvector(params, {(1, 2, 3): 1})))
-    code, _, err = run(capsys, "check", str(path), "--n", "7")
-    assert code == 2
+    err = assert_input_error(run(capsys, "check", str(path), "--n", "7"))
+    assert "does not match" in err
+    err = assert_input_error(run(capsys, "check", str(path), "--p", "2"))
     assert "does not match" in err
 
 
@@ -200,9 +243,10 @@ def test_check_selftest(capsys):
     )
     assert code == 0
     assert "5/5 verdicts agree" in out
-    code, _, err = run(capsys, "check", "--selftest", "5", "--n", "6", "--p", "3")
-    assert code == 2
+    err = assert_input_error(run(capsys, "check", "--selftest", "5", "--n", "6", "--p", "3"))
     assert "--seed" in err
+    err = assert_input_error(run(capsys, "check", "--selftest", "5", "--seed", "9"))
+    assert "--n and --p" in err
 
 
 def test_verify_pass(capsys):
@@ -212,8 +256,7 @@ def test_verify_pass(capsys):
 
 
 def test_verify_out_of_range(capsys):
-    code, _, err = run(capsys, "verify", "--n", "6", "--p", "5")
-    assert code == 2
+    err = assert_input_error(run(capsys, "verify", "--n", "6", "--p", "5"))
     assert "2 <= p <= n-2" in err
 
 
@@ -278,8 +321,8 @@ def test_census_json(capsys):
 
 
 def test_census_out_of_range(capsys):
-    code, _, _ = run(capsys, "census", "--n", "6", "--p", "1")
-    assert code == 2
+    err = assert_input_error(run(capsys, "census", "--n", "6", "--p", "1"))
+    assert "2 <= p <= n-2" in err
 
 
 def test_export_round_trip(tmp_path, capsys):
@@ -300,33 +343,38 @@ _TERM = {"c": 1, "left": [1, 2, 3], "right": [1, 4, 5]}
 _EQUATION = {"j": [1], "k": [2, 3, 4, 5, 6], "terms": [_TERM]}
 
 
+def _system_json(n=6, m=2, entry=_EQUATION) -> str:
+    return json.dumps({"n": n, "p": 3, "m": m, "equations": [entry]})
+
+
 @pytest.mark.parametrize(
-    "n, entry",
+    "text",
     [
-        (6, {"j": [1], "k": [2, 3, 4, 5, 6]}),
-        (6, 5),
-        (6, {**_EQUATION, "terms": [{**_TERM, "c": 1.5}]}),
-        (6, {**_EQUATION, "terms": [{**_TERM, "c": True}]}),
-        (6, {**_EQUATION, "terms": [{**_TERM, "right": [4, 5, 10]}]}),
-        (6, {**_EQUATION, "terms": [{**_TERM, "left": [1, 2]}]}),
-        (6, {**_EQUATION, "k": [2, 3, 4, 5, 10]}),
-        ("6", _EQUATION),
+        _system_json(entry={"j": [1], "k": [2, 3, 4, 5, 6]}),
+        _system_json(entry=5),
+        _system_json(entry={**_EQUATION, "terms": [{**_TERM, "c": 1.5}]}),
+        _system_json(entry={**_EQUATION, "terms": [{**_TERM, "c": True}]}),
+        _system_json(entry={**_EQUATION, "terms": [{**_TERM, "right": [4, 5, 10]}]}),
+        _system_json(entry={**_EQUATION, "terms": [{**_TERM, "left": [1, 2]}]}),
+        _system_json(entry={**_EQUATION, "k": [2, 3, 4, 5, 10]}),
+        _system_json(n="6"),
+        _system_json(m=-4),
+        _system_json(m=0),
+        _system_json(m=4),
+        "[" * 100_000,
     ],
     ids=[
         "missing_terms", "entry_not_object", "float_c", "bool_c",
         "index_above_n", "short_term", "label_above_n", "string_n",
+        "negative_m", "zero_m", "m_above_min_p_n_minus_p", "deep_nesting",
     ],
 )
-def test_export_malformed_system_exits_2(tmp_path, capsys, n, entry):
+def test_export_malformed_system_exits_2(tmp_path, capsys, text):
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps({"n": 6, "p": 3, "m": 2, "equations": [_EQUATION]}))
+    path.write_text(_system_json())
     assert run(capsys, "export", "--in", str(path))[0] == 0
-    path.write_text(json.dumps({"n": n, "p": 3, "m": 2, "equations": [entry]}))
-    code, out, err = run(capsys, "export", "--in", str(path))
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    path.write_text(text)
+    assert_input_error(run(capsys, "export", "--in", str(path)))
 
 
 def test_probe_json(capsys):
@@ -347,3 +395,80 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+# A placeholder string that the fuzz test swaps for nested brackets after
+# encoding, because json.dumps itself refuses nesting that deep.
+_NESTED = "@@nested@@"
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) pair of a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _walk(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+_VALID_DOCUMENTS = {
+    "check": pvector_to_json(
+        wedge([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, -3]])
+    ),
+    "export": render(gen_plucker_like(GrassmannParams(6, 3)), "json"),
+}
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 9), max_size=4),
+    st.dictionaries(st.sampled_from(["n", "p", "idx", "re", "j"]), st.integers(0, 9), max_size=2),
+    st.just(_NESTED),
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid (6,3) p-vector or system document with one mutation applied."""
+    command = draw(st.sampled_from(sorted(_VALID_DOCUMENTS)))
+    data = json.loads(_VALID_DOCUMENTS[command])
+    mutation = draw(st.sampled_from(["delete", "replace", "wrap"]))
+    depth = draw(st.sampled_from([2, 900, 100_000]))
+    nested = "[" * depth + "]" * depth
+    if mutation == "wrap":
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"x": ', "}")]))
+        return command, opener * depth + json.dumps(data) + closer * depth
+    paths = list(_paths(data))
+    if mutation == "delete":
+        paths = [path for path in paths if isinstance(_walk(data, path[0]), dict)]
+    prefix, key = draw(st.sampled_from(paths))
+    parent = _walk(data, prefix)
+    if mutation == "delete":
+        del parent[key]
+    else:
+        old = type(parent[key])
+        parent[key] = draw(_JSON_VALUES.filter(lambda v: v == _NESTED or type(v) is not old))
+    return command, json.dumps(data).replace(json.dumps(_NESTED), nested)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_exit_0_or_2(document):
+    command, text = document
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main([command] if command == "check" else [command, "--format", "csv"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

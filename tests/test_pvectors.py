@@ -305,6 +305,16 @@ def test_float_mode_detects_gross_violation(params63, pluckerlike63):
     assert len(report.violations) == 6
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_tolerance_must_be_finite_and_non_negative(params63, plucker63, tolerance):
+    for field, one in (("Q", 1), ("f64", 1.0)):
+        h = pvector(params63, {(1, 2, 3): one, (4, 5, 6): one}, field)
+        with pytest.raises(ValueError, match="tolerance"):
+            is_simple(h, "plucker", tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            residual(plucker63, h, tolerance)
+
+
 def test_pvector_json_round_trip(params63):
     for h in (
         random_pvector(params63, 5),

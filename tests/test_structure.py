@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from math import comb
 
@@ -53,6 +54,15 @@ def test_classify_cases(params63):
 def test_classify_validates_sizes(params63):
     with pytest.raises(ValueError):
         classify(params63, (1, 2), (1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="1..6"):
+        classify(params63, [7], [1, 2, 3, 4, 8])
+
+
+def test_one_index_decomposition_validates_labels(params63):
+    with pytest.raises(ValueError):
+        one_index_decomposition(params63, (1, 2), (1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="1..6"):
+        one_index_decomposition(params63, [7], [1, 2, 3, 4, 8])
 
 
 def test_census_6_3(params63):
@@ -261,8 +271,11 @@ def test_stratum_probe_empty(params63):
 
 
 def test_stratum_probe_json_round_trip(params63):
+    # The package writes probe JSON and never reads it back: the text must
+    # decode to exactly the report's dictionary form.
     for report in (stratum_probe(GrassmannParams(8, 4), 0), stratum_probe(params63, 1)):
-        assert ProbeReport.from_json(report.to_json()) == report
+        assert isinstance(report, ProbeReport)
+        assert json.loads(report.to_json()) == report.to_dict()
 
 
 def test_verify_structure_6_3(params63):
