@@ -13,7 +13,6 @@ import sys
 from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, size_ratio
 from .multiindex import GrassmannParams
 from .pvectors import (
-    _decide,
     checked_tolerance,
     is_simple,
     pvector_from_json,
@@ -105,12 +104,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("simple (zero vector)")
         return EXIT_OK
     choice = "plucker" if args.m == 1 else "plucker_like"
-    simple, report = _decide(h, choice, tolerance)
-    if simple:
+    if is_simple(h, choice, tolerance):
         print("simple")
         return EXIT_OK
-    if report is None:
-        report = residual(gen_generalized(params, args.m), h, tolerance=tolerance)
+    report = residual(gen_generalized(params, args.m), h, tolerance=tolerance)
     style = resolve_style(params.n)
     print(f"not simple: {len(report.violations)} violated equations")
     for label, value in report.violations:

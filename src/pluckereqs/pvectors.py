@@ -13,16 +13,15 @@ form absorbs the quadratic scale of the equations, a T-term equation can
 drift by at most ``2*T*eps`` relative to its largest term (T <= 10 here),
 and the measured factor at the reference test point is 8.
 
-Decomposability in the exact fields is decided in the standard affine chart
-of the Plucker embedding (Griffiths & Harris, *Principles of Algebraic
-Geometry*, ch. 1 section 5): the smallest non-zero coefficient names a
-chart, the coefficients one index away from it give p vectors, and ``h`` is
-simple exactly when their wedge is a multiple of ``h``.  This needs no
-equation system, and over cleared integers (Q) or Gaussian integers (Q_i)
-it needs no division.  Both equation systems cut out the same set, so the
-verdict does not depend on the system chosen.  The float field keeps the
-equation path, because its verdict is defined by the per-equation relative
-tolerance above; it builds the system on every call and caches nothing.
+Decomposability is decided in the standard affine chart of the Plucker
+embedding (Griffiths & Harris, *Principles of Algebraic Geometry*, ch. 1
+section 5), with no equation system: the coefficients one index away from
+a pivot coefficient give p vectors, and ``h`` is simple exactly when their
+wedge is a multiple of ``h``.  Both systems cut out the same set, so the
+verdict does not depend on the system chosen.  The exact fields need no
+division.  For f64, ``tol`` bounds the deviation of that wedge from
+``h / lam_max``, where ``lam_max`` is the largest coefficient and the
+pivot; :func:`residual` keeps the per-equation relative bound above.
 
 The identities evaluated here relate basis coefficients only; no inner
 product on the underlying space is involved, so no orthonormality
@@ -37,12 +36,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isfinite, lcm, prod
+from math import frexp, isfinite, lcm, ldexp, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .documents import json_int, load_document, read_document
-from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm
-from .equations import check_width, gen_generalized
+from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 FIELDS = ("Q", "Q_i", "f64")
@@ -397,13 +395,18 @@ def residual(system: EquationSystem, h: PVector, tolerance: float | None = None)
     tol = checked_tolerance(tolerance)
     violations: list[tuple[Label, Scalar]] = []
     if h.field == "f64":
+        # h / scale, a power of two near its largest coefficient: exact, and
+        # no product overflows or underflows.
+        scale = ldexp(1.0, frexp(max(map(abs, h.coeffs.values()), default=1.0))[1] - 1)
+        coeffs = {key: value / scale for key, value in h.coeffs.items()}
         worst = 0.0
         for eq in system.equations:
-            values = _term_values(eq.terms, h.coeffs)
+            values = _term_values(eq.terms, coeffs)
             value = 0.0
             for term_value in values:  # left to right, as the tolerance bound assumes
                 value += term_value
             if abs(value) > tol * max(map(abs, values), default=0.0):
+                value = value * scale * scale  # inf or 0.0 outside float range
                 violations.append((eq.label, value))
                 worst = max(worst, abs(value))
         return Residual(worst, violations)
@@ -421,18 +424,28 @@ def residual(system: EquationSystem, h: PVector, tolerance: float | None = None)
     return Residual(worst, violations)
 
 
-def _chart_is_simple(coeffs: Mapping[MultiIndex, int | _GaussInt], p: int) -> bool:
-    """Exact decomposability of non-zero cleared coefficients ``coeffs``.
+def _chart_is_simple(coeffs: Mapping[MultiIndex, object], p: int, tol: float | None = None) -> bool:
+    """Decomposability of the non-zero coefficients ``coeffs`` in one affine chart.
 
-    Let ``I = (i_1 < ... < i_p)`` be the smallest key and ``c = coeffs[I]``.
+    Let ``I = (i_1 < ... < i_p)`` be the pivot key and ``c = coeffs[I]``.
     Row ``a`` holds ``c`` at ``i_a``, zero at the rest of ``I``, and at each
     ``j`` outside ``I`` the coefficient of ``I`` with ``i_a`` replaced by
     ``j``, negated when an odd number of entries of ``I`` lie strictly
     between ``i_a`` and ``j``.  The rows span the point's subspace read in
     the affine chart ``lam_I != 0``, so ``h`` is simple exactly when their
     wedge equals ``c**(p-1) * h``.
+
+    Exact (cleared) coefficients pivot on the smallest key.  Floats (``tol``
+    given) pivot on the largest magnitude, ties going to the smallest key,
+    and are divided by it, so ``c`` is 1; each wedge coefficient must then
+    lie within ``tol`` of the matching coefficient of ``h / c``.
     """
-    pivot_idx = min(coeffs)
+    if tol is None:
+        pivot_idx = min(coeffs)
+    else:
+        pivot_idx = min(coeffs, key=lambda key: (-abs(coeffs[key]), key))
+        largest = coeffs[pivot_idx]
+        coeffs = {key: value / largest for key, value in coeffs.items()}
     pivot = coeffs[pivot_idx]
     rows = [{i: pivot} for i in pivot_idx]
     for key, value in coeffs.items():
@@ -442,10 +455,15 @@ def _chart_is_simple(coeffs: Mapping[MultiIndex, int | _GaussInt], p: int) -> bo
         below = moved[0]  # entries of I other than i_a that lie below j
         a = next(pos for pos, i in enumerate(pivot_idx) if i not in key)
         rows[a][key[below]] = -value if (below - a) % 2 else value
+    blades = _wedge_coeffs(rows)
+    if tol is not None:
+        return all(
+            abs(blades.get(key, 0.0) - coeffs.get(key, 0.0)) <= tol
+            for key in blades.keys() | coeffs.keys()
+        )
     scale = 1
     for _ in range(p - 1):
         scale = scale * pivot
-    blades = _wedge_coeffs(rows)
     return len(blades) == len(coeffs) and all(
         blades.get(key) == scale * value for key, value in coeffs.items()
     )
@@ -461,43 +479,22 @@ def _normalize_choice(system_choice: str) -> str:
 def is_simple(h: PVector, system_choice: str = "plucker", tolerance: float | None = None) -> bool:
     """Decide decomposability of ``h`` under the chosen equation system.
 
-    Exact fields (Q, Q_i) are decided by the affine-chart wedge test of
-    :func:`_chart_is_simple` on cleared coefficients, with no equation
-    system built; both systems cut out the Grassmannian, so the verdict is
-    the one the equations would give.  The float field evaluates the chosen
-    system under the relative ``tolerance`` (see the module docstring),
-    building it on each call.  For the two-index system with p outside
-    2..n-2 the system is trivial and every vector passes.  The zero vector
-    is reported simple by convention.
-    """
-    return _decide(h, system_choice, tolerance)[0]
-
-
-def _decide(
-    h: PVector, system_choice: str, tolerance: float | None
-) -> tuple[bool, Residual | None]:
-    """:func:`is_simple`'s verdict, plus the residual it was read from.
-
-    The residual is returned only when the verdict came from evaluating
-    the system (the float field on a non-trivial system), so a caller that
-    lists violations need not build the system a second time.
+    Every field is decided by the affine-chart test of :func:`_chart_is_simple`,
+    with no equation system built; both systems cut out the Grassmannian, so
+    the verdict is the one the equations would give.  For f64, ``tolerance``
+    (default 1e-9) bounds the deviation of the chart wedge from
+    ``h / lam_max``; :func:`residual` keeps the per-equation relative bound.
+    The zero vector is reported simple by convention.
     """
     choice = _normalize_choice(system_choice)
-    tolerance = checked_tolerance(tolerance)
-    n, p = h.params.n, h.params.p
-    if choice == "plucker_like":
-        if not 2 <= p <= n - 2:
-            return True, None
-        m = 2
-    else:
-        m = check_width(h.params, 1)
-    if h.field == "f64":
-        report = residual(gen_generalized(h.params, m), h, tolerance)
-        return not report.violations, report
+    tol = checked_tolerance(tolerance)
+    if choice == "plucker":
+        check_width(h.params, 1)
     if h.is_zero:
-        return True, None
-    coeffs, _ = _cleared(h.coeffs, h.field)
-    return _chart_is_simple(coeffs, p), None
+        return True
+    if h.field == "f64":
+        return _chart_is_simple(h.coeffs, h.params.p, tol)
+    return _chart_is_simple(_cleared(h.coeffs, h.field)[0], h.params.p)
 
 
 def random_pvector(params: GrassmannParams, seed: int) -> PVector:
@@ -561,7 +558,11 @@ def _entry_from_dict(entry: dict, field: str) -> tuple[MultiIndex, Scalar]:
             _fraction_from_text(entry["re"]),
             _fraction_from_text(entry["im"]) if "im" in entry else Fraction(0),
         )
-    return idx, _coerce_scalar(entry["re"], field)
+    value = entry["re"]
+    # Not in _coerce_scalar: library callers may pass any real number type.
+    if type(value) not in (int, float):
+        raise ValueError(f"f64 coefficients must be JSON numbers, got {value!r}")
+    return idx, _coerce_scalar(value, field)
 
 
 def _pvector_from_document(data: dict) -> PVector:

@@ -143,8 +143,11 @@ def system_to_dict(system: EquationSystem) -> dict:
     }
 
 
-def _equation_from_dict(params: GrassmannParams, entry: dict) -> QuadraticEquation:
-    label = (params.multiindex(entry["j"]), params.multiindex(entry["k"]))
+def _equation_from_dict(params: GrassmannParams, m: int, entry: dict) -> QuadraticEquation:
+    j, k = entry["j"], entry["k"]
+    # linear_combination gives its results the empty label ((), ()).
+    sizes = (params.p - m, params.p + m) if j or k else (0, 0)
+    label = (params.multiindex(j, sizes[0]), params.multiindex(k, sizes[1]))
     terms = []
     for t in entry["terms"]:
         coefficient = json_int(t["c"], "term coefficient")
@@ -161,7 +164,7 @@ def _equation_from_dict(params: GrassmannParams, entry: dict) -> QuadraticEquati
 def _system_from_document(data: dict) -> EquationSystem:
     params = GrassmannParams(json_int(data["n"], "n"), json_int(data["p"], "p"))
     m = check_width(params, json_int(data["m"], "m"))
-    equations = tuple(_equation_from_dict(params, entry) for entry in data["equations"])
+    equations = tuple(_equation_from_dict(params, m, entry) for entry in data["equations"])
     return EquationSystem(params, m, equations)
 
 
@@ -170,9 +173,9 @@ def system_from_dict(data: dict) -> EquationSystem:
 
     Malformed input raises ``ValueError``.  ``n``, ``p``, ``m`` and each
     term's ``c`` must be JSON integers, with ``1 <= m <= min(p, n-p)``;
-    term multi-indices have ``p`` entries in 1..n, and label entries lie in
-    1..n.  Label sizes are not checked, because library-built systems may
-    carry ``((), ())`` labels.
+    term multi-indices have ``p`` entries in 1..n, and a label ``(j, k)``
+    has ``p-m`` and ``p+m`` entries in 1..n, or is the empty label
+    ``((), ())`` that ``equations.linear_combination`` gives.
     """
     return read_document(_system_from_document, data, "equation-system")
 

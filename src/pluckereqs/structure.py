@@ -201,15 +201,6 @@ class CensusReport:
         }
 
 
-def _predicted_class_count(params: GrassmannParams, q_size: int) -> int:
-    n, p = params.n, params.p
-    if q_size == p - 2:
-        return multinomial(n, [4, p - 2, n - p - 2])
-    if q_size == p - 3:
-        return multinomial(n, [1, 5, p - 3, n - p - 3])
-    return multinomial(n, [q_size, p - 2 - q_size, p + 2 - q_size, n + q_size - 2 * p])
-
-
 def _predicted_family_count(params: GrassmannParams) -> int:
     n, p = params.n, params.p
     if not 3 <= p <= n - 3:
@@ -256,7 +247,9 @@ def _census(
                 q_size=q_size,
                 kind=_stratum_kind(q_size, p),
                 observed=observed.get(q_size, 0),
-                predicted=_predicted_class_count(params, q_size),
+                predicted=multinomial(
+                    n, [q_size, p - 2 - q_size, p + 2 - q_size, n + q_size - 2 * p]
+                ),
                 expected_terms=expected_terms,
                 observed_terms=tuple(sorted(term_counts.get(q_size, ()))),
             )

@@ -141,22 +141,24 @@ def test_check_malformed_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "field, entry",
     [
-        {"re": "1"},  # no "idx"
-        {"idx": [1, 2, 3], "re": "1/0"},
-        {"idx": [1, 2, 3], "re": float("inf")},
-        {"idx": [1.5, 2, 3], "re": "1"},
-        {"idx": [True, 2, 3], "re": "1"},
-        {"idx": [1, 2, 3], "re": "1e10000000"},
+        ("Q", {"re": "1"}),  # no "idx"
+        ("Q", {"idx": [1, 2, 3], "re": "1/0"}),
+        ("f64", {"idx": [1, 2, 3], "re": float("inf")}),
+        ("Q", {"idx": [1.5, 2, 3], "re": "1"}),
+        ("Q", {"idx": [True, 2, 3], "re": "1"}),
+        ("Q", {"idx": [1, 2, 3], "re": "1e10000000"}),
+        ("f64", {"idx": [1, 2, 3], "re": "1.5"}),
+        ("f64", {"idx": [1, 2, 3], "re": True}),
+        ("f64", {"idx": [1, 2, 3], "re": None}),
     ],
-    ids=["missing_idx", "zero_denominator", "infinity", "float_idx", "bool_idx", "exponent"],
+    ids=["missing_idx", "zero_denominator", "infinity", "float_idx", "bool_idx", "exponent",
+         "f64_string", "f64_bool", "f64_null"],
 )
-def test_check_malformed_entry_exits_2(tmp_path, capsys, entry):
-    field = "f64" if isinstance(entry["re"], float) else "Q"
-    data = {"n": 6, "p": 3, "field": field, "coeffs": [entry, {"idx": [4, 5, 6], "re": "1"}]}
-    if field == "f64":
-        data["coeffs"][1]["re"] = 1.0
+def test_check_malformed_entry_exits_2(tmp_path, capsys, field, entry):
+    other = {"idx": [4, 5, 6], "re": 1.0 if field == "f64" else "1"}
+    data = {"n": 6, "p": 3, "field": field, "coeffs": [entry, other]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     started = time.perf_counter()
@@ -200,18 +202,17 @@ def test_check_rejects_bad_tolerance(tmp_path, capsys, tolerance):
 
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
-    import pluckereqs.cli
-    import pluckereqs.pvectors
-    from pluckereqs.equations import gen_generalized
+    import pluckereqs.equations
+    from pluckereqs.equations import raw_equation
 
     builds = []
 
-    def counting(params, m, jobs=1):
+    def counting(params, j, k, m):
         builds.append(m)
-        return gen_generalized(params, m, jobs)
+        return raw_equation(params, j, k, m)
 
-    monkeypatch.setattr(pluckereqs.cli, "gen_generalized", counting)
-    monkeypatch.setattr(pluckereqs.pvectors, "gen_generalized", counting)
+    # Every system is generated through raw_equation, whichever module asks.
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", counting)
     params = GrassmannParams(6, 3)
     path = tmp_path / "h.json"
     path.write_text(pvector_to_json(pvector(params, {(1, 2, 3): 1.0, (4, 5, 6): 1.0}, "f64")))
@@ -219,12 +220,35 @@ def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
     assert code == 1
     assert out.startswith("not simple: ")
     assert len(out.splitlines()) == 1 + int(out.split()[2])
-    assert builds == [int(m)]
-    # p outside 2..n-2: the two-index system is trivial, nothing is built.
+    assert builds == [int(m)] * {"1": 225, "2": 36}[m]
+    # A simple vector is decided in the affine chart: nothing is builds.
     builds.clear()
+    simple = wedge([[1.0, 0, 0, 0.5, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3]])
+    path.write_text(pvector_to_json(simple))
+    code, out, _ = run(capsys, "check", str(path), "--m", m)
+    assert (code, out, builds) == (0, "simple\n", [])
+    # p outside 2..n-2: every vector is simple, nothing is builds.
     path.write_text(pvector_to_json(pvector(GrassmannParams(6, 1), {(1,): 1.0}, "f64")))
     code, out, _ = run(capsys, "check", str(path), "--m", "2")
     assert (code, out, builds) == (0, "simple\n", [])
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-200])
+def test_check_f64_non_simple_at_any_scale(tmp_path, capsys, scale):
+    # Products of two coefficients leave the float range at these scales;
+    # the verdict and the violation count must not.
+    params = GrassmannParams(6, 3)
+    path = tmp_path / "h.json"
+    for m in ("1", "2"):
+        counts = []
+        for factor in (1.0, scale):
+            h = pvector(params, {(1, 2, 3): factor, (4, 5, 6): factor}, "f64")
+            path.write_text(pvector_to_json(h))
+            code, out, _ = run(capsys, "check", str(path), "--m", m)
+            assert code == 1
+            assert out.startswith("not simple: ")
+            counts.append(int(out.split()[2]))
+        assert counts[0] == counts[1] > 0
 
 
 def test_check_param_mismatch(tmp_path, capsys):
@@ -362,11 +386,13 @@ def _system_json(n=6, m=2, entry=_EQUATION) -> str:
         _system_json(m=0),
         _system_json(m=4),
         "[" * 100_000,
+        _system_json(m=1),
     ],
     ids=[
         "missing_terms", "entry_not_object", "float_c", "bool_c",
         "index_above_n", "short_term", "label_above_n", "string_n",
         "negative_m", "zero_m", "m_above_min_p_n_minus_p", "deep_nesting",
+        "label_sizes_not_m",
     ],
 )
 def test_export_malformed_system_exits_2(tmp_path, capsys, text):

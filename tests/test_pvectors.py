@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -431,3 +432,55 @@ def test_chart_verdict_matches_equation_oracle(h):
         ]
         choice = "plucker" if system.m == 1 else "plucker_like"
         assert is_simple(h, choice) == (not report.violations)
+
+
+@st.composite
+def float_pvectors(draw):
+    """f64 p-vectors at 4 <= n <= 8: an integer wedge or a sum of two, times a float scale.
+
+    The scale spans most of the float range, so products of two
+    coefficients would overflow or underflow without the residual's scaling.
+    """
+    n = draw(st.integers(4, 8))
+    p = draw(st.integers(2, n - 2))
+    rows = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=p, max_size=p)
+    coeffs = dict(wedge(draw(rows), n).coeffs)
+    if draw(st.booleans()):
+        for idx, value in wedge(draw(rows), n).coeffs.items():
+            coeffs[idx] = coeffs.get(idx, 0) + value
+    scale = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-250, 250))
+    return pvector(GrassmannParams(n, p), {idx: v * scale for idx, v in coeffs.items()}, "f64")
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_pvectors())
+@example(pvector(GrassmannParams(6, 3), {(1, 2, 3): 1e200, (4, 5, 6): 1e200}, "f64"))
+@example(pvector(GrassmannParams(6, 3), {(1, 2, 3): 1e-200, (4, 5, 6): -1e-200}, "f64"))
+def test_float_chart_verdict_matches_equation_oracle(h):
+    for system in _systems(h.params.n, h.params.p):
+        choice = "plucker" if system.m == 1 else "plucker_like"
+        assert is_simple(h, choice) == (not residual(system, h).violations)
+
+
+def test_float_chart_near_boundary_never_outruns_the_equations():
+    # A "not simple" from the chart must be backed by at least one equation
+    # the per-equation relative test calls violated.  Seeded wedges get one
+    # coefficient perturbed by 1e-11 to 1e-7 of the largest coefficient,
+    # which straddles the default tolerance 1e-9.
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(4, 7)
+        p = rng.randint(2, n - 2)
+        params = GrassmannParams(n, p)
+        rows = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(p)]
+        coeffs = dict(wedge(rows, n).coeffs)
+        if not coeffs:
+            continue
+        largest = max(map(abs, coeffs.values()))
+        idx = rng.choice(list(combinations(params.indices, p)))
+        bump = rng.choice((-1, 1)) * largest * 10.0 ** rng.uniform(-11, -7)
+        coeffs[idx] = coeffs.get(idx, 0.0) + bump
+        h = pvector(params, coeffs, "f64")
+        for system in _systems(n, p):
+            if not is_simple(h, "plucker" if system.m == 1 else "plucker_like"):
+                assert residual(system, h).violations
