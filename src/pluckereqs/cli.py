@@ -13,7 +13,6 @@ import sys
 from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, size_ratio
 from .multiindex import GrassmannParams
 from .pvectors import (
-    checked_tolerance,
     is_simple,
     pvector_from_json,
     random_pvector,
@@ -70,6 +69,8 @@ def _run_selftest(args: argparse.Namespace) -> int:
         raise ValueError("--selftest requires --n and --p")
     if args.seed is None:
         raise ValueError("--selftest requires --seed")
+    if args.selftest < 1:
+        raise ValueError(f"--selftest needs N >= 1, got {args.selftest}")
     params = GrassmannParams(args.n, args.p)
     count = args.selftest
     failures = 0
@@ -97,17 +98,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError(f"--n {args.n} does not match input n={h.params.n}")
     if args.p is not None and args.p != h.params.p:
         raise ValueError(f"--p {args.p} does not match input p={h.params.p}")
-    # Checked before the zero-vector shortcut, so no field or value skips it.
-    tolerance = checked_tolerance(args.tolerance)
     params = h.params
-    if h.is_zero:
-        print("simple (zero vector)")
-        return EXIT_OK
     choice = "plucker" if args.m == 1 else "plucker_like"
-    if is_simple(h, choice, tolerance):
-        print("simple")
+    # is_simple checks the input (the width of --m 1, the tolerance) before
+    # its zero-vector convention, so the zero vector is rejected where any
+    # other vector would be.
+    if is_simple(h, choice, args.tolerance):
+        print("simple (zero vector)" if h.is_zero else "simple")
         return EXIT_OK
-    report = residual(gen_generalized(params, args.m), h, tolerance=tolerance)
+    report = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance)
     style = resolve_style(params.n)
     print(f"not simple: {len(report.violations)} violated equations")
     for label, value in report.violations:
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out", default=None)
     p_export.set_defaults(func=cmd_export)
 
-    p_probe = sub.add_parser("probe", help="exploratory large-stratum combination search")
+    p_probe = sub.add_parser("probe", help="exploratory large-stratum support statistics")
     _add_params(p_probe)
     p_probe.add_argument("--q", type=int, required=True, help="stratum |j intersect k|")
     p_probe.add_argument("--format", choices=("json", "text"), default="json")

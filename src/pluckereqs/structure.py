@@ -10,9 +10,10 @@ Covers four mechanically checkable facts about the two-index system:
   sizes follow multinomial counts;
 * within a family, the signed sum of any two members collapses to a
   4-term one-index equation with an exact factor ``2 * (-1)**i2``;
-* whether anything similar happens in the larger classes is unknown; an
-  exploratory probe searches small integer combinations and reports its
-  findings as data, asserting nothing.
+* in the larger classes (q <= p-4) no two equations share a monomial
+  set, so nothing combines the way a family does (the lemma is proved in
+  ``stratum_probe``); which relations those classes satisfy is open, and
+  the probe reports their support statistics as data, asserting nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .equations import (
     QuadTerm,
     canonicalize,
     collect_terms,
-    dedupe,
     gen_plucker,
     gen_plucker_like,
     linear_combination,
@@ -396,10 +396,14 @@ def _pair_combine_holds(
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Findings of the exploratory combination search in one large stratum.
+    """Support statistics of one large stratum (q <= p-4).
 
-    Purely observational: records what was searched and anything that
-    collapsed to a one-index equation.  No structural claim is attached.
+    Purely observational: no structural claim is attached.  The search
+    fields are fixed by the lemma in :func:`stratum_probe`: no two equations
+    of a large stratum share a support, so a same-support combination search
+    has nothing to try.  ``coefficient_bound``, ``combination_sizes``,
+    ``combinations_tried`` and ``collapses`` keep the JSON schema of that
+    search until exact per-stratum rank and relation data replace them.
     """
 
     n: int
@@ -409,10 +413,10 @@ class ProbeReport:
     equation_count: int
     support_group_sizes: tuple[tuple[int, int], ...]
     max_support_overlap: int
-    coefficient_bound: int
-    combination_sizes: tuple[int, ...]
-    combinations_tried: int
-    collapses: tuple[tuple, ...]
+    coefficient_bound: int = 2
+    combination_sizes: tuple[int, ...] = (2, 3)
+    combinations_tried: int = 0
+    collapses: tuple[tuple, ...] = ()
     note: str = PROBE_NOTE
 
     def to_dict(self) -> dict:
@@ -442,101 +446,57 @@ class ProbeReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _primitive_coefficient_vectors(size: int, bound: int) -> list[tuple[int, ...]]:
-    from math import gcd
-
-    vectors = []
-    ranges = [range(1, bound + 1)] + [
-        range(-bound, bound + 1) for _ in range(size - 1)
-    ]
-
-    def build(prefix: tuple[int, ...]) -> None:
-        depth = len(prefix)
-        if depth == size:
-            g = 0
-            for c in prefix:
-                g = gcd(g, abs(c))
-            if g == 1:
-                vectors.append(prefix)
-            return
-        for c in ranges[depth]:
-            if depth > 0 and c == 0:
-                continue
-            build(prefix + (c,))
-
-    build(())
-    return vectors
-
-
 def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
-    """Search same-support large-stratum equations for collapses.
+    """Support statistics of the two-index stratum ``|j intersect k| = q_size``.
 
-    Groups the stratum's canonical equations by monomial support, then tries
-    pair and triple integer combinations (coefficients bounded by 2, up to
-    scaling) inside each group, checking results against the deduplicated
-    one-index system.  Strata are expected to have all-distinct supports, in
-    which case the search space is empty; the report still records the
-    support statistics and the largest pairwise overlap seen.
+    Reports the stratum's size, how many equations share each monomial
+    support, and the largest overlap of two distinct supports.  A stratum
+    is admissible when ``2 <= p <= n-2`` and ``max(0, 2p-n) <= q_size <=
+    p-4``; otherwise it is reported empty.
+
+    Lemma: in an admissible stratum every equation has its own support.
+    Take a label ``(j, k)`` with ``s = |j intersect k| <= p-4`` and let
+    ``q = j intersect k``, ``j' = j \\ k`` (``|j'| = p-2-s >= 2``) and
+    ``k' = k \\ j`` (``|k'| = p+2-s >= 6``).  Its monomials are
+    ``{q + j' + ii, q + (k' - ii)}`` for the 2-subsets ``ii`` of ``k'``.
+
+    * They are pairwise distinct: ``j'`` is non-empty and disjoint from
+      ``k'``, so the factor meeting ``j'`` is ``q + j' + ii`` and it gives
+      back ``ii``.  Nothing cancels, and the support is this whole set.
+    * Any one monomial ``{A, B}`` gives ``q = A intersect B``.
+    * ``j'`` is the only set ``X`` of its size, disjoint from ``q``, such
+      that every monomial has a factor containing ``X``.  Such an ``X``
+      lies in ``j' + k'``.  One meeting both ``j'`` and ``k'`` fails for an
+      ``ii`` avoiding ``X intersect k'`` (``k'`` has at least 5 other
+      elements): the first factor misses ``X intersect k'`` and the second
+      misses ``j'``.  One inside ``k'`` fails for ``ii = {x, y}`` with
+      ``x`` in ``X`` and ``y`` in ``k'`` but not in ``X``: the second
+      factor misses ``x``, and the first meets ``k'`` only in ``{x, y}``,
+      which cannot hold ``X`` because ``|X| >= 2``.
+    * The union of the factors of a monomial is ``q + j' + k'``, so the
+      support determines ``k'`` and hence the label ``(q + j', q + k')``.
+
+    At ``s = p-3`` (``|j'| = 1``) exactly the third step fails: every
+    singleton of ``j' + k'`` qualifies, which gives the families of six
+    equations sharing one support.  Hence every support group of a large
+    stratum is a singleton, and no two of its equations can be combined
+    over a shared support.
     """
     n, p = params.n, params.p
-    q_min = max(0, 2 * p - n)
-    admissible = 2 <= p <= n - 2 and q_min <= q_size <= p - 4
-    bound = 2
-    sizes = (2, 3)
-    if not admissible:
-        return ProbeReport(
-            n=n, p=p, q_size=q_size, admissible=False, equation_count=0,
-            support_group_sizes=(), max_support_overlap=0, coefficient_bound=bound,
-            combination_sizes=sizes, combinations_tried=0, collapses=(),
-        )
-    system = gen_plucker_like(params)
-    stratum: list[QuadraticEquation] = []
-    for eq in system.equations:
-        if len(intersection(*eq.label)) == q_size:
-            stratum.append(canonicalize(eq))
-    groups: dict[frozenset, list[QuadraticEquation]] = {}
-    for eq in stratum:
-        support = frozenset((t.left, t.right) for t in eq.terms)
-        groups.setdefault(support, []).append(eq)
-    supports = list(groups)
-    max_overlap = 0
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            overlap = len(supports[a] & supports[b])
-            if overlap > max_overlap:
-                max_overlap = overlap
-    size_histogram = Counter(len(members) for members in groups.values())
-    searchable = [members for members in groups.values() if len(members) >= min(sizes)]
-    plucker_by_terms = {}
-    if searchable:
-        plucker_reduced, _ = dedupe(gen_plucker(params))
-        plucker_by_terms = {eq.terms: eq.label for eq in plucker_reduced}
-    tried = 0
-    collapses = []
-    for members in searchable:
-        for count in sizes:
-            if len(members) < count:
-                continue
-            for chosen in combinations(members, count):
-                for coeffs in _primitive_coefficient_vectors(count, bound):
-                    tried += 1
-                    combo = linear_combination(list(zip(coeffs, chosen)), params)
-                    canon = canonicalize(combo)
-                    target = plucker_by_terms.get(canon.terms)
-                    if target is not None:
-                        collapses.append(
-                            (
-                                tuple(eq.label for eq in chosen),
-                                coeffs,
-                                target,
-                            )
-                        )
+    admissible = 2 <= p <= n - 2 and max(0, 2 * p - n) <= q_size <= p - 4
+    equations = gen_plucker_like(params).equations if admissible else ()
+    supports = Counter(
+        frozenset((t.left, t.right) for t in canonicalize(eq).terms)
+        for eq in equations
+        if len(intersection(*eq.label)) == q_size
+    )
     return ProbeReport(
-        n=n, p=p, q_size=q_size, admissible=True, equation_count=len(stratum),
-        support_group_sizes=tuple(sorted(size_histogram.items())),
-        max_support_overlap=max_overlap, coefficient_bound=bound,
-        combination_sizes=sizes, combinations_tried=tried,
-        collapses=tuple(collapses),
+        n=n, p=p, q_size=q_size, admissible=admissible,
+        equation_count=sum(supports.values()),
+        support_group_sizes=tuple(sorted(Counter(supports.values()).items())),
+        max_support_overlap=max(
+            (len(a & b) for a, b in combinations(supports, 2)), default=0
+        ),
     )
 
 

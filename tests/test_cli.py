@@ -127,6 +127,15 @@ def test_check_zero_vector(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0
     assert "zero vector" in out
+    # At p = n no system moves an index: the zero vector is rejected with
+    # the same error line as a non-zero vector, not reported simple.
+    params = GrassmannParams(3, 3)
+    errors = []
+    for h in (pvector(params, {}), pvector(params, {(1, 2, 3): 1})):
+        path.write_text(pvector_to_json(h))
+        errors.append(assert_input_error(run(capsys, "check", str(path), "--m", "1")))
+    assert errors[0] == errors[1]
+    assert "m must satisfy" in errors[0]
 
 
 def test_check_malformed_input(tmp_path, capsys):
@@ -271,6 +280,11 @@ def test_check_selftest(capsys):
     assert "--seed" in err
     err = assert_input_error(run(capsys, "check", "--selftest", "5", "--seed", "9"))
     assert "--n and --p" in err
+    for count in ("0", "-5"):
+        err = assert_input_error(
+            run(capsys, "check", "--selftest", count, "--seed", "9", "--n", "6", "--p", "3")
+        )
+        assert "N >= 1" in err
 
 
 def test_verify_pass(capsys):

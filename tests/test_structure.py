@@ -263,6 +263,36 @@ def test_stratum_probe_skips_one_index_system_without_groups(monkeypatch):
     assert builds == []
 
 
+def test_large_stratum_support_determines_label():
+    # The lemma of stratum_probe, checked on raw equations without the probe:
+    # for q <= p-4 nothing cancels and the support of a label's two-index
+    # equation determines the label; at q = p-3 every support is shared by
+    # exactly six labels, so the bound q <= p-4 is sharp.
+    large_labels = 0
+    for n in range(6, 10):
+        for p in range(3, n - 1):
+            params = GrassmannParams(n, p)
+            labels_by_support = {}
+            for j in combinations(params.indices, p - 2):
+                for k in combinations(params.indices, p + 2):
+                    q_size = len(set(j) & set(k))
+                    if q_size > p - 3:
+                        continue
+                    support = frozenset(collect_terms(raw_equation(params, j, k, 2).terms))
+                    if q_size <= p - 4:
+                        assert len(support) == comb(p + 2 - q_size, 2)
+                        large_labels += 1
+                    labels_by_support.setdefault((q_size, support), []).append((j, k))
+            for (q_size, _), labels in labels_by_support.items():
+                assert len(labels) == (1 if q_size <= p - 4 else 6), (n, p, labels)
+    assert large_labels == sum(
+        multinomial(n, [q, p - 2 - q, p + 2 - q, n + q - 2 * p])
+        for n in range(6, 10)
+        for p in range(4, n - 1)
+        for q in range(max(0, 2 * p - n), p - 3)
+    ) > 0
+
+
 def test_stratum_probe_empty(params63):
     report = stratum_probe(params63, 0)
     assert not report.admissible
@@ -354,6 +384,74 @@ def test_verify_structure_catches_flipped_one_index_sign(monkeypatch):
         if not check_pair_combine(params, family, i, i2)
     ]
     assert report.combination_failures == combination_failures != []
+
+
+def test_verify_structure_names_corrupted_family_and_three_term_class(monkeypatch, capsys):
+    # Drop a term of one 10-term family member and flip the sign of one term
+    # of a one-index equation in the 3-term class of ((1, 2), (1, 2, 3, 4, 5, 6)):
+    # each failure list must name what was corrupted, and verify says FAIL.
+    from pluckereqs.cli import main
+
+    params = GrassmannParams(7, 4)
+    family = pair_families(params)[0]
+    dropped = family.members[0]
+    flipped = ((1, 2, 3), (1, 2, 4, 5, 6))
+    three_term = ((1, 2), (1, 2, 3, 4, 5, 6))
+
+    def corrupt(eq):
+        if eq.label == dropped:
+            return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
+        if eq.label == flipped:
+            first = eq.terms[0]
+            terms = (QuadTerm(-first.coefficient, first.left, first.right),) + eq.terms[1:]
+            return QuadraticEquation(eq.params, eq.label, terms)
+        return eq
+
+    def corrupted(generate, m):
+        return lambda params: EquationSystem(params, m, tuple(map(corrupt, generate(params))))
+
+    monkeypatch.setattr(pluckereqs.structure, "gen_plucker", corrupted(gen_plucker, 1))
+    monkeypatch.setattr(pluckereqs.structure, "gen_plucker_like", corrupted(gen_plucker_like, 2))
+    report = verify_structure(params)
+    assert not report.ok and not report.census.ok
+    assert report.decomposition_failures == [three_term, dropped]
+    assert report.family_failures == [(family.q, family.l)]
+    assert report.combination_failures == [(family.q, family.l, 1, i2) for i2 in range(2, 7)]
+    assert not report.multiplicity_ok
+    assert report.multiplicity_failures == [three_term]
+    assert report.first_failure == "census counts or distinctness"
+    assert main(["verify", "--n", "7", "--p", "4"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "VERIFY (n=7, p=4): FAIL at census counts or distinctness"
+
+
+def test_verify_structure_catches_family_partition_mismatch(monkeypatch):
+    # A family missing from the enumeration leaves 10-term labels that no
+    # family covers; nothing else fails.
+    params = GrassmannParams(7, 4)
+    monkeypatch.setattr(
+        pluckereqs.structure, "pair_families", lambda params: pair_families(params)[:-1]
+    )
+    report = verify_structure(params)
+    assert report.census.ok and not report.decomposition_failures
+    assert report.families_checked == 6
+    assert report.family_failures == [("partition", "mismatch")]
+    assert report.first_failure == "family structure at ('partition', 'mismatch')"
+
+
+def test_verify_report_first_failure_order(params63):
+    # A real corruption that breaks a pair combination or a multiplicity
+    # also breaks a decomposition, which is reported first; the order of the
+    # later branches is checked on the report itself.
+    report = verify_structure(params63)
+    report.multiplicity_ok = False
+    report.multiplicity_failures.append(((1,), (1, 2, 3, 4, 5)))
+    assert report.first_failure == "multiplicity at label ((1,), (1, 2, 3, 4, 5))"
+    report.combination_failures.append(((), (1, 2, 3, 4, 5, 6), 1, 2))
+    assert report.first_failure == "pair combination at ((), (1, 2, 3, 4, 5, 6), 1, 2)"
+    report.family_failures.append(((), (1, 2, 3, 4, 5, 6)))
+    assert report.first_failure == "family structure at ((), (1, 2, 3, 4, 5, 6))"
+    assert not report.ok
 
 
 @pytest.mark.parametrize("n, p", [(6, 3), (7, 3), (7, 4), (8, 4)])
