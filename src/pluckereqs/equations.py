@@ -11,6 +11,14 @@ Canonical form: like monomials collected, zero coefficients dropped, the
 coefficient gcd divided out, terms sorted lexicographically by
 ``(left, right)``, and the overall sign chosen so the first term is
 positive.  An empty term list is the trivial equation ``0 = 0``.
+
+Generation works on int bitmasks (bit ``i`` set for index ``i``), the
+basis-blade encoding of Dorst, Fontijne & Mann, *Geometric Algebra for
+Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
+``& ~`` and an inversion count is a popcount.  Masks never leave this
+module.  Each term's ``left`` and ``right`` come from one intern table,
+so every equation generated in the process shares one tuple per distinct
+multi-index.
 """
 
 from __future__ import annotations
@@ -21,14 +29,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .multiindex import (
-    GrassmannParams,
-    MultiIndex,
-    difference,
-    inversion_pairs,
-    ordered_union,
-    symmetric_difference,
-)
+from .multiindex import GrassmannParams, MultiIndex
 
 Label = tuple[MultiIndex, MultiIndex]
 
@@ -116,21 +117,56 @@ def check_width(params: GrassmannParams, m: int) -> int:
     return m
 
 
+class _InternTable(dict):
+    """Mask -> multi-index tuple; a missing mask is converted once and kept."""
+
+    def __missing__(self, mask: int) -> MultiIndex:
+        idx = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return idx
+
+
+# Shared by every generated term.  It holds at most one entry per distinct
+# multi-index this process has generated, so it is never larger than the
+# systems already built.
+_MULTIINDEX_BY_MASK = _InternTable()
+
+
 def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m: int) -> QuadraticEquation:
     """Generate the raw equation for one label ``(j, k)`` moving ``m`` indices.
 
     One term per size-``m`` subset ``ii`` of ``k \\ j``, in lexicographic
     order over ``ii``, with coefficient ``(-1) ** <j^k | ii>`` where ``^`` is
-    the symmetric difference and ``< | >`` the inversion-pair count.
+    the symmetric difference and ``< | >`` the inversion-pair count; the
+    term's monomial is ``lam_{j + ii} * lam_{k - ii}``.
+
+    The sign is read off bitmasks: the indices of ``j^k`` above a moved
+    index ``i`` are the set bits of ``sym >> (i + 1)``, so the inversion
+    count is a sum of popcounts.
     """
     j = params.multiindex(j, params.p - m)
     k = params.multiindex(k, params.p + m)
-    moved = difference(k, j)
-    sym = symmetric_difference(j, k)
+    j_mask = k_mask = 0
+    for i in j:
+        j_mask |= 1 << i
+    for i in k:
+        k_mask |= 1 << i
+    sym = j_mask ^ k_mask
+    # (bit, parity of the inversion count) for each moved index, ascending.
+    moved = []
+    for i in k:
+        if not j_mask >> i & 1:
+            moved.append((1 << i, (sym >> (i + 1)).bit_count() & 1))
+    table = _MULTIINDEX_BY_MASK
     terms = []
     for ii in combinations(moved, m):
-        sign = -1 if inversion_pairs(sym, ii) & 1 else 1
-        terms.append(make_term(sign, ordered_union(j, ii), difference(k, ii)))
+        ii_mask = odd = 0
+        for bit, parity in ii:
+            ii_mask |= bit
+            odd ^= parity
+        left = table[j_mask | ii_mask]
+        right = table[k_mask ^ ii_mask]  # ii lies inside k
+        sign = -1 if odd else 1
+        terms.append(QuadTerm(sign, left, right) if left <= right else QuadTerm(sign, right, left))
     return QuadraticEquation(params, (j, k), tuple(terms))
 
 

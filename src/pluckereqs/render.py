@@ -4,13 +4,17 @@ Multi-indices are rendered as concatenated digits for n <= 9 (so ``(1,2,3)``
 prints as ``123``) and dot-separated for n >= 10 (``1.2.10``), since plain
 concatenation is ambiguous there.  JSON always stores explicit integer
 arrays and round-trips losslessly.
+
+A system has far fewer distinct multi-indices than terms (252 against
+158,760 at (n,p) = (10,5), m = 1), so each render call formats every
+distinct multi-index once, in a memo table keyed by the index tuple, and
+one writer builds the equation bodies of text, LaTeX and the single-equation
+forms.  JSON output is ``json.dumps(system_to_dict(system), indent=2)``
+byte for byte, written from templates without building the nested dicts;
+``system_to_dict`` stays public and is the oracle the tests compare with.
 """
 
 from __future__ import annotations
-
-import csv
-import io
-import json
 
 from .documents import json_int, load_document, read_document
 from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
@@ -51,43 +55,65 @@ def format_label(eq: QuadraticEquation, style: str = "concat") -> str:
     return f"({format_multiindex(j, style)},{format_multiindex(k, style)})"
 
 
-def _term_body(term: QuadTerm, style: str, latex: bool) -> str:
-    magnitude = abs(term.coefficient)
-    left = format_multiindex(term.left, style)
-    right = format_multiindex(term.right, style)
-    if latex:
-        body = f"{{\\lambda}}_{{{left}}} {{\\lambda}}_{{{right}}}"
-        return f"{magnitude} {body}" if magnitude != 1 else body
-    body = f"λ_{{{left}}}λ_{{{right}}}"
-    return f"{magnitude}{body}" if magnitude != 1 else body
+class _Memo(dict):
+    """A dict that builds a missing value with ``build(key)`` and keeps it.
+
+    One render call formats each distinct multi-index once: the hit path
+    is a plain dict lookup.
+    """
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
-def _equation_body(eq: QuadraticEquation, style: str, latex: bool) -> str:
-    if not eq.terms:
+def _names(n: int, index_style: str) -> _Memo:
+    """Memoized ``format_multiindex`` for one render call at ambient dimension n."""
+    style = resolve_style(n, index_style)
+    return _Memo(lambda idx: format_multiindex(idx, style))
+
+
+def _equation_body(terms: tuple[QuadTerm, ...], names: _Memo, latex: bool) -> str:
+    """The equation ``... = 0`` with signs between the terms, as text or LaTeX."""
+    if not terms:
         return "0 = 0"
+    if latex:
+        template, scale = "{{\\lambda}}_{{{}}} {{\\lambda}}_{{{}}}", "{} {}"
+    else:
+        template, scale = "λ_{{{}}}λ_{{{}}}", "{}{}"
     pieces = []
-    for pos, term in enumerate(eq.terms):
-        body = _term_body(term, style, latex)
-        if pos == 0:
-            pieces.append(f"-{body}" if term.coefficient < 0 else body)
-        else:
-            pieces.append(("- " if term.coefficient < 0 else "+ ") + body)
-    return " ".join(pieces) + " = 0"
+    for coefficient, left, right in terms:
+        body = template.format(names[left], names[right])
+        if coefficient != 1 and coefficient != -1:
+            body = scale.format(abs(coefficient), body)
+        pieces.append(("- " if coefficient < 0 else "+ ") + body)
+    text = " ".join(pieces)
+    # The first term has no "+ " and a bare "-".
+    return ("-" + text[2:] if text[0] == "-" else text[2:]) + " = 0"
+
+
+def _label_text(label: tuple[MultiIndex, MultiIndex], names: _Memo) -> str:
+    j, k = label
+    return f"({names[j]},{names[k]})"
+
+
+def _text_line(eq: QuadraticEquation, names: _Memo, with_label: bool) -> str:
+    body = _equation_body(eq.terms, names, latex=False)
+    return f"{_label_text(eq.label, names)}: {body}" if with_label else body
 
 
 def equation_text(eq: QuadraticEquation, index_style: str = "auto", with_label: bool = True) -> str:
     """One-line text form, e.g. ``(1,12345): λ_{123}λ_{145} - ... = 0``."""
-    style = resolve_style(eq.params.n, index_style)
-    body = _equation_body(eq, style, latex=False)
-    if not with_label:
-        return body
-    return f"{format_label(eq, style)}: {body}"
+    return _text_line(eq, _names(eq.params.n, index_style), with_label)
 
 
 def equation_latex(eq: QuadraticEquation, index_style: str = "auto") -> str:
     """Math-mode LaTeX for one equation, without the label."""
-    style = resolve_style(eq.params.n, index_style)
-    return f"${_equation_body(eq, style, latex=True)}$"
+    return f"${_equation_body(eq.terms, _names(eq.params.n, index_style), latex=True)}$"
 
 
 def _system_caption(system: EquationSystem) -> str:
@@ -98,11 +124,12 @@ def _system_caption(system: EquationSystem) -> str:
 
 
 def _render_text(system: EquationSystem, style: str, with_labels: bool) -> str:
-    lines = [equation_text(eq, style, with_label=with_labels) for eq in system]
-    return "\n".join(lines) + "\n"
+    names = _names(system.params.n, style)
+    return "\n".join(_text_line(eq, names, with_labels) for eq in system) + "\n"
 
 
 def _render_latex(system: EquationSystem, style: str, with_labels: bool) -> str:
+    names = _names(system.params.n, style)
     lines = []
     if with_labels:
         lines.append("\\begin{longtable}{rll}")
@@ -114,12 +141,11 @@ def _render_latex(system: EquationSystem, style: str, with_labels: bool) -> str:
         lines.append("\\# & Equation \\\\")
     lines.append("\\hline")
     for ordinal, eq in enumerate(system, 1):
-        resolved = resolve_style(eq.params.n, style)
-        body = equation_latex(eq, style)
+        body = _equation_body(eq.terms, names, True)
         if with_labels:
-            lines.append(f"{ordinal} & {format_label(eq, resolved)} & {body} \\\\")
+            lines.append(f"{ordinal} & {_label_text(eq.label, names)} & ${body}$ \\\\")
         else:
-            lines.append(f"{ordinal} & {body} \\\\")
+            lines.append(f"{ordinal} & ${body}$ \\\\")
     lines.append("\\end{longtable}")
     return "\n".join(lines) + "\n"
 
@@ -184,29 +210,55 @@ def system_from_json(text: str) -> EquationSystem:
     return load_document(_system_from_document, text, "equation-system")
 
 
+def _json_array(idx: MultiIndex, indent: int) -> str:
+    """``json.dumps(list(idx), indent=2)`` for an array opened at ``indent`` spaces."""
+    if not idx:
+        return "[]"
+    pad = " " * (indent + 2)
+    return "[\n" + ",\n".join(pad + str(i) for i in idx) + "\n" + " " * indent + "]"
+
+
 def _render_json(system: EquationSystem) -> str:
-    return json.dumps(system_to_dict(system), indent=2) + "\n"
+    """``json.dumps(system_to_dict(system), indent=2) + "\\n"``, written directly.
+
+    The encoder's indented mode runs in pure Python and first needs the
+    nested dicts; this writer emits the same layout from templates and
+    formats each multi-index array once per depth (labels at 6 spaces,
+    term indices at 10).
+    """
+    label_arrays = _Memo(lambda idx: _json_array(idx, 6))
+    term_arrays = _Memo(lambda idx: _json_array(idx, 10))
+    chunks = []
+    for eq in system:
+        j, k = eq.label
+        terms = "[]"
+        if eq.terms:
+            terms = "[\n" + ",\n".join(
+                f'        {{\n          "c": {c},\n'
+                f'          "left": {term_arrays[left]},\n'
+                f'          "right": {term_arrays[right]}\n        }}'
+                for c, left, right in eq.terms
+            ) + "\n      ]"
+        chunks.append(
+            f'    {{\n      "j": {label_arrays[j]},\n      "k": {label_arrays[k]},\n'
+            f'      "terms": {terms}\n    }}'
+        )
+    equations = "[\n" + ",\n".join(chunks) + "\n  ]" if chunks else "[]"
+    params = system.params
+    return (
+        f'{{\n  "n": {params.n},\n  "p": {params.p},\n  "m": {system.m},\n'
+        f'  "equations": {equations}\n}}\n'
+    )
 
 
 def _render_csv(system: EquationSystem, style: str) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["ordinal", "j", "k", "coefficient", "left", "right"])
+    # Index names hold only digits and dots, so no field needs CSV quoting.
+    names = _names(system.params.n, style)
+    rows = ["ordinal,j,k,coefficient,left,right\n"]
     for ordinal, eq in enumerate(system, 1):
-        resolved = resolve_style(eq.params.n, style)
-        j, k = eq.label
-        for term in eq.terms:
-            writer.writerow(
-                [
-                    ordinal,
-                    format_multiindex(j, resolved),
-                    format_multiindex(k, resolved),
-                    term.coefficient,
-                    format_multiindex(term.left, resolved),
-                    format_multiindex(term.right, resolved),
-                ]
-            )
-    return buffer.getvalue()
+        label = f"{ordinal},{names[eq.label[0]]},{names[eq.label[1]]},"
+        rows.extend(f"{label}{c},{names[left]},{names[right]}\n" for c, left, right in eq.terms)
+    return "".join(rows)
 
 
 def render(

@@ -494,10 +494,24 @@ def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
         n=n, p=p, q_size=q_size, admissible=admissible,
         equation_count=sum(supports.values()),
         support_group_sizes=tuple(sorted(Counter(supports.values()).items())),
-        max_support_overlap=max(
-            (len(a & b) for a, b in combinations(supports, 2)), default=0
-        ),
+        max_support_overlap=_max_overlap(supports),
     )
+
+
+def _max_overlap(supports: Iterable[frozenset]) -> int:
+    """Largest ``len(a & b)`` over pairs of distinct supports; 0 if none meet.
+
+    An inverted index maps each monomial to the supports holding it, so
+    only pairs that share a monomial are counted, once per shared monomial.
+    """
+    holders: dict[tuple[MultiIndex, MultiIndex], list[int]] = {}
+    for sid, support in enumerate(supports):
+        for monomial in support:
+            holders.setdefault(monomial, []).append(sid)
+    shared: Counter[tuple[int, int]] = Counter()
+    for sids in holders.values():
+        shared.update(combinations(sids, 2))
+    return max(shared.values(), default=0)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -512,3 +513,38 @@ def test_mutated_documents_exit_0_or_2(document):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# SHA-256 of stdout at (10,2), where n >= 10 selects dot-separated indices.
+# Recorded before the renderers were memoized; the benchmark's own digests
+# cover the concatenated style only.
+DOT_STYLE_DIGESTS = {
+    "generate-text": "4a7130811cfa40c2645f897a7c860f43c8a409d74128e1f1f116374120fdcd3f",
+    "generate-dedupe-latex": "b3ec6b8e46e873a3bd0bd45ca7a9206f026d1a48f1bc46dc071fd543e67567f2",
+    "generate-raw-json-m1": "b0fff5eb19ff3f1adb59b2ee763964289d74e9901885073da50c3de7b5362fd9",
+    "generate-raw-json-m2": "4296d50c6eae786be9d30263ca6adc884ca515b3d0998393838d71729870c0f9",
+    "export-csv-m1": "0ce3d7882901a951d6eb94a1750e44e9f7358ca007874da2890875b9ed7feba0",
+    "export-csv-m2": "24eadb14a94b3b15391df870e7b75034baf93f8609b33213b6892230ac818f65",
+}
+
+
+def test_dot_style_output_digests_10_2(tmp_path, capsys):
+    np_ = ("--n", "10", "--p", "2")
+    outputs = {
+        "generate-text": ("generate", *np_),
+        "generate-dedupe-latex": ("generate", *np_, "--dedupe", "--format", "latex"),
+        "generate-raw-json-m1": ("generate", *np_, "--raw", "--format", "json"),
+        "generate-raw-json-m2": ("generate", *np_, "--m", "2", "--raw", "--format", "json"),
+    }
+    digests = {}
+    for name, argv in outputs.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+        if name.startswith("generate-raw-json-"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(out, encoding="utf-8")
+            code, out, _ = run(capsys, "export", "--in", str(path), "--format", "csv")
+            assert code == 0
+            digests["export-csv-" + name.rsplit("-", 1)[1]] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == DOT_STYLE_DIGESTS

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from pluckereqs import (
     GrassmannParams,
+    QuadraticEquation,
     canonicalize,
     collect_terms,
     dedupe,
@@ -15,6 +17,12 @@ from pluckereqs import (
     make_term,
     raw_equation,
     size_ratio,
+)
+from pluckereqs.multiindex import (
+    difference,
+    inversion_pairs,
+    ordered_union,
+    symmetric_difference,
 )
 
 
@@ -187,3 +195,46 @@ def test_linear_combination_collects():
     assert all(abs(c) == 2 for c in collected.values())
     cancelled = linear_combination([(1, eq), (-1, eq)], params)
     assert canonicalize(cancelled).terms == ()
+
+
+def _tuple_reference_equation(params, j, k, m):
+    # The docstring formula on tuples: one term per m-subset ii of k \ j,
+    # sign (-1)**<j^k | ii>, monomial lam_{j + ii} * lam_{k - ii}.
+    sym = symmetric_difference(j, k)
+    terms = tuple(
+        make_term(-1 if inversion_pairs(sym, ii) & 1 else 1, ordered_union(j, ii), difference(k, ii))
+        for ii in combinations(difference(k, j), m)
+    )
+    return QuadraticEquation(params, (j, k), terms)
+
+
+def test_bitmask_kernel_matches_tuple_reference():
+    labels = 0
+    for n in range(1, 9):
+        for p in range(1, n + 1):
+            params = GrassmannParams(n, p)
+            for m in range(1, min(p, n - p) + 1):
+                for j in combinations(params.indices, p - m):
+                    for k in combinations(params.indices, p + m):
+                        assert raw_equation(params, j, k, m) == _tuple_reference_equation(
+                            params, j, k, m
+                        ), (n, p, m, j, k)
+                        labels += 1
+    assert labels == sum(
+        comb(n, p - m) * comb(n, p + m)
+        for n in range(1, 9)
+        for p in range(1, n + 1)
+        for m in range(1, min(p, n - p) + 1)
+    )
+
+
+def test_generated_terms_share_one_tuple_per_multiindex():
+    params = GrassmannParams(8, 4)
+    ids = {
+        id(idx)
+        for system in (gen_plucker(params), gen_plucker_like(params))
+        for eq in system
+        for term in eq.terms
+        for idx in (term.left, term.right)
+    }
+    assert len(ids) <= comb(8, 4)

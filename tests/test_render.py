@@ -1,16 +1,23 @@
 import json
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluckereqs import (
     EquationSystem,
     GrassmannParams,
+    QuadraticEquation,
+    QuadTerm,
     canonicalize,
     dedupe,
     equation_latex,
     equation_text,
+    gen_generalized,
     gen_plucker,
     gen_plucker_like,
+    linear_combination,
     raw_equation,
     render,
     system_from_json,
@@ -130,3 +137,87 @@ def test_byte_identical_output(pluckerlike63):
     assert render(pluckerlike63, "json") == render(pluckerlike63, "json")
     regenerated = gen_plucker_like(GrassmannParams(6, 3))
     assert render(regenerated, "text") == render(pluckerlike63, "text")
+
+
+def _assert_json_matches_encoder(system):
+    # A failure names the first differing offset: pytest's own diff of two
+    # large strings could run for minutes.
+    got = render(system, "json")
+    want = json.dumps(system_to_dict(system), indent=2) + "\n"
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"JSON differs at offset {at}: {got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+
+
+def _forms(system):
+    """The raw, canonical and deduplicated forms of a generated system."""
+    canonical = tuple(canonicalize(eq) for eq in system)
+    reduced, _ = dedupe(system)
+    return (
+        system,
+        EquationSystem(system.params, system.m, canonical),
+        EquationSystem(system.params, system.m, tuple(reduced)),
+    )
+
+
+# Every (n, p, m) with 2 <= n <= 11 whose system has at most 600 equations;
+# the JSON layout does not depend on the size.
+_SMALL_SYSTEMS = [
+    (n, p, m)
+    for n in range(2, 12)
+    for p in range(1, n)
+    for m in (1, 2)
+    if m <= min(p, n - p) and comb(n, p - m) * comb(n, p + m) <= 600
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_SMALL_SYSTEMS))
+def test_json_writer_matches_encoder(point):
+    n, p, m = point
+    for system in _forms(gen_generalized(GrassmannParams(n, p), m)):
+        _assert_json_matches_encoder(system)
+
+
+def test_json_writer_matches_encoder_edge_cases(params63, plucker63):
+    trivial = canonicalize(raw_equation(params63, (1, 2), (1, 2, 3, 4), 1))
+    assert trivial.terms == ()
+    combined = linear_combination(
+        [(3, plucker63.equations[5]), (-2, plucker63.equations[9])], params63
+    )
+    assert combined.label == ((), ())
+    assert {t.coefficient for t in combined.terms} == {3, -3, 2, -2}
+    scaled = QuadraticEquation(params63, ((), ()), (
+        QuadTerm(-5, (1, 2, 3), (4, 5, 6)), QuadTerm(12, (1, 2, 4), (3, 5, 6)),
+    ))
+    systems = [
+        EquationSystem(params63, 1, ()),
+        EquationSystem(params63, 1, (trivial,)),
+        EquationSystem(params63, 1, (combined,)),
+        EquationSystem(params63, 1, (scaled, trivial, combined, plucker63.equations[7])),
+        EquationSystem(GrassmannParams(10, 2), 2, gen_plucker_like(GrassmannParams(10, 2)).equations[:3]),
+    ]
+    for system in systems:
+        _assert_json_matches_encoder(system)
+        assert system_from_json(render(system, "json")) == system
+
+
+def test_scaled_coefficients_in_every_text_format(params63):
+    # Expected strings recorded from the per-term formatter the memoized
+    # writer replaced.
+    eq = QuadraticEquation(params63, ((), ()), (
+        QuadTerm(-5, (1, 2, 3), (4, 5, 6)),
+        QuadTerm(12, (1, 2, 4), (3, 5, 6)),
+        QuadTerm(-1, (1, 2, 5), (3, 4, 6)),
+    ))
+    latex = (
+        "-5 {\\lambda}_{123} {\\lambda}_{456} + 12 {\\lambda}_{124} {\\lambda}_{356}"
+        " - {\\lambda}_{125} {\\lambda}_{346} = 0"
+    )
+    assert equation_text(eq) == "(,): -5λ_{123}λ_{456} + 12λ_{124}λ_{356} - λ_{125}λ_{346} = 0"
+    assert equation_latex(eq) == f"${latex}$"
+    system = EquationSystem(params63, 1, (eq,))
+    assert render(system, "csv") == (
+        "ordinal,j,k,coefficient,left,right\n1,,,-5,123,456\n1,,,12,124,356\n1,,,-1,125,346\n"
+    )
+    assert render(system, "latex", with_labels=False).splitlines()[4] == f"1 & ${latex}$ \\\\"

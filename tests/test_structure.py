@@ -263,6 +263,33 @@ def test_stratum_probe_skips_one_index_system_without_groups(monkeypatch):
     assert builds == []
 
 
+def test_probe_overlap_matches_pairwise_brute_force():
+    # The inverted-index overlap equals the quadratic definition, the largest
+    # |a & b| over pairs of distinct supports, at every admissible stratum
+    # with n <= 9.
+    strata = [
+        (n, p, q)
+        for n in range(4, 10)
+        for p in range(2, n - 1)
+        for q in range(max(0, 2 * p - n), p - 3)
+    ]
+    assert strata == [(8, 4, 0), (9, 4, 0), (9, 5, 1)]
+    for n, p, q in strata:
+        params = GrassmannParams(n, p)
+        supports = {
+            frozenset((t.left, t.right) for t in canonicalize(eq).terms)
+            for eq in gen_plucker_like(params)
+            if len(set(eq.label[0]) & set(eq.label[1])) == q
+        }
+        brute = max((len(a & b) for a, b in combinations(supports, 2)), default=0)
+        assert stratum_probe(params, q).max_support_overlap == brute > 0, (n, p, q)
+    max_overlap = pluckereqs.structure._max_overlap
+    assert max_overlap([]) == 0
+    assert max_overlap([frozenset({1, 2})]) == 0
+    assert max_overlap([frozenset({1, 2}), frozenset({3})]) == 0
+    assert max_overlap([frozenset({1, 2, 3}), frozenset({2, 3, 4}), frozenset({1, 3, 4})]) == 2
+
+
 def test_large_stratum_support_determines_label():
     # The lemma of stratum_probe, checked on raw equations without the probe:
     # for q <= p-4 nothing cancels and the support of a label's two-index
@@ -297,6 +324,7 @@ def test_stratum_probe_empty(params63):
     report = stratum_probe(params63, 0)
     assert not report.admissible
     assert report.equation_count == 0
+    assert report.max_support_overlap == 0
     assert report.collapses == ()
 
 
