@@ -8,6 +8,7 @@ an identity failed), 2 usage or input error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, size_ratio
@@ -265,6 +266,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    # The cyclic collector is paused for the command and the caller's state
+    # restored after it.  Every object the package builds is acyclic (tuples,
+    # QuadTerm named tuples, frozen dataclasses, and dicts and lists of
+    # those), so reference counting frees all of it; a collection after any
+    # subcommand finds only argparse's few hundred objects, whatever the
+    # size of the run.  Left on, the collector repeatedly traverses the
+    # millions of live terms of a large system and frees nothing.  Library
+    # functions leave this process-wide switch alone.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValueError as exc:
@@ -273,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

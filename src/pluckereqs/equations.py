@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .multiindex import GrassmannParams, MultiIndex
@@ -202,6 +203,10 @@ def gen_plucker_like(params: GrassmannParams, jobs: int = 1) -> EquationSystem:
     return gen_generalized(params, 2, jobs=jobs)
 
 
+# The monomial of a term: canonical order sorts on it, like terms share it.
+_MONOMIAL = itemgetter(1, 2)
+
+
 def collect_terms(terms: Iterable[QuadTerm]) -> dict[tuple[MultiIndex, MultiIndex], int]:
     """Collect like monomials into a map ``(left, right) -> coefficient``.
 
@@ -220,19 +225,30 @@ def collect_terms(terms: Iterable[QuadTerm]) -> dict[tuple[MultiIndex, MultiInde
 
 
 def canonicalize(eq: QuadraticEquation) -> QuadraticEquation:
-    """Return the canonical form of ``eq``; idempotent."""
-    collected = sorted(collect_terms(eq.terms).items())
-    if not collected:
-        return QuadraticEquation(eq.params, eq.label, ())
-    divisor = 0
-    for _, coeff in collected:
-        divisor = gcd(divisor, abs(coeff))
-    if collected[0][1] < 0:
-        divisor = -divisor
-    terms = tuple(
-        QuadTerm(coeff // divisor, left, right) for (left, right), coeff in collected
-    )
-    return QuadraticEquation(eq.params, eq.label, terms)
+    """Return the canonical form of ``eq``; idempotent.
+
+    One sort keyed on the monomial ``(left, right)`` brings like terms
+    together, one pass merges them and drops zero sums, and the gcd of what
+    is left, signed by the first term, is divided out.  A term whose
+    coefficient does not change is kept as the same ``QuadTerm`` object.
+    """
+    merged: list[QuadTerm] = []
+    for term in sorted(eq.terms, key=_MONOMIAL):
+        if merged and merged[-1].left == term.left and merged[-1].right == term.right:
+            total = merged[-1].coefficient + term.coefficient
+            if total:
+                merged[-1] = QuadTerm(total, term.left, term.right)
+            else:
+                merged.pop()
+        else:
+            merged.append(term)
+    if merged:
+        divisor = gcd(*[term.coefficient for term in merged])
+        if merged[0].coefficient < 0:
+            divisor = -divisor
+        if divisor != 1:
+            merged = [QuadTerm(c // divisor, left, right) for c, left, right in merged]
+    return QuadraticEquation(eq.params, eq.label, tuple(merged))
 
 
 def linear_combination(

@@ -3,7 +3,8 @@
 Multi-indices are rendered as concatenated digits for n <= 9 (so ``(1,2,3)``
 prints as ``123``) and dot-separated for n >= 10 (``1.2.10``), since plain
 concatenation is ambiguous there.  JSON always stores explicit integer
-arrays and round-trips losslessly.
+arrays and round-trips losslessly; reading a system back validates each
+distinct multi-index once and shares one tuple for it.
 
 A system has far fewer distinct multi-indices than terms (252 against
 158,760 at (n,p) = (10,5), m = 1), so each render call formats every
@@ -46,13 +47,22 @@ def resolve_style(n: int, style: str = "auto") -> str:
 
 
 def format_multiindex(idx: MultiIndex, style: str = "concat") -> str:
+    """``idx`` as concatenated digits (``"concat"``) or dot-separated (``"dots"``).
+
+    ``"auto"`` depends on n: resolve it first with ``resolve_style(n)``.
+    """
+    if style not in ("concat", "dots"):
+        raise ValueError(
+            f"index style must be 'concat' or 'dots', got {style!r}; "
+            "resolve 'auto' with resolve_style(n)"
+        )
     sep = "." if style == "dots" else ""
     return sep.join(str(i) for i in idx)
 
 
-def format_label(eq: QuadraticEquation, style: str = "concat") -> str:
-    j, k = eq.label
-    return f"({format_multiindex(j, style)},{format_multiindex(k, style)})"
+def format_label(eq: QuadraticEquation, style: str = "auto") -> str:
+    """The label ``(j,k)`` as ``equation_text`` prints it, e.g. ``(1.2,3.4.5.10)`` at n = 10."""
+    return _label_text(eq.label, _names(eq.params.n, style))
 
 
 class _Memo(dict):
@@ -169,18 +179,42 @@ def system_to_dict(system: EquationSystem) -> dict:
     }
 
 
-def _equation_from_dict(params: GrassmannParams, m: int, entry: dict) -> QuadraticEquation:
+_INT_ONLY = {int}
+
+
+def _multiindex_reader(params: GrassmannParams):
+    """``params.multiindex`` for one document, run once per distinct multi-index.
+
+    Every repeat of a multi-index gets the one tuple stored for it, so a
+    parsed system holds one tuple per distinct multi-index, as a generated
+    one does.  Tuple equality takes ``1.0`` and ``true`` for ``1``, so a
+    stored tuple is handed out only for entries that are all ``int``;
+    anything else goes to ``params.multiindex``, which rejects it.
+    """
+    seen: dict[MultiIndex, MultiIndex] = {}
+
+    def read(values, size: int) -> MultiIndex:
+        key = tuple(values)
+        idx = seen.get(key) if {*map(type, key)} == _INT_ONLY else None
+        if idx is None or len(idx) != size:
+            idx = seen[key] = params.multiindex(key, size)
+        return idx
+
+    return read
+
+
+def _equation_from_dict(params: GrassmannParams, m: int, entry: dict, read) -> QuadraticEquation:
     j, k = entry["j"], entry["k"]
     # linear_combination gives its results the empty label ((), ()).
     sizes = (params.p - m, params.p + m) if j or k else (0, 0)
-    label = (params.multiindex(j, sizes[0]), params.multiindex(k, sizes[1]))
+    label = (read(j, sizes[0]), read(k, sizes[1]))
     terms = []
     for t in entry["terms"]:
         coefficient = json_int(t["c"], "term coefficient")
         if coefficient == 0:
             raise ValueError("term coefficient must be non-zero")
-        left = params.multiindex(t["left"], params.p)
-        right = params.multiindex(t["right"], params.p)
+        left = read(t["left"], params.p)
+        right = read(t["right"], params.p)
         if right < left:
             raise ValueError("terms must be stored with left <= right")
         terms.append(QuadTerm(coefficient, left, right))
@@ -190,7 +224,8 @@ def _equation_from_dict(params: GrassmannParams, m: int, entry: dict) -> Quadrat
 def _system_from_document(data: dict) -> EquationSystem:
     params = GrassmannParams(json_int(data["n"], "n"), json_int(data["p"], "p"))
     m = check_width(params, json_int(data["m"], "m"))
-    equations = tuple(_equation_from_dict(params, m, entry) for entry in data["equations"])
+    read = _multiindex_reader(params)
+    equations = tuple(_equation_from_dict(params, m, entry, read) for entry in data["equations"])
     return EquationSystem(params, m, equations)
 
 

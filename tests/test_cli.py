@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -402,12 +403,16 @@ def _system_json(n=6, m=2, entry=_EQUATION) -> str:
         _system_json(m=4),
         "[" * 100_000,
         _system_json(m=1),
+        # A multi-index is validated once per document; an equal-valued float
+        # or bool after a valid [1, 2, 3] must not pass as its repeat.
+        _system_json(entry={**_EQUATION, "terms": [_TERM, {**_TERM, "left": [1.0, 2, 3]}]}),
+        _system_json(entry={**_EQUATION, "terms": [_TERM, {**_TERM, "left": [True, 2, 3]}]}),
     ],
     ids=[
         "missing_terms", "entry_not_object", "float_c", "bool_c",
         "index_above_n", "short_term", "label_above_n", "string_n",
         "negative_m", "zero_m", "m_above_min_p_n_minus_p", "deep_nesting",
-        "label_sizes_not_m",
+        "label_sizes_not_m", "float_index_after_equal_int", "bool_index_after_equal_int",
     ],
 )
 def test_export_malformed_system_exits_2(tmp_path, capsys, text):
@@ -416,6 +421,34 @@ def test_export_malformed_system_exits_2(tmp_path, capsys, text):
     assert run(capsys, "export", "--in", str(path))[0] == 0
     path.write_text(text)
     assert_input_error(run(capsys, "export", "--in", str(path)))
+
+
+@pytest.mark.parametrize(
+    "outcome, code",
+    [(0, 0), (1, 1), (ValueError("bad input"), 2), (OSError("disk"), 3)],
+    ids=["ok", "negative", "value_error", "os_error"],
+)
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_main_pauses_gc_for_the_command_only(capsys, monkeypatch, outcome, code, caller_enabled):
+    import pluckereqs.cli
+
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(pluckereqs.cli, "cmd_verify", command)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        assert run(capsys, "verify", "--n", "6", "--p", "3")[0] == code
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False]
 
 
 def test_probe_json(capsys):

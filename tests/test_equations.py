@@ -1,12 +1,15 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pluckereqs import (
     GrassmannParams,
     QuadraticEquation,
+    QuadTerm,
     canonicalize,
     collect_terms,
     dedupe,
@@ -95,6 +98,64 @@ def test_canonicalize_idempotent(pluckerlike63):
     for eq in pluckerlike63:
         once = canonicalize(eq)
         assert canonicalize(once) == once
+
+
+def _reference_canonical(terms):
+    # The definition the keyed-sort canonicalize must meet: collect like
+    # monomials in a dict, drop zero sums, sort, divide by the gcd, and
+    # sign so the first term is positive.
+    acc = {}
+    for coefficient, left, right in terms:
+        acc[left, right] = acc.get((left, right), 0) + coefficient
+    collected = sorted((key, c) for key, c in acc.items() if c)
+    if not collected:
+        return ()
+    divisor = 0
+    for _, c in collected:
+        divisor = gcd(divisor, c)
+    if collected[0][1] < 0:
+        divisor = -divisor
+    return tuple(QuadTerm(c // divisor, left, right) for (left, right), c in collected)
+
+
+# A few multi-indices, so that like monomials and cancellations are common.
+_FEW_INDICES = st.sampled_from([(1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 6)])
+_TERM_LISTS = st.lists(
+    st.builds(make_term, st.integers(-3, 3).filter(bool), _FEW_INDICES, _FEW_INDICES),
+    max_size=12,
+)
+
+
+@given(_TERM_LISTS, st.integers(1, 6))
+@example([], 1)  # the empty equation
+@example([make_term(1, (1, 2, 3), (2, 4, 6)), make_term(-1, (1, 2, 3), (2, 4, 6))], 1)  # cancels to 0
+@example([make_term(-1, (1, 2, 4), (1, 2, 4)), make_term(2, (1, 2, 3), (1, 2, 3))], 3)  # negative first term
+@example([make_term(1, (1, 2, 3), (1, 3, 5)), make_term(1, (1, 3, 5), (1, 2, 3))], 2)  # duplicates, gcd 4
+def test_canonicalize_matches_reference(params63, terms, scale):
+    terms = [QuadTerm(scale * c, left, right) for c, left, right in terms]
+    eq = QuadraticEquation(params63, ((1, 2), (1, 3, 4, 5)), tuple(terms))
+    canon = canonicalize(eq)
+    assert canon.terms == _reference_canonical(terms)
+    assert (canon.params, canon.label) == (eq.params, eq.label)
+    assert canonicalize(canon) == canon
+    # A term whose coefficient is unchanged is the input's own object.
+    for term in canon.terms:
+        same_monomial = [t for t in terms if (t.left, t.right) == (term.left, term.right)]
+        if same_monomial == [term]:
+            assert same_monomial[0] is term
+
+
+def test_canonicalize_tells_raw_from_canonical_up_to_n_8():
+    for n in range(1, 9):
+        for p in range(1, n + 1):
+            params = GrassmannParams(n, p)
+            for m in range(1, min(p, n - p) + 1):
+                for eq in gen_generalized(params, m):
+                    reference = _reference_canonical(eq.terms)
+                    canon = canonicalize(eq)
+                    assert canon.terms == reference, (n, p, m, eq.label)
+                    assert (eq.terms == canon.terms) == (eq.terms == reference)
+                    assert canonicalize(canon).terms == canon.terms
 
 
 def test_canonical_coefficients_unit_for_m_1_and_2():

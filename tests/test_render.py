@@ -23,6 +23,7 @@ from pluckereqs import (
     system_from_json,
     system_to_dict,
 )
+from pluckereqs.render import format_label, format_multiindex
 
 
 def test_equation_text_matches_table_style(params63, pluckerlike63):
@@ -46,6 +47,32 @@ def test_dotted_style_above_nine():
     assert text.startswith("(1.2,1.2.3.10):")
     big = raw_equation(params, (1, 2), (3, 4, 5, 10), 1)
     assert "λ_{1.2.10}" in equation_text(big)
+
+
+def test_format_label_resolves_auto_like_equation_text(params63):
+    eq = raw_equation(GrassmannParams(10, 3), (1, 2), (3, 4, 5, 10), 1)
+    assert format_label(eq) == "(1.2,3.4.5.10)"
+    assert equation_text(eq).startswith(format_label(eq) + ": ")
+    assert format_label(eq, "concat") == "(12,34510)"
+    assert format_label(raw_equation(params63, (1, 2), (1, 3, 4, 5), 1)) == "(12,1345)"
+    with pytest.raises(ValueError):
+        format_label(eq, "bogus")
+
+
+@pytest.mark.parametrize("style", ["bogus", "auto"])
+def test_format_multiindex_rejects_unresolved_styles(style):
+    assert format_multiindex((1, 10), "dots") == "1.10"
+    with pytest.raises(ValueError):
+        format_multiindex((1, 10), style)
+
+
+def test_parsed_system_shares_one_tuple_per_multiindex():
+    params = GrassmannParams(8, 4)
+    system = gen_plucker_like(params)
+    parsed = system_from_json(render(system, "json"))
+    assert parsed == system
+    ids = {id(idx) for eq in parsed for t in eq.terms for idx in (t.left, t.right)}
+    assert len(ids) <= comb(8, 4)
 
 
 def test_explicit_style_override(params63):
