@@ -47,6 +47,7 @@ __all__ = [
     "gen_generalized",
     "canonicalize",
     "collect_terms",
+    "collect_weighted",
     "linear_combination",
     "dedupe",
     "size_ratio",
@@ -207,20 +208,37 @@ def gen_plucker_like(params: GrassmannParams, jobs: int = 1) -> EquationSystem:
 _MONOMIAL = itemgetter(1, 2)
 
 
-def collect_terms(terms: Iterable[QuadTerm]) -> dict[tuple[MultiIndex, MultiIndex], int]:
+Collected = dict[tuple[MultiIndex, MultiIndex], int]
+
+
+def collect_terms(terms: Iterable[QuadTerm]) -> Collected:
     """Collect like monomials into a map ``(left, right) -> coefficient``.
 
     Zero totals are dropped, so two term lists are equal as polynomials
     exactly when their collected maps are equal.
     """
-    acc: dict[tuple[MultiIndex, MultiIndex], int] = {}
-    for term in terms:
-        key = (term.left, term.right)
-        total = acc.get(key, 0) + term.coefficient
-        if total:
-            acc[key] = total
-        elif key in acc:
-            del acc[key]
+    return collect_weighted(((1, terms),))
+
+
+def collect_weighted(
+    weighted: Iterable[tuple[int, Iterable[QuadTerm]]], acc: Collected | None = None
+) -> Collected:
+    """Add ``sum(weight * terms)`` into ``acc`` (a new map by default), collected.
+
+    Like :func:`collect_terms`, zero totals are dropped, so a signed sum of
+    equations vanishes as a polynomial exactly when the returned map is
+    empty; no intermediate equation is built.
+    """
+    if acc is None:
+        acc = {}
+    for weight, terms in weighted:
+        for coefficient, left, right in terms:
+            key = (left, right)
+            total = acc.get(key, 0) + weight * coefficient
+            if total:
+                acc[key] = total
+            elif key in acc:
+                del acc[key]
     return acc
 
 

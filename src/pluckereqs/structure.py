@@ -14,6 +14,13 @@ Covers four mechanically checkable facts about the two-index system:
   set, so nothing combines the way a family does (the lemma is proved in
   ``stratum_probe``); which relations those classes satisfy is open, and
   the probe reports their support statistics as data, asserting nothing.
+
+Each identity is checked as one signed sum: every term of every raw
+equation in it goes, times its weight, into one map keyed by monomial
+(``equations.collect_weighted``), and the identity holds exactly when the
+map ends empty.  No intermediate equation is built.  ``verify_structure``
+generates each system once, and the census computes each label's stratum
+once for the family-partition and multiplicity checks too.
 """
 
 from __future__ import annotations
@@ -27,15 +34,15 @@ from math import comb
 from typing import Callable, Iterable
 
 from .equations import (
+    Collected,
     EquationSystem,
     Label,
     QuadraticEquation,
     QuadTerm,
     canonicalize,
-    collect_terms,
+    collect_weighted,
     gen_plucker,
     gen_plucker_like,
-    linear_combination,
     raw_equation,
 )
 from .multiindex import (
@@ -216,28 +223,44 @@ def census(params: GrassmannParams) -> CensusReport:
     return _census(params, gen_plucker_like(params))[0]
 
 
+def _label_stratum(
+    p: int, j: MultiIndex, k: MultiIndex
+) -> tuple[int, tuple[MultiIndex, MultiIndex] | None]:
+    """``|j intersect k|`` of a generated label, and its family key.
+
+    The key ``(q, j ^ k)`` is built only in the family stratum q = p-3 and
+    is None elsewhere.  A generated label is valid already, so unlike
+    :func:`classify` this validates nothing and builds no :class:`QClass`.
+    """
+    q_size = len(set(j).intersection(k))
+    if q_size != p - 3:
+        return q_size, None
+    return q_size, (intersection(j, k), symmetric_difference(j, k))
+
+
 def _census(
     params: GrassmannParams, system: EquationSystem
-) -> tuple[CensusReport, list[tuple[QuadTerm, ...]]]:
+) -> tuple[CensusReport, list[tuple[QuadTerm, ...]], list[int]]:
     """Census of an already generated two-index system.
 
-    Also returns the canonical terms of every equation, in system order,
-    so a caller holding the system need not canonicalize it again.
+    Also returns, in system order, the canonical terms and the stratum
+    ``|j intersect k|`` of every equation, so a caller holding the system
+    need not canonicalize or stratify it again.
     """
     n, p = params.n, params.p
     canonical_terms: list[tuple[QuadTerm, ...]] = []
+    q_sizes: list[int] = []
     term_counts: dict[int, set[int]] = {}
-    observed: Counter[int] = Counter()
     family_groups: set[tuple[MultiIndex, MultiIndex]] = set()
     for eq in system.equations:
-        j, k = eq.label
-        stratum = classify(params, j, k)
-        canon = canonicalize(eq)
-        canonical_terms.append(canon.terms)
-        observed[stratum.q_size] += 1
-        term_counts.setdefault(stratum.q_size, set()).add(len(canon.terms))
-        if stratum.q_size == p - 3:
-            family_groups.add((stratum.q, symmetric_difference(j, k)))
+        q_size, family_key = _label_stratum(p, *eq.label)
+        terms = canonicalize(eq).terms
+        canonical_terms.append(terms)
+        q_sizes.append(q_size)
+        term_counts.setdefault(q_size, set()).add(len(terms))
+        if family_key is not None:
+            family_groups.add(family_key)
+    observed = Counter(q_sizes)
     q_min = max(0, 2 * p - n)
     classes = []
     for q_size in range(p - 2, q_min - 1, -1):
@@ -264,7 +287,7 @@ def _census(
         all_distinct=len(set(canonical_terms)) == len(canonical_terms),
         all_nontrivial=all(canonical_terms),
     )
-    return report, canonical_terms
+    return report, canonical_terms, q_sizes
 
 
 def one_index_decomposition(
@@ -299,13 +322,13 @@ def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[i
 
 
 def _decomposition_holds(params: GrassmannParams, j, k, raw: _RawSource) -> bool:
+    """``sum_i sign_i * raw_1(j+i, k-i) - 2 * raw_2(j, k)`` collects to nothing."""
     j, k = as_multiindex(j), as_multiindex(k)
-    parts = [
-        (sign, raw(pj, pk, 1)) for sign, (pj, pk) in one_index_decomposition(params, j, k)
+    weighted = [
+        (sign, raw(pj, pk, 1).terms) for sign, (pj, pk) in one_index_decomposition(params, j, k)
     ]
-    lhs = collect_terms(linear_combination(parts, params).terms)
-    doubled = linear_combination([(2, raw(j, k, 2))], params)
-    return lhs == collect_terms(doubled.terms)
+    weighted.append((-2, raw(j, k, 2).terms))
+    return not collect_weighted(weighted)
 
 
 @dataclass(frozen=True)
@@ -346,6 +369,18 @@ def _combined_label(family: PairFamily, i: int, i2: int) -> Label:
     )
 
 
+def _collected_pair(
+    first: QuadraticEquation, second: QuadraticEquation, i: int, i2: int
+) -> Collected:
+    """``E_i + (-1)**(i+i2) * E_i2`` collected; four monomials survive in a family."""
+    return collect_weighted(((1, first.terms), ((-1) ** (i + i2), second.terms)))
+
+
+def _as_equation(params: GrassmannParams, collected: Collected, label: Label) -> QuadraticEquation:
+    terms = tuple(QuadTerm(c, left, right) for (left, right), c in collected.items())
+    return QuadraticEquation(params, label, terms)
+
+
 def pair_combine(
     params: GrassmannParams, family: PairFamily, i: int, i2: int
 ) -> QuadraticEquation:
@@ -360,12 +395,8 @@ def pair_combine(
         raise ValueError(f"member indices must lie in 1..6, got ({i}, {i2})")
     first = raw_equation(params, *family.members[i - 1], 2)
     second = raw_equation(params, *family.members[i2 - 1], 2)
-    combo = linear_combination(
-        [(1, first), ((-1) ** (i + i2), second)],
-        params,
-        label=_combined_label(family, i, i2),
-    )
-    return canonicalize(combo)
+    collected = _collected_pair(first, second, i, i2)
+    return canonicalize(_as_equation(params, collected, _combined_label(family, i, i2)))
 
 
 def check_pair_combine(params: GrassmannParams, family: PairFamily, i: int, i2: int) -> bool:
@@ -384,14 +415,20 @@ def _pair_combine_holds(
     raw: _RawSource,
     canonical_terms: Callable[[QuadraticEquation], tuple[QuadTerm, ...]],
 ) -> bool:
-    first = raw(*family.members[i - 1], 2)
-    second = raw(*family.members[i2 - 1], 2)
-    combo = linear_combination([(1, first), ((-1) ** (i + i2), second)], params)
+    """``E_i + (-1)**(i+i2) E_i2 - 2*(-1)**i2 * target`` collects to nothing,
+    and the collected ``E_i +- E_i2`` canonicalizes to the target's form.
+
+    ``canonicalize`` collects like terms first, so it gives the collected
+    pair the form it would give the raw 20-term combination.
+    """
+    collected = _collected_pair(
+        raw(*family.members[i - 1], 2), raw(*family.members[i2 - 1], 2), i, i2
+    )
+    combined = canonicalize(_as_equation(params, collected, ((), ()))).terms
     target = raw(*_combined_label(family, i, i2), 1)
-    scaled_target = linear_combination([(2 * (-1) ** i2, target)], params)
-    if collect_terms(combo.terms) != collect_terms(scaled_target.terms):
-        return False
-    return canonicalize(combo).terms == canonical_terms(target)
+    # Continue the same signed sum: the pair's collected terms minus twice the target.
+    collect_weighted(((-2 * (-1) ** i2, target.terms),), collected)
+    return not collected and combined == canonical_terms(target)
 
 
 @dataclass(frozen=True)
@@ -581,7 +618,7 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
     two_index = gen_plucker_like(params)
-    census_report, two_canonical = _census(params, two_index)
+    census_report, two_canonical, q_sizes = _census(params, two_index)
     report = VerifyReport(params=params, census=census_report)
     canonical_by_label = {
         eq.label: terms for eq, terms in zip(two_index.equations, two_canonical)
@@ -606,9 +643,7 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
 
     families = pair_families(params)
     family_stratum_labels = {
-        eq.label
-        for eq in two_index.equations
-        if len(intersection(*eq.label)) == p - 3
+        eq.label for eq, q_size in zip(two_index.equations, q_sizes) if q_size == p - 3
     }
     member_labels = {label for family in families for label in family.members}
     for family in families:
@@ -623,11 +658,10 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
         report.family_failures.append(("partition", "mismatch"))
 
     one_counts = Counter(one_canonical.values())
-    two_counts = Counter(canonical_by_label.values())
-    for eq in two_index.equations:
-        if len(intersection(*eq.label)) != p - 2:
+    two_counts = Counter(two_canonical)
+    for eq, terms, q_size in zip(two_index.equations, two_canonical, q_sizes):
+        if q_size != p - 2:
             continue
-        terms = canonical_by_label[eq.label]
         if one_counts.get(terms, 0) != 4 or two_counts.get(terms, 0) != 1:
             report.multiplicity_ok = False
             report.multiplicity_failures.append(eq.label)

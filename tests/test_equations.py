@@ -21,6 +21,7 @@ from pluckereqs import (
     raw_equation,
     size_ratio,
 )
+from pluckereqs.equations import collect_weighted
 from pluckereqs.multiindex import (
     difference,
     inversion_pairs,
@@ -143,6 +144,47 @@ def test_canonicalize_matches_reference(params63, terms, scale):
         same_monomial = [t for t in terms if (t.left, t.right) == (term.left, term.right)]
         if same_monomial == [term]:
             assert same_monomial[0] is term
+
+
+def _reference_collect_terms(terms):
+    # collect_terms as one dict-building loop of its own, before it became
+    # the weight-1 case of collect_weighted.
+    acc = {}
+    for term in terms:
+        key = (term.left, term.right)
+        total = acc.get(key, 0) + term.coefficient
+        if total:
+            acc[key] = total
+        elif key in acc:
+            del acc[key]
+    return acc
+
+
+@given(_TERM_LISTS, _TERM_LISTS, st.integers(-3, 3))
+@example([], [], 1)  # the empty list
+@example([make_term(2, (1, 2, 3), (2, 4, 6)), make_term(-2, (1, 2, 3), (2, 4, 6))], [], 1)  # cancels to 0
+@example(
+    [make_term(1, (1, 2, 3), (1, 3, 5)), make_term(-1, (1, 2, 3), (1, 3, 5)),
+     make_term(1, (1, 2, 4), (1, 2, 4)), make_term(3, (1, 2, 3), (1, 3, 5))],
+    [make_term(1, (1, 2, 4), (1, 2, 4))],
+    -1,
+)  # a monomial that cancels and comes back, repeated monomials
+def test_collect_terms_matches_reference(params63, terms, more, weight):
+    collected = collect_terms(terms)
+    reference = _reference_collect_terms(terms)
+    assert list(collected.items()) == list(reference.items())  # same map, same order
+    assert collect_terms(iter(terms)) == reference  # one-shot iterables are read once
+    # The weighted loop is the collection of the raw linear combination, and
+    # continuing into a map adds to it.
+    combination = linear_combination(
+        [(1, QuadraticEquation(params63, ((), ()), tuple(terms))),
+         (weight, QuadraticEquation(params63, ((), ()), tuple(more)))],
+        params63,
+    )
+    combined = _reference_collect_terms(combination.terms)
+    assert collect_weighted([(1, terms), (weight, more)]) == combined
+    assert collect_weighted([(weight, more)], collect_weighted([(1, terms)])) == combined
+    assert not collect_weighted([(1, terms), (-1, terms)])
 
 
 def test_canonicalize_tells_raw_from_canonical_up_to_n_8():

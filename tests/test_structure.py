@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -27,6 +28,7 @@ from pluckereqs import (
     pair_families,
     one_index_decomposition,
     raw_equation,
+    symmetric_difference,
     verify_structure,
 )
 
@@ -501,3 +503,212 @@ def test_verify_structure_matches_per_label_checks(n, p):
         if not check_pair_combine(params, family, i, i2)
     ]
     assert report.ok
+
+
+# The formulation the one-signed-sum checks replaced, kept as their oracle:
+# build the intermediate equations with linear_combination, collect each
+# side with collect_terms and compare; canonicalize the raw 20-term pair.
+def _reference_decomposition_holds(params, label, raw):
+    parts = [(sign, raw(j, k, 1)) for sign, (j, k) in one_index_decomposition(params, *label)]
+    lhs = collect_terms(linear_combination(parts, params).terms)
+    doubled = linear_combination([(2, raw(*label, 2))], params)
+    return lhs == collect_terms(doubled.terms)
+
+
+def _pair_target_label(family, i, i2):
+    picked = {family.l[i - 1], family.l[i2 - 1]}
+    return (
+        tuple(sorted(set(family.q) | picked)),
+        tuple(sorted(set(family.q) | (set(family.l) - picked))),
+    )
+
+
+def _reference_pair_holds(params, family, i, i2, raw):
+    first = raw(*family.members[i - 1], 2)
+    second = raw(*family.members[i2 - 1], 2)
+    combo = linear_combination([(1, first), ((-1) ** (i + i2), second)], params)
+    target = raw(*_pair_target_label(family, i, i2), 1)
+    scaled_target = linear_combination([(2 * (-1) ** i2, target)], params)
+    if collect_terms(combo.terms) != collect_terms(scaled_target.terms):
+        return False
+    return canonicalize(combo).terms == canonicalize(target).terms
+
+
+def _reference_failures(params, one_index, two_index):
+    raw_by_label = {
+        1: {eq.label: eq for eq in one_index},
+        2: {eq.label: eq for eq in two_index},
+    }
+
+    def raw(j, k, m):
+        return raw_by_label[m][j, k]
+
+    decomposition = [
+        eq.label for eq in two_index if not _reference_decomposition_holds(params, eq.label, raw)
+    ]
+    combination = [
+        (family.q, family.l, i, i2)
+        for family in pair_families(params)
+        for i, i2 in combinations(range(1, 7), 2)
+        if not _reference_pair_holds(params, family, i, i2, raw)
+    ]
+    return decomposition, combination
+
+
+def _replace_equation(system, label, change):
+    return EquationSystem(
+        system.params, system.m, tuple(change(eq) if eq.label == label else eq for eq in system)
+    )
+
+
+_POINTS_UP_TO_8 = [(n, p) for n in range(4, 9) for p in range(2, n - 1)]
+
+
+@pytest.mark.parametrize("corruption", ["clean", "scaled_coefficient", "dropped_target_term"])
+def test_verify_structure_identities_match_reference(monkeypatch, corruption):
+    # verify_structure's decomposition and pair-combination failures equal
+    # the reference's, label by label, at every 2 <= p <= n-2 with n <= 8.
+    # "scaled_coefficient" turns one raw two-index coefficient from +-1 into
+    # +-3, which keeps every sign and support, so a check that tracked only
+    # those would pass; "dropped_target_term" drops one term of the one-index
+    # equation a single pair combination collapses to.  Either must name
+    # exactly the corrupted labels.
+    corrupted_points = 0
+    for n, p in _POINTS_UP_TO_8:
+        params = GrassmannParams(n, p)
+        one_index, two_index = gen_plucker(params), gen_plucker_like(params)
+        families = pair_families(params)
+        expected_decomposition, expected_combination = [], []
+        if corruption == "scaled_coefficient":
+            if families:
+                family, member = families[-1], 3
+                label = family.members[member - 1]
+                expected_combination = [
+                    (family.q, family.l, i, i2)
+                    for i, i2 in combinations(range(1, 7), 2)
+                    if member in (i, i2)
+                ]
+            else:
+                label = two_index.equations[len(two_index) // 2].label
+
+            def scale(eq):
+                first = eq.terms[0]
+                return QuadraticEquation(
+                    eq.params, eq.label,
+                    (QuadTerm(3 * first.coefficient, first.left, first.right),) + eq.terms[1:],
+                )
+
+            two_index = _replace_equation(two_index, label, scale)
+            expected_decomposition = [label]
+        elif corruption == "dropped_target_term":
+            if not families:
+                continue
+            family, i, i2 = families[0], 2, 5
+            target = _pair_target_label(family, i, i2)
+            one_index = _replace_equation(
+                one_index,
+                target,
+                lambda eq: QuadraticEquation(eq.params, eq.label, eq.terms[:-1]),
+            )
+            expected_decomposition = [
+                eq.label
+                for eq in two_index
+                if any(part == target for _, part in one_index_decomposition(params, *eq.label))
+            ]
+            expected_combination = [(family.q, family.l, i, i2)]
+        corrupted_points += corruption != "clean"
+        monkeypatch.setattr(pluckereqs.structure, "gen_plucker", lambda params: one_index)
+        monkeypatch.setattr(pluckereqs.structure, "gen_plucker_like", lambda params: two_index)
+        report = verify_structure(params)
+        reference = _reference_failures(params, one_index, two_index)
+        assert (report.decomposition_failures, report.combination_failures) == reference, (n, p)
+        assert reference == (expected_decomposition, expected_combination), (n, p)
+        assert report.decompositions_checked == len(two_index)
+        assert report.combinations_checked == 15 * len(families)
+    expected_points = {"clean": 0, "scaled_coefficient": len(_POINTS_UP_TO_8), "dropped_target_term": 6}
+    assert corrupted_points == expected_points[corruption]
+
+
+def test_census_stratum_matches_classify():
+    # For every label with n <= 9 the stratum and family key the census uses
+    # are what classify and symmetric_difference give.
+    label_stratum = pluckereqs.structure._label_stratum
+    labels = 0
+    for n in range(4, 10):
+        for p in range(2, n - 1):
+            params = GrassmannParams(n, p)
+            system = gen_plucker_like(params)
+            _, _, q_sizes = pluckereqs.structure._census(params, system)
+            for eq, census_q_size in zip(system, q_sizes, strict=True):
+                j, k = eq.label
+                stratum = classify(params, j, k)
+                q_size, family_key = label_stratum(p, j, k)
+                assert q_size == census_q_size == stratum.q_size
+                if stratum.kind == "10-term":
+                    assert family_key == (stratum.q, symmetric_difference(j, k))
+                else:
+                    assert family_key is None
+                labels += 1
+    assert labels == sum(
+        comb(n, p - 2) * comb(n, p + 2) for n in range(4, 10) for p in range(2, n - 1)
+    )
+
+
+def _reference_census_dict(params):
+    # The census as it was computed with a QClass per label from classify.
+    n, p = params.n, params.p
+    system = gen_plucker_like(params)
+    canonical = []
+    observed, term_counts, families = Counter(), {}, set()
+    for eq in system:
+        j, k = eq.label
+        stratum = classify(params, j, k)
+        terms = canonicalize(eq).terms
+        canonical.append(terms)
+        observed[stratum.q_size] += 1
+        term_counts.setdefault(stratum.q_size, set()).add(len(terms))
+        if stratum.kind == "10-term":
+            families.add((stratum.q, symmetric_difference(j, k)))
+    classes, classes_ok = [], []
+    for q_size in range(p - 2, max(0, 2 * p - n) - 1, -1):
+        kind = "3-term" if q_size == p - 2 else "10-term" if q_size == p - 3 else "large"
+        expected_terms = 3 if kind == "3-term" else comb(p + 2 - q_size, 2)
+        observed_terms = sorted(term_counts.get(q_size, ()))
+        predicted = multinomial(n, [q_size, p - 2 - q_size, p + 2 - q_size, n + q_size - 2 * p])
+        classes.append({
+            "q_size": q_size,
+            "kind": kind,
+            "observed": observed[q_size],
+            "predicted": predicted,
+            "expected_terms": expected_terms,
+            "observed_terms": observed_terms,
+        })
+        classes_ok.append(observed[q_size] == predicted and observed_terms in ([], [expected_terms]))
+    total_predicted = comb(n, p - 2) * comb(n, p + 2)
+    families_predicted = multinomial(n, [6, p - 3, n - p - 3]) if 3 <= p <= n - 3 else 0
+    all_distinct = len(set(canonical)) == len(canonical)
+    all_nontrivial = all(canonical)
+    ok = (
+        len(system) == total_predicted
+        and all(classes_ok)
+        and len(families) == families_predicted
+        and all_distinct
+        and all_nontrivial
+    )
+    return {
+        "n": n,
+        "p": p,
+        "total": {"observed": len(system), "predicted": total_predicted},
+        "classes": classes,
+        "families": {"observed": len(families), "predicted": families_predicted},
+        "all_distinct": all_distinct,
+        "all_nontrivial": all_nontrivial,
+        "ok": ok,
+    }
+
+
+def test_census_matches_classify_reference_up_to_n9():
+    for n in range(4, 10):
+        for p in range(2, n - 1):
+            params = GrassmannParams(n, p)
+            assert census(params).to_dict() == _reference_census_dict(params), (n, p)
