@@ -55,21 +55,40 @@ from .render import (
     system_from_json,
     system_to_dict,
 )
-from .structure import (
-    CensusReport,
-    PairFamily,
-    ProbeReport,
-    QClass,
-    VerifyReport,
-    stratum_probe,
-    census,
-    check_pair_combine,
-    check_decomposition,
-    classify,
-    pair_combine,
-    pair_families,
-    one_index_decomposition,
-    verify_structure,
-)
+# The structural checks are loaded on first use (PEP 562), so a program
+# that only generates, renders or decides never imports them.
+_STRUCTURE_NAMES = frozenset({
+    "CensusReport",
+    "PairFamily",
+    "ProbeReport",
+    "QClass",
+    "VerifyReport",
+    "stratum_probe",
+    "census",
+    "check_pair_combine",
+    "check_decomposition",
+    "classify",
+    "pair_combine",
+    "pair_families",
+    "one_index_decomposition",
+    "verify_structure",
+})
+
+
+def __getattr__(name: str):
+    if name in _STRUCTURE_NAMES:
+        from . import structure
+
+        return getattr(structure, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _STRUCTURE_NAMES)
+
+
+# A star import still takes every name, the structural ones included.
+__all__ = [name for name in globals() if not name.startswith("_")] + sorted(_STRUCTURE_NAMES)
+
 
 __version__ = "0.1.0"

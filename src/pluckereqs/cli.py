@@ -20,8 +20,7 @@ from .pvectors import (
     random_simple,
     residual,
 )
-from .render import FORMATS, format_multiindex, render, resolve_style, system_from_json
-from .structure import stratum_probe, census, verify_structure
+from .render import FORMATS, label_formatter, render, system_from_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -93,6 +92,8 @@ def _run_selftest(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.selftest is not None:
+        if args.pvector is not None:
+            raise ValueError("--selftest reads no input file; pass either FILE or --selftest")
         return _run_selftest(args)
     h = pvector_from_json(_read_input(args.pvector))
     if args.n is not None and args.n != h.params.n:
@@ -108,15 +109,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("simple (zero vector)" if h.is_zero else "simple")
         return EXIT_OK
     report = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance)
-    style = resolve_style(params.n)
+    label_text = label_formatter(params.n)
     print(f"not simple: {len(report.violations)} violated equations")
     for label, value in report.violations:
-        j, k = label
-        print(f"  ({format_multiindex(j, style)},{format_multiindex(k, style)}) = {value}")
+        print(f"  {label_text(label)} = {value}")
     return EXIT_NEGATIVE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .structure import verify_structure
+
     params = GrassmannParams(args.n, args.p)
     report = verify_structure(params)
     print(
@@ -141,6 +143,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .structure import census
+
     params = GrassmannParams(args.n, args.p)
     report = census(params)
     if args.format == "json":
@@ -180,6 +184,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    from .structure import stratum_probe
+
     params = GrassmannParams(args.n, args.p)
     report = stratum_probe(params, args.q)
     if args.format == "text":

@@ -132,6 +132,37 @@ class _InternTable(dict):
 # systems already built.
 _MULTIINDEX_BY_MASK = _InternTable()
 
+# Interned multi-index -> (itself, bitmask, parity-above mask), filled as
+# raw_equation validates its arguments.  Bit ``i`` of the parity-above mask
+# is the parity of the number of entries above ``i``.  An entry is used only
+# for the very tuple it stores: an equal tuple of floats or bools is a
+# different object and is validated in full.
+_VALIDATED: dict[MultiIndex, tuple[MultiIndex, int, int]] = {}
+
+
+def _validated(params: GrassmannParams, values: Iterable[int], size: int) -> tuple[MultiIndex, int, int]:
+    """``params.multiindex(values, size)`` interned, with its two masks.
+
+    Entry types, order and the lower bound were checked when the tuple was
+    stored; the size and the upper bound ``n`` are checked on every call.
+    """
+    try:
+        entry = _VALIDATED.get(values)
+    except TypeError:  # unhashable: not a stored tuple, so validated below
+        entry = None
+    if entry is not None and entry[0] is values and len(values) == size and (
+        not size or values[-1] <= params.n
+    ):
+        return entry
+    idx = params.multiindex(values, size)
+    mask = parity = 0
+    for i in idx:
+        mask |= 1 << i
+        parity ^= (1 << i) - 1  # bits 0..i-1: the positions i lies above
+    idx = _MULTIINDEX_BY_MASK[mask]
+    entry = _VALIDATED[idx] = (idx, mask, parity)
+    return entry
+
 
 def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m: int) -> QuadraticEquation:
     """Generate the raw equation for one label ``(j, k)`` moving ``m`` indices.
@@ -141,34 +172,39 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     the symmetric difference and ``< | >`` the inversion-pair count; the
     term's monomial is ``lam_{j + ii} * lam_{k - ii}``.
 
-    The sign is read off bitmasks: the indices of ``j^k`` above a moved
-    index ``i`` are the set bits of ``sym >> (i + 1)``, so the inversion
-    count is a sum of popcounts.
+    The sign is read off bitmasks: the parity of the number of indices of
+    ``j^k`` above a moved index ``i`` is bit ``i`` of the XOR of the
+    parity-above masks of ``j`` and ``k``, since indices in both cancel in
+    pairs.  The label is returned with the interned tuples.
     """
-    j = params.multiindex(j, params.p - m)
-    k = params.multiindex(k, params.p + m)
-    j_mask = k_mask = 0
-    for i in j:
-        j_mask |= 1 << i
-    for i in k:
-        k_mask |= 1 << i
-    sym = j_mask ^ k_mask
-    # (bit, parity of the inversion count) for each moved index, ascending.
-    moved = []
-    for i in k:
-        if not j_mask >> i & 1:
-            moved.append((1 << i, (sym >> (i + 1)).bit_count() & 1))
+    j, j_mask, j_parity = _validated(params, j, params.p - m)
+    k, k_mask, k_parity = _validated(params, k, params.p + m)
+    parity = j_parity ^ k_parity
     table = _MULTIINDEX_BY_MASK
+    # QuadTerm's own __new__ is a Python-level call; this is the tuple
+    # constructor it wraps, at less than half the cost per term.
+    new_term = tuple.__new__
     terms = []
+    if m == 1:
+        for i in k:
+            bit = 1 << i
+            if not j_mask & bit:
+                left = table[j_mask | bit]
+                right = table[k_mask ^ bit]  # i lies inside k
+                sign = -1 if parity >> i & 1 else 1
+                terms.append(new_term(QuadTerm, (sign, left, right) if left <= right else (sign, right, left)))
+        return QuadraticEquation(params, (j, k), tuple(terms))
+    # (bit, parity of the inversion count) for each moved index, ascending.
+    moved = [(1 << i, parity >> i & 1) for i in k if not j_mask >> i & 1]
     for ii in combinations(moved, m):
         ii_mask = odd = 0
-        for bit, parity in ii:
+        for bit, bit_parity in ii:
             ii_mask |= bit
-            odd ^= parity
+            odd ^= bit_parity
         left = table[j_mask | ii_mask]
         right = table[k_mask ^ ii_mask]  # ii lies inside k
         sign = -1 if odd else 1
-        terms.append(QuadTerm(sign, left, right) if left <= right else QuadTerm(sign, right, left))
+        terms.append(new_term(QuadTerm, (sign, left, right) if left <= right else (sign, right, left)))
     return QuadraticEquation(params, (j, k), tuple(terms))
 
 
@@ -177,20 +213,20 @@ def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationS
 
     ``m = 1`` is the classical system, ``m = 2`` the two-index variant; the
     construction is parametric but only those two carry structural
-    guarantees.  Requires ``1 <= m <= min(p, n - p)``.
+    guarantees.  Requires ``1 <= m <= min(p, n - p)``.  The labels are the
+    interned tuples, validated once here and found in the cache by
+    :func:`raw_equation` on every call.
 
     ``jobs`` is accepted for compatibility and ignored: generation is one
     serial loop, because a process pool was slower at every measured size
     (it pickles each equation back to the parent).
     """
     check_width(params, m)
-    p = params.p
-    k_list = list(combinations(params.indices, p + m))
-    equations = tuple(
-        raw_equation(params, j, k, m)
-        for j in combinations(params.indices, p - m)
-        for k in k_list
+    j_list, k_list = (
+        [_validated(params, idx, size)[0] for idx in combinations(params.indices, size)]
+        for size in (params.p - m, params.p + m)
     )
+    equations = tuple(raw_equation(params, j, k, m) for j in j_list for k in k_list)
     return EquationSystem(params, m, equations)
 
 

@@ -23,6 +23,14 @@ division.  For f64, ``tol`` bounds the deviation of that wedge from
 ``h / lam_max``, where ``lam_max`` is the largest coefficient and the
 pivot; :func:`residual` keeps the per-equation relative bound above.
 
+:func:`residual` evaluates the exact fields on plain integers: the
+coefficients are multiplied by the lcm of their denominators, and a Q_i
+scalar ``re + im*i`` is packed into the one integer ``re + im*X`` for a
+power of two ``X`` large enough that every equation value can be read back
+from its residue modulo ``X**2 + 1`` (the bound is argued in
+:func:`_packed`).  A violation becomes a ``Fraction`` or
+:class:`GaussianRational` only when it is reported.
+
 The identities evaluated here relate basis coefficients only; no inner
 product on the underlying space is involved, so no orthonormality
 assumption enters the code.
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import frexp, isfinite, lcm, ldexp, prod
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .documents import json_int, load_document, read_document
@@ -73,8 +82,10 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
     def _coerce(value) -> "GaussianRational | None":
@@ -147,8 +158,8 @@ class GaussianRational:
 class _GaussInt:
     """Exact Gaussian integer ``re + im*i``, the cleared form of a Q_i scalar.
 
-    Only the ring operations the term kernel and the wedge need are defined;
-    integer operands are the real term coefficients.
+    Only the ring operations the wedge and the chart test need are defined;
+    integer operands are the real products of the wedge.
     """
 
     __slots__ = ("re", "im")
@@ -340,13 +351,43 @@ def _term_values(terms: Iterable[QuadTerm], coeffs: Mapping[MultiIndex, object])
     """The non-zero products ``coefficient * lam_left * lam_right`` of one equation.
 
     This is the module's only term-evaluation loop.  It runs on field
-    scalars, on cleared integers (Q) and on cleared Gaussian integers (Q_i).
+    scalars and, in :func:`residual`, on plain integers: cleared Q scalars
+    and packed cleared Q_i scalars.
     """
     return [
         coefficient * a * b
         for coefficient, left, right in terms
         if (a := coeffs.get(left)) and (b := coeffs.get(right))
     ]
+
+
+_COEFFICIENT = itemgetter(0)
+
+
+def _packed(coeffs: Mapping[MultiIndex, _GaussInt], system: EquationSystem) -> tuple[dict, int]:
+    """Each Gaussian integer ``re + im*i`` as the integer ``re + im*X``, and ``log2 X``.
+
+    The product of two packed values is ``ac + (ad + bc)*X + bd*X**2``, and
+    ``X**2`` is ``-1`` modulo ``X**2 + 1``, so a packed equation value
+    reduced modulo ``X**2 + 1`` is ``R + I*X`` for the Gaussian value
+    ``R + I*i``.  That representative is recovered exactly when ``X`` is a
+    power of two above ``4*W*B**2``, with ``W`` the largest sum of
+    ``|coefficient|`` over one equation and ``B`` the largest ``|re|`` or
+    ``|im|``:
+
+    * every product part is at most ``B**2`` in size, so ``|R|`` (at most
+      ``sum |c| * (|ac| + |bd|)``) and ``|I|`` (at most
+      ``sum |c| * (|ad| + |bc|)``) are at most ``M = 2*W*B**2``;
+    * ``X > 2*M`` with ``M`` an integer gives ``M <= (X - 1)/2``, so
+      ``|R + I*X| <= M*(X + 1) <= (X**2 - 1)/2``: the residue of least
+      absolute value modulo ``X**2 + 1`` is ``R + I*X`` itself;
+    * ``|R| <= M < X/2``: the residue of least absolute value of that
+      modulo ``X`` is ``R``, and ``I`` is what is left, divided by ``X``.
+    """
+    weight = max((sum(map(abs, map(_COEFFICIENT, eq.terms))) for eq in system.equations), default=0)
+    bound = max((max(abs(v.re), abs(v.im)) for v in coeffs.values()), default=0)
+    shift = (4 * weight * bound * bound).bit_length()
+    return {key: v.re + (v.im << shift) for key, v in coeffs.items()}, shift
 
 
 def evaluate(eq: QuadraticEquation, h: PVector) -> Scalar:
@@ -410,18 +451,34 @@ def residual(system: EquationSystem, h: PVector, tolerance: float | None = None)
                 violations.append((eq.label, value))
                 worst = max(worst, abs(value))
         return Residual(worst, violations)
+    # One integer loop for both exact fields: cleared Q scalars, and Q_i
+    # scalars cleared and packed, whose sums are reduced modulo X**2 + 1 to
+    # the residue of least absolute value and split into two digits (see
+    # _packed).  Each violation becomes one field scalar as it is found.
     coeffs, denominator = _cleared(h.coeffs, h.field)
     square = denominator * denominator
-    zero = 0 if h.field == "Q" else _GaussInt(0, 0)
+    gaussian = h.field == "Q_i"
+    if gaussian:
+        coeffs, shift = _packed(coeffs, system)
+        modulus = (1 << 2 * shift) + 1
+        half, low = 1 << shift >> 1, (1 << shift) - 1
+    worst = 0
     for eq in system.equations:
-        value = sum(_term_values(eq.terms, coeffs), zero)
-        if value:
-            violations.append((eq.label, _uncleared(value, square)))
-    if h.field == "Q":
-        worst = max((abs(v) for _, v in violations), default=Fraction(0))
-    else:
-        worst = max((v.norm_sq() for _, v in violations), default=Fraction(0))
-    return Residual(worst, violations)
+        value = sum(_term_values(eq.terms, coeffs))
+        if gaussian:
+            value %= modulus
+            if not value:
+                continue
+            if value > modulus >> 1:
+                value -= modulus
+            re = ((value + half) & low) - half
+            im = (value - re) >> shift
+            worst = max(worst, re * re + im * im)
+            violations.append((eq.label, GaussianRational(Fraction(re, square), Fraction(im, square))))
+        elif value:
+            worst = max(worst, abs(value))
+            violations.append((eq.label, Fraction(value, square)))
+    return Residual(Fraction(worst, square * square if gaussian else square), violations)
 
 
 def _chart_is_simple(coeffs: Mapping[MultiIndex, object], p: int, tol: float | None = None) -> bool:

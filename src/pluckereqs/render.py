@@ -29,6 +29,7 @@ __all__ = [
     "INDEX_STYLES",
     "format_multiindex",
     "format_label",
+    "label_formatter",
     "equation_text",
     "equation_latex",
     "render",
@@ -109,6 +110,16 @@ def _equation_body(terms: tuple[QuadTerm, ...], names: _Memo, latex: bool) -> st
 def _label_text(label: tuple[MultiIndex, MultiIndex], names: _Memo) -> str:
     j, k = label
     return f"({names[j]},{names[k]})"
+
+
+def label_formatter(n: int, index_style: str = "auto"):
+    """A function giving a label ``(j, k)`` as ``(j,k)`` at ambient dimension n.
+
+    It keeps one memo table, so each distinct multi-index is formatted once
+    however many labels it prints.
+    """
+    names = _names(n, index_style)
+    return lambda label: _label_text(label, names)
 
 
 def _text_line(eq: QuadraticEquation, names: _Memo, with_label: bool) -> str:

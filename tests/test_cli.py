@@ -2,8 +2,12 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +17,8 @@ from hypothesis import strategies as st
 from pluckereqs import gen_plucker_like, pvector, pvector_to_json, render, wedge
 from pluckereqs.cli import main
 from pluckereqs.multiindex import GrassmannParams
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -111,6 +117,18 @@ def test_check_non_simple(tmp_path, capsys):
     assert out.count("(") >= 6
     code, out, _ = run(capsys, "check", str(path), "--m", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+@pytest.mark.parametrize("field", ["Q", "Q_i", "f64"])
+def test_check_non_simple_golden_output(capsys, field, m):
+    # Each input at (7,3) is a sum of two scaled wedges; the expected
+    # outputs pin every violated label and its exact or float value.
+    path = DATA_DIR / f"check_7_3_{field}.json"
+    code, out, err = run(capsys, "check", str(path), "--m", m)
+    expected = (DATA_DIR / f"check_7_3_{field}_m{m}.out").read_bytes()
+    assert (code, err) == (1, "")
+    assert out.encode() == expected
 
 
 def test_check_simple_wedge(tmp_path, capsys):
@@ -287,6 +305,56 @@ def test_check_selftest(capsys):
             run(capsys, "check", "--selftest", count, "--seed", "9", "--n", "6", "--p", "3")
         )
         assert "N >= 1" in err
+
+
+def test_check_refuses_file_with_selftest(capsys):
+    # The selftest reads no input, so a file next to it would go unchecked.
+    path = DATA_DIR / "check_7_3_Q.json"
+    for argv in (
+        (str(path), "--selftest", "5", "--seed", "1", "--n", "6", "--p", "3"),
+        ("-", "--selftest", "5", "--seed", "1", "--n", "6", "--p", "3"),
+    ):
+        err = assert_input_error(run(capsys, "check", *argv))
+        assert "--selftest" in err
+
+
+# Every name pluckereqs exported before the structural checks were loaded
+# on first use.
+PACKAGE_NAMES = """
+EquationSystem Label QuadraticEquation QuadTerm canonicalize collect_terms dedupe
+gen_generalized gen_plucker gen_plucker_like linear_combination make_term raw_equation
+size_ratio GrassmannParams MultiIndex as_multiindex difference grassmann_codimension
+intersection inversion_pairs multinomial ordered_union subsets_of_size symmetric_difference
+GaussianRational PVector Residual evaluate is_simple pvector pvector_from_dict
+pvector_from_json pvector_to_dict pvector_to_json random_pvector random_simple residual
+scaled wedge equation_latex equation_text render system_from_dict system_from_json
+system_to_dict CensusReport PairFamily ProbeReport QClass VerifyReport stratum_probe census
+check_pair_combine check_decomposition classify pair_combine pair_families
+one_index_decomposition verify_structure __version__
+""".split()
+
+
+def test_cli_import_leaves_structure_unloaded():
+    script = f"""
+import sys
+import pluckereqs.cli
+assert "pluckereqs.structure" not in sys.modules, "structure loaded by the CLI import"
+import pluckereqs
+for name in {PACKAGE_NAMES!r}:
+    getattr(pluckereqs, name)
+assert "pluckereqs.structure" in sys.modules
+from pluckereqs import census
+assert census.__module__ == "pluckereqs.structure"
+namespace = {{}}
+exec("from pluckereqs import *", namespace)
+assert {{*{PACKAGE_NAMES!r}}} - {{"__version__"}} <= namespace.keys()
+"""
+    src = str(Path(__file__).parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_verify_pass(capsys):

@@ -268,6 +268,35 @@ def test_raw_equation_validates_label(params63):
         raw_equation(params63, (1, 7), (1, 2, 3, 4), 1)
 
 
+def test_raw_equation_validates_every_call_after_caching(params63):
+    # After this call (1, 2) and (1, 2, 3, 4) are cached as validated.
+    eq = raw_equation(params63, (1, 2), (1, 2, 3, 4), 1)
+    j, k = eq.label
+    assert eq.label == ((1, 2), (1, 2, 3, 4))
+    assert raw_equation(params63, [1, 2], iter((1, 2, 3, 4)), 1) == eq
+    # Equal tuples of floats or bools are still refused.
+    for bad_j in ((1.0, 2), (True, 2)):
+        with pytest.raises(ValueError, match="integers"):
+            raw_equation(params63, bad_j, k, 1)
+    for bad_k in ((1.0, 2, 3, 4), (True, 2, 3, 4)):
+        with pytest.raises(ValueError, match="integers"):
+            raw_equation(params63, j, bad_k, 1)
+    # A tuple interned at n = 10 is refused under n = 6.
+    wide = raw_equation(GrassmannParams(10, 3), (1, 10), (1, 2, 3, 10), 1)
+    with pytest.raises(ValueError, match="1..6"):
+        raw_equation(params63, wide.label[0], k, 1)
+    with pytest.raises(ValueError, match="1..6"):
+        raw_equation(params63, j, wide.label[1], 1)
+    # A cached tuple of the wrong size is refused.
+    term_index = eq.terms[0].left
+    with pytest.raises(ValueError, match="entries"):
+        raw_equation(params63, term_index, k, 1)
+    with pytest.raises(ValueError, match="entries"):
+        raw_equation(params63, k, j, 1)
+    with pytest.raises(ValueError, match="entries"):
+        raw_equation(params63, j, k, 2)
+
+
 def test_cardinality_and_ratio_small_range():
     for n in range(4, 10):
         for p in range(2, n - 1):

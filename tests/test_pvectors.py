@@ -8,8 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pluckereqs import (
+    EquationSystem,
     GaussianRational,
     GrassmannParams,
+    QuadraticEquation,
+    QuadTerm,
     canonicalize,
     evaluate,
     gen_plucker,
@@ -432,6 +435,93 @@ def test_chart_verdict_matches_equation_oracle(h):
         ]
         choice = "plucker" if system.m == 1 else "plucker_like"
         assert is_simple(h, choice) == (not report.violations)
+
+
+def _reference_residual(system, h):
+    """``residual`` for an exact field, one ``evaluate`` per equation in field arithmetic."""
+    violations = [(eq.label, value) for eq in system if (value := evaluate(eq, h))]
+    size = abs if h.field == "Q" else GaussianRational.norm_sq
+    return max((size(value) for _, value in violations), default=Fraction(0)), violations
+
+
+def _assert_residual_matches_reference(system, h):
+    report = residual(system, h)
+    worst, violations = _reference_residual(system, h)
+    assert report.violations == violations
+    assert report.max_violation == worst
+    assert type(report.max_violation) is Fraction
+
+
+_BIG = 10**40
+
+
+@st.composite
+def sparse_exact_pvectors(draw):
+    """Q or Q_i p-vectors at 4 <= n <= 7 on a random support, parts up to ~1e40.
+
+    Parts mix small and huge numerators of both signs over small
+    denominators, so packed Gaussian sums hit both signs of both digits.
+    """
+    n = draw(st.integers(4, 7))
+    p = draw(st.integers(2, n - 2))
+    params = GrassmannParams(n, p)
+    field = draw(st.sampled_from(["Q", "Q_i"]))
+    numerator = st.one_of(st.integers(-3, 3), st.integers(-_BIG, _BIG), st.sampled_from([-_BIG, _BIG]))
+    part = st.builds(Fraction, numerator, st.integers(1, 12))
+    value = part if field == "Q" else st.builds(GaussianRational, part, part)
+    keys = st.sampled_from(list(combinations(params.indices, p)))
+    return pvector(params, draw(st.dictionaries(keys, value, max_size=3 * n)), field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_exact_pvectors())
+def test_residual_matches_field_reference(h):
+    for system in _systems(h.params.n, h.params.p):
+        _assert_residual_matches_reference(system, h)
+
+
+def _hand_built_system(params):
+    """Two labels whose coefficient sums (4 and 5) exceed their term counts (2 and 3)."""
+    def equation(label, *terms):
+        return QuadraticEquation(params, label, tuple(QuadTerm(*term) for term in terms))
+
+    return EquationSystem(params, 1, (
+        equation(((1, 2), (1, 2, 3, 4)), (3, (1, 2, 3), (1, 2, 4)), (1, (1, 2, 5), (1, 2, 6))),
+        equation(((1, 3), (1, 3, 4, 5)), (-3, (1, 2, 3), (1, 2, 5)), (1, (1, 2, 4), (1, 2, 6)),
+                 (-1, (1, 2, 3), (1, 2, 6))),
+    ))
+
+
+_U = GaussianRational(_BIG, _BIG)  # U*U = 2B**2 i, U*conj(U) = 2B**2
+_W = GaussianRational(_BIG, -_BIG)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # Keys 123, 124, 125, 126.  In the second equation (coefficients
+        # -3, 1, -1, so W = 5 over 3 terms) every term adds the same
+        # 2B**2 or 2B**2 i, so one digit reaches +-2*W*B**2, the largest
+        # value the packing must read back.
+        [_U, -_U, _U, _U],
+        [-_U, _U, _U, _U],
+        [_U, -_U, _W, _W],
+        [-_U, _U, _W, _W],
+        [GaussianRational(-_BIG + 1, _BIG - 3), GaussianRational(_BIG, 7),
+         GaussianRational(Fraction(-_BIG, 7), _BIG), GaussianRational(0, -_BIG)],
+        [Fraction(-_BIG), Fraction(_BIG, 3), Fraction(_BIG - 1), Fraction(-_BIG, 11)],
+    ],
+)
+def test_residual_exact_at_the_packing_bound(values):
+    params = GrassmannParams(6, 3)
+    system = _hand_built_system(params)
+    keys = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6)]
+    field = "Q" if isinstance(values[0], Fraction) else "Q_i"
+    h = pvector(params, dict(zip(keys, values)), field)
+    _assert_residual_matches_reference(system, h)
+    assert len(residual(system, h).violations) == 2
+    for generated in _systems(6, 3):
+        _assert_residual_matches_reference(generated, h)
 
 
 @st.composite
