@@ -20,7 +20,7 @@ from .pvectors import (
     random_simple,
     residual,
 )
-from .render import FORMATS, label_formatter, render, system_from_json
+from .render import FORMATS, _label_formatter, render, system_from_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -109,7 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("simple (zero vector)" if h.is_zero else "simple")
         return EXIT_OK
     report = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance)
-    label_text = label_formatter(params.n)
+    label_text = _label_formatter(params.n)
     print(f"not simple: {len(report.violations)} violated equations")
     for label, value in report.violations:
         print(f"  {label_text(label)} = {value}")

@@ -132,27 +132,23 @@ class _InternTable(dict):
 # systems already built.
 _MULTIINDEX_BY_MASK = _InternTable()
 
-# Interned multi-index -> (itself, bitmask, parity-above mask), filled as
-# raw_equation validates its arguments.  Bit ``i`` of the parity-above mask
-# is the parity of the number of entries above ``i``.  An entry is used only
-# for the very tuple it stores: an equal tuple of floats or bools is a
-# different object and is validated in full.
-_VALIDATED: dict[MultiIndex, tuple[MultiIndex, int, int]] = {}
+# (n, size, interned multi-index) -> (the multi-index, its bitmask, its
+# parity-above mask), filled as raw_equation validates its arguments.  Bit
+# ``i`` of the parity-above mask is the parity of the number of entries
+# above ``i``.  An entry records that the tuple passed ``params.multiindex``
+# at that n and size, and is used only for the very tuple it stores: an
+# equal tuple of floats or bools is a different object and is validated
+# in full.
+_VALIDATED: dict[tuple[int, int, MultiIndex], tuple[MultiIndex, int, int]] = {}
 
 
 def _validated(params: GrassmannParams, values: Iterable[int], size: int) -> tuple[MultiIndex, int, int]:
-    """``params.multiindex(values, size)`` interned, with its two masks.
-
-    Entry types, order and the lower bound were checked when the tuple was
-    stored; the size and the upper bound ``n`` are checked on every call.
-    """
+    """``params.multiindex(values, size)`` interned, with its two masks."""
     try:
-        entry = _VALIDATED.get(values)
+        entry = _VALIDATED.get((params.n, size, values))
     except TypeError:  # unhashable: not a stored tuple, so validated below
         entry = None
-    if entry is not None and entry[0] is values and len(values) == size and (
-        not size or values[-1] <= params.n
-    ):
+    if entry is not None and entry[0] is values:
         return entry
     idx = params.multiindex(values, size)
     mask = parity = 0
@@ -160,7 +156,7 @@ def _validated(params: GrassmannParams, values: Iterable[int], size: int) -> tup
         mask |= 1 << i
         parity ^= (1 << i) - 1  # bits 0..i-1: the positions i lies above
     idx = _MULTIINDEX_BY_MASK[mask]
-    entry = _VALIDATED[idx] = (idx, mask, parity)
+    entry = _VALIDATED[params.n, size, idx] = (idx, mask, parity)
     return entry
 
 
@@ -185,15 +181,6 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     # constructor it wraps, at less than half the cost per term.
     new_term = tuple.__new__
     terms = []
-    if m == 1:
-        for i in k:
-            bit = 1 << i
-            if not j_mask & bit:
-                left = table[j_mask | bit]
-                right = table[k_mask ^ bit]  # i lies inside k
-                sign = -1 if parity >> i & 1 else 1
-                terms.append(new_term(QuadTerm, (sign, left, right) if left <= right else (sign, right, left)))
-        return QuadraticEquation(params, (j, k), tuple(terms))
     # (bit, parity of the inversion count) for each moved index, ascending.
     moved = [(1 << i, parity >> i & 1) for i in k if not j_mask >> i & 1]
     for ii in combinations(moved, m):

@@ -29,7 +29,6 @@ __all__ = [
     "INDEX_STYLES",
     "format_multiindex",
     "format_label",
-    "label_formatter",
     "equation_text",
     "equation_latex",
     "render",
@@ -112,13 +111,13 @@ def _label_text(label: tuple[MultiIndex, MultiIndex], names: _Memo) -> str:
     return f"({names[j]},{names[k]})"
 
 
-def label_formatter(n: int, index_style: str = "auto"):
+def _label_formatter(n: int):
     """A function giving a label ``(j, k)`` as ``(j,k)`` at ambient dimension n.
 
     It keeps one memo table, so each distinct multi-index is formatted once
     however many labels it prints.
     """
-    names = _names(n, index_style)
+    names = _names(n, "auto")
     return lambda label: _label_text(label, names)
 
 
