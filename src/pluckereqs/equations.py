@@ -243,17 +243,14 @@ def collect_terms(terms: Iterable[QuadTerm]) -> Collected:
     return collect_weighted(((1, terms),))
 
 
-def collect_weighted(
-    weighted: Iterable[tuple[int, Iterable[QuadTerm]]], acc: Collected | None = None
-) -> Collected:
-    """Add ``sum(weight * terms)`` into ``acc`` (a new map by default), collected.
+def collect_weighted(weighted: Iterable[tuple[int, Iterable[QuadTerm]]]) -> Collected:
+    """Collect ``sum(weight * terms)`` into a map like :func:`collect_terms`.
 
-    Like :func:`collect_terms`, zero totals are dropped, so a signed sum of
-    equations vanishes as a polynomial exactly when the returned map is
-    empty; no intermediate equation is built.
+    Zero totals are dropped, so a signed sum of equations vanishes as a
+    polynomial exactly when the returned map is empty; no intermediate
+    equation is built.
     """
-    if acc is None:
-        acc = {}
+    acc: Collected = {}
     for weight, terms in weighted:
         for coefficient, left, right in terms:
             key = (left, right)

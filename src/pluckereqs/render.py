@@ -22,13 +22,9 @@ from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 FORMATS = ("text", "latex", "json", "csv")
-INDEX_STYLES = ("auto", "concat", "dots")
 
 __all__ = [
     "FORMATS",
-    "INDEX_STYLES",
-    "format_multiindex",
-    "format_label",
     "equation_text",
     "equation_latex",
     "render",
@@ -36,33 +32,6 @@ __all__ = [
     "system_from_dict",
     "system_from_json",
 ]
-
-
-def resolve_style(n: int, style: str = "auto") -> str:
-    if style not in INDEX_STYLES:
-        raise ValueError(f"index style must be one of {INDEX_STYLES}, got {style!r}")
-    if style == "auto":
-        return "dots" if n >= 10 else "concat"
-    return style
-
-
-def format_multiindex(idx: MultiIndex, style: str = "concat") -> str:
-    """``idx`` as concatenated digits (``"concat"``) or dot-separated (``"dots"``).
-
-    ``"auto"`` depends on n: resolve it first with ``resolve_style(n)``.
-    """
-    if style not in ("concat", "dots"):
-        raise ValueError(
-            f"index style must be 'concat' or 'dots', got {style!r}; "
-            "resolve 'auto' with resolve_style(n)"
-        )
-    sep = "." if style == "dots" else ""
-    return sep.join(str(i) for i in idx)
-
-
-def format_label(eq: QuadraticEquation, style: str = "auto") -> str:
-    """The label ``(j,k)`` as ``equation_text`` prints it, e.g. ``(1.2,3.4.5.10)`` at n = 10."""
-    return _label_text(eq.label, _names(eq.params.n, style))
 
 
 class _Memo(dict):
@@ -81,10 +50,14 @@ class _Memo(dict):
         return value
 
 
-def _names(n: int, index_style: str) -> _Memo:
-    """Memoized ``format_multiindex`` for one render call at ambient dimension n."""
-    style = resolve_style(n, index_style)
-    return _Memo(lambda idx: format_multiindex(idx, style))
+def _names(n: int) -> _Memo:
+    """Each multi-index's name at ambient dimension n, formatted once per render call.
+
+    Names are concatenated digits, dot-separated from n = 10 on, where
+    concatenation would be ambiguous.
+    """
+    sep = "." if n >= 10 else ""
+    return _Memo(lambda idx: sep.join(str(i) for i in idx))
 
 
 def _equation_body(terms: tuple[QuadTerm, ...], names: _Memo, latex: bool) -> str:
@@ -117,7 +90,7 @@ def _label_formatter(n: int):
     It keeps one memo table, so each distinct multi-index is formatted once
     however many labels it prints.
     """
-    names = _names(n, "auto")
+    names = _names(n)
     return lambda label: _label_text(label, names)
 
 
@@ -126,14 +99,14 @@ def _text_line(eq: QuadraticEquation, names: _Memo, with_label: bool) -> str:
     return f"{_label_text(eq.label, names)}: {body}" if with_label else body
 
 
-def equation_text(eq: QuadraticEquation, index_style: str = "auto", with_label: bool = True) -> str:
+def equation_text(eq: QuadraticEquation, *, with_label: bool = True) -> str:
     """One-line text form, e.g. ``(1,12345): λ_{123}λ_{145} - ... = 0``."""
-    return _text_line(eq, _names(eq.params.n, index_style), with_label)
+    return _text_line(eq, _names(eq.params.n), with_label)
 
 
-def equation_latex(eq: QuadraticEquation, index_style: str = "auto") -> str:
+def equation_latex(eq: QuadraticEquation) -> str:
     """Math-mode LaTeX for one equation, without the label."""
-    return f"${_equation_body(eq.terms, _names(eq.params.n, index_style), latex=True)}$"
+    return f"${_equation_body(eq.terms, _names(eq.params.n), latex=True)}$"
 
 
 def _system_caption(system: EquationSystem) -> str:
@@ -143,13 +116,13 @@ def _system_caption(system: EquationSystem) -> str:
     return f"{name} for (n,p) = ({system.params.n},{system.params.p})"
 
 
-def _render_text(system: EquationSystem, style: str, with_labels: bool) -> str:
-    names = _names(system.params.n, style)
+def _render_text(system: EquationSystem, with_labels: bool) -> str:
+    names = _names(system.params.n)
     return "\n".join(_text_line(eq, names, with_labels) for eq in system) + "\n"
 
 
-def _render_latex(system: EquationSystem, style: str, with_labels: bool) -> str:
-    names = _names(system.params.n, style)
+def _render_latex(system: EquationSystem, with_labels: bool) -> str:
+    names = _names(system.params.n)
     lines = []
     if with_labels:
         lines.append("\\begin{longtable}{rll}")
@@ -296,9 +269,9 @@ def _render_json(system: EquationSystem) -> str:
     )
 
 
-def _render_csv(system: EquationSystem, style: str) -> str:
+def _render_csv(system: EquationSystem) -> str:
     # Index names hold only digits and dots, so no field needs CSV quoting.
-    names = _names(system.params.n, style)
+    names = _names(system.params.n)
     rows = ["ordinal,j,k,coefficient,left,right\n"]
     for ordinal, eq in enumerate(system, 1):
         label = f"{ordinal},{names[eq.label[0]]},{names[eq.label[1]]},"
@@ -309,7 +282,7 @@ def _render_csv(system: EquationSystem, style: str) -> str:
 def render(
     obj: EquationSystem | QuadraticEquation,
     fmt: str = "text",
-    index_style: str = "auto",
+    *,
     with_labels: bool = True,
 ) -> str:
     """Render a system or a single equation to one of the supported formats."""
@@ -317,14 +290,14 @@ def render(
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     if isinstance(obj, QuadraticEquation):
         if fmt == "text":
-            return equation_text(obj, index_style, with_label=with_labels) + "\n"
+            return equation_text(obj, with_label=with_labels) + "\n"
         if fmt == "latex":
-            return equation_latex(obj, index_style) + "\n"
+            return equation_latex(obj) + "\n"
         raise ValueError(f"{fmt} rendering requires a full EquationSystem")
     if fmt == "text":
-        return _render_text(obj, index_style, with_labels)
+        return _render_text(obj, with_labels)
     if fmt == "latex":
-        return _render_latex(obj, index_style, with_labels)
+        return _render_latex(obj, with_labels)
     if fmt == "json":
         return _render_json(obj)
-    return _render_csv(obj, index_style)
+    return _render_csv(obj)

@@ -15,12 +15,14 @@ Covers four mechanically checkable facts about the two-index system:
   ``stratum_probe``); which relations those classes satisfy is open, and
   the probe reports their support statistics as data, asserting nothing.
 
-Each identity is checked as one signed sum: every term of every raw
-equation in it goes, times its weight, into one map keyed by monomial
-(``equations.collect_weighted``), and the identity holds exactly when the
-map ends empty.  No intermediate equation is built.  ``verify_structure``
-generates each system once, and the census computes each label's stratum
-once for the family-partition and multiplicity checks too.
+Each decomposition and pair identity is checked on raw polynomials only,
+as one signed sum: every term of every raw equation in it goes, times its
+weight, into one map keyed by monomial (``equations.collect_weighted``),
+and the identity holds exactly when the map ends empty.  No intermediate
+equation is built.  The family, census-distinctness and multiplicity
+checks read canonical forms.  ``verify_structure`` generates each system
+once, and the census computes each label's stratum once for the
+family-partition and multiplicity checks too.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from math import comb
 from typing import Callable, Iterable
 
 from .equations import (
-    Collected,
     EquationSystem,
     Label,
     QuadraticEquation,
@@ -369,18 +370,6 @@ def _combined_label(family: PairFamily, i: int, i2: int) -> Label:
     )
 
 
-def _collected_pair(
-    first: QuadraticEquation, second: QuadraticEquation, i: int, i2: int
-) -> Collected:
-    """``E_i + (-1)**(i+i2) * E_i2`` collected; four monomials survive in a family."""
-    return collect_weighted(((1, first.terms), ((-1) ** (i + i2), second.terms)))
-
-
-def _as_equation(params: GrassmannParams, collected: Collected, label: Label) -> QuadraticEquation:
-    terms = tuple(QuadTerm(c, left, right) for (left, right), c in collected.items())
-    return QuadraticEquation(params, label, terms)
-
-
 def pair_combine(
     params: GrassmannParams, family: PairFamily, i: int, i2: int
 ) -> QuadraticEquation:
@@ -395,40 +384,36 @@ def pair_combine(
         raise ValueError(f"member indices must lie in 1..6, got ({i}, {i2})")
     first = raw_equation(params, *family.members[i - 1], 2)
     second = raw_equation(params, *family.members[i2 - 1], 2)
-    collected = _collected_pair(first, second, i, i2)
-    return canonicalize(_as_equation(params, collected, _combined_label(family, i, i2)))
+    # Four monomials survive in a family.
+    collected = collect_weighted(((1, first.terms), ((-1) ** (i + i2), second.terms)))
+    terms = tuple(QuadTerm(c, left, right) for (left, right), c in collected.items())
+    return canonicalize(QuadraticEquation(params, _combined_label(family, i, i2), terms))
 
 
 def check_pair_combine(params: GrassmannParams, family: PairFamily, i: int, i2: int) -> bool:
-    """Exact raw identity ``E_i + (-1)**(i+i2) E_i2 = 2*(-1)**i2 * raw_1(target)``
-    plus equality of canonical forms."""
-    return _pair_combine_holds(
-        params, family, i, i2, partial(raw_equation, params), lambda eq: canonicalize(eq).terms
-    )
+    """Exact raw identity ``E_i + (-1)**(i+i2) E_i2 = 2*(-1)**i2 * raw_1(target)``.
 
-
-def _pair_combine_holds(
-    params: GrassmannParams,
-    family: PairFamily,
-    i: int,
-    i2: int,
-    raw: _RawSource,
-    canonical_terms: Callable[[QuadraticEquation], tuple[QuadTerm, ...]],
-) -> bool:
-    """``E_i + (-1)**(i+i2) E_i2 - 2*(-1)**i2 * target`` collects to nothing,
-    and the collected ``E_i +- E_i2`` canonicalizes to the target's form.
-
-    ``canonicalize`` collects like terms first, so it gives the collected
-    pair the form it would give the raw 20-term combination.
+    It implies that :func:`pair_combine` returns the target's canonical form.
     """
-    collected = _collected_pair(
-        raw(*family.members[i - 1], 2), raw(*family.members[i2 - 1], 2), i, i2
+    return _pair_combine_holds(family, i, i2, partial(raw_equation, params))
+
+
+def _pair_combine_holds(family: PairFamily, i: int, i2: int, raw: _RawSource) -> bool:
+    """``E_i + (-1)**(i+i2) E_i2 - 2*(-1)**i2 * target`` collects to nothing.
+
+    This also settles that the pair canonicalizes to the target's form, so
+    that is not compared on its own: an empty sum makes ``E_i +- E_i2``
+    and ``2*(-1)**i2 * target`` one polynomial, ``canonicalize`` reads only
+    the collected polynomial, and it gives a term list and that list times
+    any non-zero integer the same form, because it divides out the gcd
+    signed by the first term.
+    """
+    weighted = (
+        (1, raw(*family.members[i - 1], 2).terms),
+        ((-1) ** (i + i2), raw(*family.members[i2 - 1], 2).terms),
+        (-2 * (-1) ** i2, raw(*_combined_label(family, i, i2), 1).terms),
     )
-    combined = canonicalize(_as_equation(params, collected, ((), ()))).terms
-    target = raw(*_combined_label(family, i, i2), 1)
-    # Continue the same signed sum: the pair's collected terms minus twice the target.
-    collect_weighted(((-2 * (-1) ** i2, target.terms),), collected)
-    return not collected and combined == canonical_terms(target)
+    return not collect_weighted(weighted)
 
 
 @dataclass(frozen=True)
@@ -611,8 +596,9 @@ def _check_family_structure(
 def verify_structure(params: GrassmannParams) -> VerifyReport:
     """Run every structural check at one (n, p) and collect failures.
 
-    Each system is generated once; every check reads its raw and canonical
-    equations from label maps built from those two systems.
+    Each system is generated once.  The identities read raw equations from
+    label maps of those two systems; the census, family and multiplicity
+    checks read the canonical forms of the same equations.
     """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
@@ -628,13 +614,9 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
         1: {eq.label: eq for eq in one_index.equations},
         2: {eq.label: eq for eq in two_index.equations},
     }
-    one_canonical = {eq.label: canonicalize(eq).terms for eq in one_index.equations}
 
     def shared_raw(j: MultiIndex, k: MultiIndex, m: int) -> QuadraticEquation:
         return raw_by_label[m][j, k]
-
-    def shared_canonical(eq: QuadraticEquation) -> tuple[QuadTerm, ...]:
-        return one_canonical[eq.label]
 
     for eq in two_index.equations:
         report.decompositions_checked += 1
@@ -652,12 +634,12 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
             report.family_failures.append((family.q, family.l))
         for i, i2 in combinations(range(1, 7), 2):
             report.combinations_checked += 1
-            if not _pair_combine_holds(params, family, i, i2, shared_raw, shared_canonical):
+            if not _pair_combine_holds(family, i, i2, shared_raw):
                 report.combination_failures.append((family.q, family.l, i, i2))
     if member_labels != family_stratum_labels:
         report.family_failures.append(("partition", "mismatch"))
 
-    one_counts = Counter(one_canonical.values())
+    one_counts = Counter(canonicalize(eq).terms for eq in one_index.equations)
     two_counts = Counter(two_canonical)
     for eq, terms, q_size in zip(two_index.equations, two_canonical, q_sizes):
         if q_size != p - 2:

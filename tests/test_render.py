@@ -23,7 +23,6 @@ from pluckereqs import (
     system_from_json,
     system_to_dict,
 )
-from pluckereqs.render import format_label, format_multiindex
 
 
 def test_equation_text_matches_table_style(params63, pluckerlike63):
@@ -49,23 +48,6 @@ def test_dotted_style_above_nine():
     assert "λ_{1.2.10}" in equation_text(big)
 
 
-def test_format_label_resolves_auto_like_equation_text(params63):
-    eq = raw_equation(GrassmannParams(10, 3), (1, 2), (3, 4, 5, 10), 1)
-    assert format_label(eq) == "(1.2,3.4.5.10)"
-    assert equation_text(eq).startswith(format_label(eq) + ": ")
-    assert format_label(eq, "concat") == "(12,34510)"
-    assert format_label(raw_equation(params63, (1, 2), (1, 3, 4, 5), 1)) == "(12,1345)"
-    with pytest.raises(ValueError):
-        format_label(eq, "bogus")
-
-
-@pytest.mark.parametrize("style", ["bogus", "auto"])
-def test_format_multiindex_rejects_unresolved_styles(style):
-    assert format_multiindex((1, 10), "dots") == "1.10"
-    with pytest.raises(ValueError):
-        format_multiindex((1, 10), style)
-
-
 def test_parsed_system_shares_one_tuple_per_multiindex():
     params = GrassmannParams(8, 4)
     system = gen_plucker_like(params)
@@ -73,11 +55,6 @@ def test_parsed_system_shares_one_tuple_per_multiindex():
     assert parsed == system
     ids = {id(idx) for eq in parsed for t in eq.terms for idx in (t.left, t.right)}
     assert len(ids) <= comb(8, 4)
-
-
-def test_explicit_style_override(params63):
-    eq = canonicalize(raw_equation(params63, (1, 2), (1, 3, 4, 5), 1))
-    assert "λ_{1.2.3}" in equation_text(eq, index_style="dots")
 
 
 def test_latex_system_shape(pluckerlike63):
@@ -95,6 +72,12 @@ def test_latex_without_labels(params63, plucker63):
     out = render(system, "latex", with_labels=False)
     assert out.splitlines()[0] == "\\begin{longtable}{rl}"
     assert "(12," not in out
+    # The label flags are keyword-only: a third positional argument, such as
+    # an index style, is an error and not a truthy flag.
+    with pytest.raises(TypeError):
+        render(system, "text", "dots")
+    with pytest.raises(TypeError):
+        equation_text(system.equations[0], False)
 
 
 def test_latex_term_style(params63):
