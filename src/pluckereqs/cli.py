@@ -8,8 +8,10 @@ an identity failed), 2 usage or input error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import sys
+from typing import Iterable, Iterator, TextIO
 
 from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, size_ratio
 from .multiindex import GrassmannParams
@@ -20,26 +22,62 @@ from .pvectors import (
     random_simple,
     residual,
 )
-from .render import FORMATS, _label_formatter, render, system_from_json
+from .render import FORMATS, _label_formatter, _load_system, _render_pieces
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
+# Characters per write.  Output is rendered one equation at a time and
+# written in batches of about this size: one write per equation would be one
+# system call per equation on a write-through stdout (PYTHONUNBUFFERED=1).
+_BATCH = 1 << 20
+
+
+def _batches(pieces: Iterable[str]) -> Iterator[str]:
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            yield "".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield "".join(batch)
+
+
+def _write_output(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces, in batches, to the file ``out`` or to stdout.
+
+    On stdout each batch goes to the binary layer whole: a write-through
+    text layer over an unbuffered pipe passes a short write on silently,
+    and a reader closing early must end the command with an I/O error.
+    """
+    if out is not None and out != "-":
+        with open(out, "w", encoding="utf-8") as handle:
+            for batch in _batches(pieces):
+                handle.write(batch)
         return
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    stdout = sys.stdout
+    binary = getattr(stdout, "buffer", None)
+    if binary is None:  # a text-only stream, such as io.StringIO
+        for batch in _batches(pieces):
+            stdout.write(batch)
+        return
+    stdout.flush()
+    for batch in _batches(pieces):
+        data = memoryview(batch.encode(stdout.encoding, stdout.errors))
+        while data:
+            data = data[binary.write(data):]
+    binary.flush()
 
 
-def _read_input(path: str | None) -> str:
+def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, "r", encoding="utf-8")
 
 
 def _add_params(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -59,8 +97,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         system = EquationSystem(
             params, args.m, tuple(canonicalize(eq) for eq in system.equations)
         )
-    text = render(system, args.format, with_labels=not args.dedupe)
-    _write_output(text, args.out)
+    _write_output(_render_pieces(system, args.format, with_labels=not args.dedupe), args.out)
     return EXIT_OK
 
 
@@ -95,7 +132,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.pvector is not None:
             raise ValueError("--selftest reads no input file; pass either FILE or --selftest")
         return _run_selftest(args)
-    h = pvector_from_json(_read_input(args.pvector))
+    with _open_input(args.pvector) as handle:
+        h = pvector_from_json(handle.read())
     if args.n is not None and args.n != h.params.n:
         raise ValueError(f"--n {args.n} does not match input n={h.params.n}")
     if args.p is not None and args.p != h.params.p:
@@ -150,7 +188,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json
 
-        _write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+        _write_output([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
         return EXIT_OK if report.ok else EXIT_NEGATIVE
     lines = [f"census for (n,p) = ({args.n},{args.p})"]
     header = f"{'kind':>8} {'q':>3} {'count':>8} {'predicted':>10} {'terms':>6}"
@@ -172,14 +210,14 @@ def cmd_census(args: argparse.Namespace) -> int:
         f"system size ratio (p+2)(n-p+2)/((p-1)(n-p-1)): "
         f"{one_index_size}/{report.total_predicted} = {float(ratio)}"
     )
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    system = system_from_json(_read_input(args.infile))
-    text = render(system, args.format, with_labels=not args.no_labels)
-    _write_output(text, args.out)
+    with _open_input(args.infile) as handle:
+        system = _load_system(handle)
+    _write_output(_render_pieces(system, args.format, with_labels=not args.no_labels), args.out)
     return EXIT_OK
 
 
@@ -198,9 +236,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
             f"collapses found: {len(report.collapses)}",
             f"note: {report.note}",
         ]
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output(["\n".join(lines) + "\n"], args.out)
     else:
-        _write_output(report.to_json(), args.out)
+        _write_output([report.to_json()], args.out)
     return EXIT_OK
 
 

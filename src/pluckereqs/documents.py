@@ -8,7 +8,7 @@ module as ``ValueError``, which the command line reports with exit code 2.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, TextIO, TypeVar
 
 T = TypeVar("T")
 
@@ -32,10 +32,18 @@ def read_document(build: Callable[[Any], T], data, what: str) -> T:
         raise ValueError(f"malformed {what} JSON: {type(exc).__name__}: {exc}") from exc
 
 
-def load_document(build: Callable[[Any], T], text: str, what: str) -> T:
-    """Decode JSON ``text`` and read it with :func:`read_document`."""
+def load_document(
+    build: Callable[[Any], T], source: str | TextIO, what: str, object_hook=None
+) -> T:
+    """Decode JSON ``source``, a string or an open text file; read it with :func:`read_document`.
+
+    ``object_hook`` is passed to the decoder as ``json.loads`` takes it.
+    """
     try:
-        data = json.loads(text)
+        if isinstance(source, str):
+            data = json.loads(source, object_hook=object_hook)
+        else:
+            data = json.load(source, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     except RecursionError:

@@ -3,19 +3,29 @@
 Multi-indices are rendered as concatenated digits for n <= 9 (so ``(1,2,3)``
 prints as ``123``) and dot-separated for n >= 10 (``1.2.10``), since plain
 concatenation is ambiguous there.  JSON always stores explicit integer
-arrays and round-trips losslessly; reading a system back validates each
-distinct multi-index once and shares one tuple for it.
+arrays and round-trips losslessly.
 
-A system has far fewer distinct multi-indices than terms (252 against
-158,760 at (n,p) = (10,5), m = 1), so each render call formats every
-distinct multi-index once, in a memo table keyed by the index tuple, and
-one writer builds the equation bodies of text, LaTeX and the single-equation
-forms.  JSON output is ``json.dumps(system_to_dict(system), indent=2)``
-byte for byte, written from templates without building the nested dicts;
-``system_to_dict`` stays public and is the oracle the tests compare with.
+Each format has one writer, a generator that yields the output one
+equation (one line or block) at a time; ``render`` joins its pieces, and
+the command line writes them out in batches, so a large system is never
+held as one string.  A system has far fewer distinct multi-indices than
+terms (252 against 158,760 at (n,p) = (10,5), m = 1), so each writer
+formats every distinct multi-index once, in a memo table keyed by the
+index tuple, and one function builds the equation bodies of text, LaTeX
+and the single-equation forms.  JSON output is
+``json.dumps(system_to_dict(system), indent=2)`` byte for byte, written
+from templates without building the nested dicts; ``system_to_dict`` stays
+public and is the oracle the tests compare with.
+
+Reading a system back decodes each term's index lists into one shared
+tuple per distinct multi-index while the JSON is parsed, validates each
+distinct multi-index once, and builds the system from those tuples.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from typing import Iterator, TextIO
 
 from .documents import json_int, load_document, read_document
 from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
@@ -116,31 +126,35 @@ def _system_caption(system: EquationSystem) -> str:
     return f"{name} for (n,p) = ({system.params.n},{system.params.p})"
 
 
-def _render_text(system: EquationSystem, with_labels: bool) -> str:
+def _text_pieces(system: EquationSystem, with_labels: bool) -> Iterator[str]:
     names = _names(system.params.n)
-    return "\n".join(_text_line(eq, names, with_labels) for eq in system) + "\n"
+    for eq in system:
+        yield _text_line(eq, names, with_labels) + "\n"
+    if not system.equations:
+        yield "\n"
 
 
-def _render_latex(system: EquationSystem, with_labels: bool) -> str:
+def _latex_pieces(system: EquationSystem, with_labels: bool) -> Iterator[str]:
     names = _names(system.params.n)
-    lines = []
     if with_labels:
-        lines.append("\\begin{longtable}{rll}")
-        lines.append(f"\\caption{{{_system_caption(system)}}} \\\\")
-        lines.append("\\# & $(j,k)$ & Equation \\\\")
+        yield (
+            "\\begin{longtable}{rll}\n"
+            f"\\caption{{{_system_caption(system)}}} \\\\\n"
+            "\\# & $(j,k)$ & Equation \\\\\n\\hline\n"
+        )
     else:
-        lines.append("\\begin{longtable}{rl}")
-        lines.append(f"\\caption{{{_system_caption(system)}, reduced}} \\\\")
-        lines.append("\\# & Equation \\\\")
-    lines.append("\\hline")
+        yield (
+            "\\begin{longtable}{rl}\n"
+            f"\\caption{{{_system_caption(system)}, reduced}} \\\\\n"
+            "\\# & Equation \\\\\n\\hline\n"
+        )
     for ordinal, eq in enumerate(system, 1):
         body = _equation_body(eq.terms, names, True)
         if with_labels:
-            lines.append(f"{ordinal} & {_label_text(eq.label, names)} & ${body}$ \\\\")
+            yield f"{ordinal} & {_label_text(eq.label, names)} & ${body}$ \\\\\n"
         else:
-            lines.append(f"{ordinal} & ${body}$ \\\\")
-    lines.append("\\end{longtable}")
-    return "\n".join(lines) + "\n"
+            yield f"{ordinal} & ${body}$ \\\\\n"
+    yield "\\end{longtable}\n"
 
 
 def system_to_dict(system: EquationSystem) -> dict:
@@ -165,49 +179,89 @@ def system_to_dict(system: EquationSystem) -> dict:
 _INT_ONLY = {int}
 
 
-def _multiindex_reader(params: GrassmannParams):
+def _term_index_sharer():
+    """A JSON ``object_hook`` for one document: each term's index lists become shared tuples.
+
+    When a term's ``left`` and ``right`` lists hold only entries that are
+    exactly ``int``, each becomes the one tuple stored for its value, so the
+    decoded document holds one tuple per distinct multi-index instead of
+    two fresh lists per term.  Any other term keeps its lists for the reader
+    to check: ``1.0`` and ``true`` compare equal to ``1``, so a list holding
+    one must never be replaced by the stored tuple of ints.
+    """
+    shared: dict[MultiIndex, MultiIndex] = {}
+
+    def share(obj: dict) -> dict:
+        left, right = obj.get("left"), obj.get("right")
+        if left.__class__ is not list or right.__class__ is not list:
+            return obj
+        # One type scan over both lists, without building a set.
+        if _INT_ONLY.issuperset(map(type, left + right)):
+            left, right = tuple(left), tuple(right)
+            obj["left"] = shared.setdefault(left, left)
+            obj["right"] = shared.setdefault(right, right)
+        return obj
+
+    return share
+
+
+class _MultiindexReader:
     """``params.multiindex`` for one document, run once per distinct multi-index.
 
-    Every repeat of a multi-index gets the one tuple stored for it, so a
-    parsed system holds one tuple per distinct multi-index, as a generated
-    one does.  Tuple equality takes ``1.0`` and ``true`` for ``1``, so a
-    stored tuple is handed out only for entries that are all ``int``;
-    anything else goes to ``params.multiindex``, which rejects it.
+    ``seen[size]`` maps each validated multi-index to the one tuple the
+    parsed system uses for it, so a parsed system holds one tuple per
+    distinct multi-index, as a generated one does.  A tuple is taken
+    without validation only when it is that stored tuple itself, the
+    identity rule of ``equations._validated``: an equal tuple of floats or
+    bools is another object and is validated, which rejects it.
     """
-    seen: dict[MultiIndex, MultiIndex] = {}
 
-    def read(values, size: int) -> MultiIndex:
-        key = tuple(values)
-        idx = seen.get(key) if {*map(type, key)} == _INT_ONLY else None
-        if idx is None or len(idx) != size:
-            idx = seen[key] = params.multiindex(key, size)
-        return idx
+    def __init__(self, params: GrassmannParams) -> None:
+        self.params = params
+        self.seen: defaultdict[int, dict[MultiIndex, MultiIndex]] = defaultdict(dict)
 
-    return read
+    def __call__(self, values, size: int) -> MultiIndex:
+        seen = self.seen[size]
+        if values.__class__ is tuple and seen.get(values) is values:
+            return values
+        idx = self.params.multiindex(values, size)
+        return seen.setdefault(idx, idx)
 
 
-def _equation_from_dict(params: GrassmannParams, m: int, entry: dict, read) -> QuadraticEquation:
+def _equation_from_dict(
+    params: GrassmannParams, m: int, entry: dict, read: _MultiindexReader
+) -> QuadraticEquation:
     j, k = entry["j"], entry["k"]
     # linear_combination gives its results the empty label ((), ()).
     sizes = (params.p - m, params.p + m) if j or k else (0, 0)
     label = (read(j, sizes[0]), read(k, sizes[1]))
+    p = params.p
+    seen = read.seen[p]
+    # The loop runs once per term of the document.  It inlines the reader's
+    # identity check and builds each term with the tuple constructor that
+    # QuadTerm's own Python-level __new__ wraps.
+    new_term = tuple.__new__
     terms = []
     for t in entry["terms"]:
-        coefficient = json_int(t["c"], "term coefficient")
-        if coefficient == 0:
+        coefficient = t["c"]
+        if coefficient.__class__ is not int or not coefficient:
+            json_int(coefficient, "term coefficient")
             raise ValueError("term coefficient must be non-zero")
-        left = read(t["left"], params.p)
-        right = read(t["right"], params.p)
+        left, right = t["left"], t["right"]
+        if left.__class__ is not tuple or seen.get(left) is not left:
+            left = read(left, p)
+        if right.__class__ is not tuple or seen.get(right) is not right:
+            right = read(right, p)
         if right < left:
             raise ValueError("terms must be stored with left <= right")
-        terms.append(QuadTerm(coefficient, left, right))
+        terms.append(new_term(QuadTerm, (coefficient, left, right)))
     return QuadraticEquation(params, label, tuple(terms))
 
 
 def _system_from_document(data: dict) -> EquationSystem:
     params = GrassmannParams(json_int(data["n"], "n"), json_int(data["p"], "p"))
     m = check_width(params, json_int(data["m"], "m"))
-    read = _multiindex_reader(params)
+    read = _MultiindexReader(params)
     equations = tuple(_equation_from_dict(params, m, entry, read) for entry in data["equations"])
     return EquationSystem(params, m, equations)
 
@@ -224,8 +278,19 @@ def system_from_dict(data: dict) -> EquationSystem:
     return read_document(_system_from_document, data, "equation-system")
 
 
+def _load_system(source: str | TextIO) -> EquationSystem:
+    """``system_from_json`` for a JSON string or an open text file.
+
+    A file is decoded with ``json.load``, so its text is freed before the
+    system is built.
+    """
+    return load_document(
+        _system_from_document, source, "equation-system", object_hook=_term_index_sharer()
+    )
+
+
 def system_from_json(text: str) -> EquationSystem:
-    return load_document(_system_from_document, text, "equation-system")
+    return _load_system(text)
 
 
 def _json_array(idx: MultiIndex, indent: int) -> str:
@@ -236,8 +301,8 @@ def _json_array(idx: MultiIndex, indent: int) -> str:
     return "[\n" + ",\n".join(pad + str(i) for i in idx) + "\n" + " " * indent + "]"
 
 
-def _render_json(system: EquationSystem) -> str:
-    """``json.dumps(system_to_dict(system), indent=2) + "\\n"``, written directly.
+def _json_pieces(system: EquationSystem) -> Iterator[str]:
+    """``json.dumps(system_to_dict(system), indent=2) + "\\n"``, one equation at a time.
 
     The encoder's indented mode runs in pure Python and first needs the
     nested dicts; this writer emits the same layout from templates and
@@ -246,7 +311,9 @@ def _render_json(system: EquationSystem) -> str:
     """
     label_arrays = _Memo(lambda idx: _json_array(idx, 6))
     term_arrays = _Memo(lambda idx: _json_array(idx, 10))
-    chunks = []
+    params = system.params
+    yield f'{{\n  "n": {params.n},\n  "p": {params.p},\n  "m": {system.m},\n  "equations": '
+    opener = "[\n"
     for eq in system:
         j, k = eq.label
         terms = "[]"
@@ -257,26 +324,47 @@ def _render_json(system: EquationSystem) -> str:
                 f'          "right": {term_arrays[right]}\n        }}'
                 for c, left, right in eq.terms
             ) + "\n      ]"
-        chunks.append(
-            f'    {{\n      "j": {label_arrays[j]},\n      "k": {label_arrays[k]},\n'
+        yield (
+            f'{opener}    {{\n      "j": {label_arrays[j]},\n      "k": {label_arrays[k]},\n'
             f'      "terms": {terms}\n    }}'
         )
-    equations = "[\n" + ",\n".join(chunks) + "\n  ]" if chunks else "[]"
-    params = system.params
-    return (
-        f'{{\n  "n": {params.n},\n  "p": {params.p},\n  "m": {system.m},\n'
-        f'  "equations": {equations}\n}}\n'
-    )
+        opener = ",\n"
+    yield "[]\n}\n" if opener == "[\n" else "\n  ]\n}\n"
 
 
-def _render_csv(system: EquationSystem) -> str:
+def _csv_pieces(system: EquationSystem) -> Iterator[str]:
     # Index names hold only digits and dots, so no field needs CSV quoting.
     names = _names(system.params.n)
-    rows = ["ordinal,j,k,coefficient,left,right\n"]
+    yield "ordinal,j,k,coefficient,left,right\n"
     for ordinal, eq in enumerate(system, 1):
         label = f"{ordinal},{names[eq.label[0]]},{names[eq.label[1]]},"
-        rows.extend(f"{label}{c},{names[left]},{names[right]}\n" for c, left, right in eq.terms)
-    return "".join(rows)
+        yield "".join(f"{label}{c},{names[left]},{names[right]}\n" for c, left, right in eq.terms)
+
+
+def _render_pieces(
+    obj: EquationSystem | QuadraticEquation, fmt: str, *, with_labels: bool = True
+) -> Iterator[str]:
+    """The text of ``render(obj, fmt)`` in pieces of one equation (one line or block) each.
+
+    The format is checked here, before the first piece is asked for, so a
+    caller writing the pieces out learns of a bad format before any byte is
+    written.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    if isinstance(obj, QuadraticEquation):
+        if fmt == "text":
+            return iter((equation_text(obj, with_label=with_labels) + "\n",))
+        if fmt == "latex":
+            return iter((equation_latex(obj) + "\n",))
+        raise ValueError(f"{fmt} rendering requires a full EquationSystem")
+    if fmt == "text":
+        return _text_pieces(obj, with_labels)
+    if fmt == "latex":
+        return _latex_pieces(obj, with_labels)
+    if fmt == "json":
+        return _json_pieces(obj)
+    return _csv_pieces(obj)
 
 
 def render(
@@ -286,18 +374,4 @@ def render(
     with_labels: bool = True,
 ) -> str:
     """Render a system or a single equation to one of the supported formats."""
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    if isinstance(obj, QuadraticEquation):
-        if fmt == "text":
-            return equation_text(obj, with_label=with_labels) + "\n"
-        if fmt == "latex":
-            return equation_latex(obj) + "\n"
-        raise ValueError(f"{fmt} rendering requires a full EquationSystem")
-    if fmt == "text":
-        return _render_text(obj, with_labels)
-    if fmt == "latex":
-        return _render_latex(obj, with_labels)
-    if fmt == "json":
-        return _render_json(obj)
-    return _render_csv(obj)
+    return "".join(_render_pieces(obj, fmt, with_labels=with_labels))

@@ -14,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pluckereqs import gen_plucker_like, pvector, pvector_to_json, render, wedge
+from pluckereqs import (
+    EquationSystem,
+    canonicalize,
+    dedupe,
+    gen_generalized,
+    gen_plucker_like,
+    pvector,
+    pvector_to_json,
+    render,
+    wedge,
+)
 from pluckereqs.cli import main
 from pluckereqs.multiindex import GrassmannParams
 
@@ -455,6 +465,30 @@ def _system_json(n=6, m=2, entry=_EQUATION) -> str:
     return json.dumps({"n": n, "p": 3, "m": m, "equations": [entry]})
 
 
+def _twin_index_cases() -> tuple[list[str], list[str]]:
+    """Documents holding a valid multi-index and its float or bool twin, in either order.
+
+    The twin replaces the leading 1 by ``1.0`` or ``true``, which compare
+    equal to 1, so a reader that validated the int form first must still
+    reject the twin, and one that met the twin first must not let it in.
+    """
+    valid = {"j": [1], "k": [1, 2, 3, 4, 5], "left": [1, 2, 3], "right": [1, 4, 5]}
+    term = {"c": 1, "left": valid["left"], "right": valid["right"]}
+    base = {"j": valid["j"], "k": valid["k"], "terms": [term]}
+    texts, ids = [], []
+    for field, values in valid.items():
+        for kind, one in (("float", 1.0), ("bool", True)):
+            twin = json.loads(json.dumps(base))
+            (twin["terms"][0] if field in ("left", "right") else twin)[field] = [one, *values[1:]]
+            for order, equations in (("after", [base, twin]), ("before", [twin, base])):
+                texts.append(json.dumps({"n": 6, "p": 3, "m": 2, "equations": equations}))
+                ids.append(f"{kind}_{field}_{order}_equal_int")
+    return texts, ids
+
+
+_TWIN_TEXTS, _TWIN_IDS = _twin_index_cases()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -475,12 +509,14 @@ def _system_json(n=6, m=2, entry=_EQUATION) -> str:
         # or bool after a valid [1, 2, 3] must not pass as its repeat.
         _system_json(entry={**_EQUATION, "terms": [_TERM, {**_TERM, "left": [1.0, 2, 3]}]}),
         _system_json(entry={**_EQUATION, "terms": [_TERM, {**_TERM, "left": [True, 2, 3]}]}),
+        *_TWIN_TEXTS,
     ],
     ids=[
         "missing_terms", "entry_not_object", "float_c", "bool_c",
         "index_above_n", "short_term", "label_above_n", "string_n",
         "negative_m", "zero_m", "m_above_min_p_n_minus_p", "deep_nesting",
         "label_sizes_not_m", "float_index_after_equal_int", "bool_index_after_equal_int",
+        *_TWIN_IDS,
     ],
 )
 def test_export_malformed_system_exits_2(tmp_path, capsys, text):
@@ -649,3 +685,92 @@ def test_dot_style_output_digests_10_2(tmp_path, capsys):
             assert code == 0
             digests["export-csv-" + name.rsplit("-", 1)[1]] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == DOT_STYLE_DIGESTS
+
+
+_SRC = str(Path(__file__).parent.parent / "src")
+
+
+@pytest.mark.parametrize("batch", [None, 7], ids=["default_batch", "7_char_batches"])
+@pytest.mark.parametrize("mode", ["canonical", "--raw", "--dedupe"])
+@pytest.mark.parametrize("n, p", [(6, 3), (10, 2)])
+@pytest.mark.parametrize("fmt", ["text", "latex", "json", "csv"])
+def test_streamed_output_equals_render(tmp_path, capsys, monkeypatch, fmt, n, p, mode, batch):
+    import pluckereqs.cli
+
+    if batch is not None:
+        monkeypatch.setattr(pluckereqs.cli, "_BATCH", batch)
+    argv = ["generate", "--n", str(n), "--p", str(p), "--format", fmt]
+    if mode != "canonical":
+        argv.append(mode)
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    system = gen_generalized(GrassmannParams(n, p), 1)
+    if mode == "--dedupe":
+        system = EquationSystem(system.params, 1, tuple(dedupe(system)[0]))
+    elif mode == "canonical":
+        system = EquationSystem(system.params, 1, tuple(canonicalize(eq) for eq in system))
+    expected = render(system, fmt, with_labels=mode != "--dedupe")
+    assert stdout == expected
+    assert target.read_text(encoding="utf-8") == expected
+
+
+# Runs each command line in a fresh interpreter and prints the peak RSS of
+# each, in bytes, from os.wait4.  Linux charges a child the peak RSS of the
+# process that launched it, so the launcher is this small script and not
+# the test process, whose own peak would hide the child's.
+_PEAK_RSS_SCRIPT = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    proc = subprocess.Popen([sys.executable, "-m", "pluckereqs.cli", *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"{argv} exited {os.waitstatus_to_exitcode(status)}")
+    peaks.append(usage.ru_maxrss * 1024)
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_generate_and_export_peak_rss_per_document_byte(tmp_path):
+    path = tmp_path / "system.json"
+    commands = [
+        ["--help"],
+        ["generate", "--n", "10", "--p", "5", "--m", "2", "--raw", "--format", "json", "--out", str(path)],
+        ["export", "--in", str(path), "--format", "csv"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    help_peak, generate_peak, export_peak = json.loads(result.stdout)
+    size = path.stat().st_size
+    # Building the 38.7 MB document as one string peaked at 3.45 times its
+    # size above a --help launch; reading it back at 3.27 times.
+    assert generate_peak - help_peak < size
+    assert export_peak - help_peak < 2.5 * size
+
+
+# (8,4) is one 231 KB batch: with no write after it, only the check for a
+# short write can notice the closed reader.
+@pytest.mark.parametrize("n, p", [(10, 5), (8, 4)])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_closing_early_exits_3(unbuffered, n, p):
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "pluckereqs.cli", "generate", "--n", str(n), "--p", str(p)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 3
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: "), err

@@ -20,6 +20,7 @@ from pluckereqs import (
     linear_combination,
     raw_equation,
     render,
+    system_from_dict,
     system_from_json,
     system_to_dict,
 )
@@ -134,6 +135,39 @@ def test_csv_one_row_per_term(params63):
     term_total = sum(len(eq.terms) for eq in system)
     assert len(lines) == 1 + term_total
     assert lines[1].startswith("1,12,1234,")
+
+
+def test_unknown_format_raises_before_any_piece(tmp_path, pluckerlike63):
+    from pluckereqs.cli import _write_output
+    from pluckereqs.render import _render_pieces
+
+    for obj, fmt in ((pluckerlike63, "yaml"), (pluckerlike63.equations[0], "csv")):
+        with pytest.raises(ValueError):
+            _render_pieces(obj, fmt)
+        target = tmp_path / "out.txt"
+        with pytest.raises(ValueError):
+            _write_output(_render_pieces(obj, fmt), str(target))
+        assert not target.exists()
+
+
+def test_system_from_dict_rejects_equal_tuple_of_bools():
+    term = {"c": 1, "left": (1, 2, 3), "right": (1, 4, 5)}
+    twin = {**term, "left": (True, 2, 3)}
+    data = {"n": 6, "p": 3, "m": 2, "equations": [{"j": (1,), "k": (2, 3, 4, 5, 6), "terms": [term]}]}
+    assert system_from_dict(data).equations[0].terms == (QuadTerm(1, (1, 2, 3), (1, 4, 5)),)
+    data["equations"][0]["terms"].append(twin)
+    with pytest.raises(ValueError, match="integers"):
+        system_from_dict(data)
+
+
+def test_system_from_dict_checks_the_size_of_a_reused_tuple():
+    # One tuple object, validated as a term index of size p, must not pass
+    # as a label of another size.
+    idx = (1, 2, 3)
+    first = {"j": (1,), "k": (2, 3, 4, 5, 6), "terms": [{"c": 1, "left": idx, "right": (1, 4, 5)}]}
+    second = {**first, "j": idx}
+    with pytest.raises(ValueError, match="entries"):
+        system_from_dict({"n": 6, "p": 3, "m": 2, "equations": [first, second]})
 
 
 def test_render_rejects_unknown_format(pluckerlike63):
