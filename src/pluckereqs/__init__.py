@@ -1,94 +1,81 @@
 """Exact generation, evaluation and verification of the quadratic
-coefficient identities cutting out the Grassmannian embedding."""
+coefficient identities cutting out the Grassmannian embedding.
 
-from .equations import (
-    EquationSystem,
-    Label,
-    QuadraticEquation,
-    QuadTerm,
-    canonicalize,
-    collect_terms,
-    dedupe,
-    gen_generalized,
-    gen_plucker,
-    gen_plucker_like,
-    linear_combination,
-    make_term,
-    raw_equation,
-    size_ratio,
-)
-from .multiindex import (
-    GrassmannParams,
-    MultiIndex,
-    as_multiindex,
-    difference,
-    grassmann_codimension,
-    intersection,
-    inversion_pairs,
-    multinomial,
-    ordered_union,
-    subsets_of_size,
-    symmetric_difference,
-)
-from .pvectors import (
-    GaussianRational,
-    PVector,
-    Residual,
-    evaluate,
-    is_simple,
-    pvector,
-    pvector_from_dict,
-    pvector_from_json,
-    pvector_to_dict,
-    pvector_to_json,
-    random_pvector,
-    random_simple,
-    residual,
-    scaled,
-    wedge,
-)
-from .render import (
-    equation_latex,
-    equation_text,
-    render,
-    system_from_dict,
-    system_from_json,
-    system_to_dict,
-)
-# The structural checks are loaded on first use (PEP 562), so a program
-# that only generates, renders or decides never imports them.
-_STRUCTURE_NAMES = frozenset({
-    "CensusReport",
-    "PairFamily",
-    "ProbeReport",
-    "QClass",
-    "VerifyReport",
-    "stratum_probe",
-    "census",
-    "check_pair_combine",
-    "check_decomposition",
-    "classify",
-    "pair_combine",
-    "pair_families",
-    "one_index_decomposition",
-    "verify_structure",
-})
+Every exported name is loaded on first use (PEP 562), so a program imports
+only the submodules it uses: one that only generates never loads the
+p-vector code or the structural checks.
+"""
+
+import sys
+from importlib import import_module
+from types import ModuleType
+
+# The output formats of ``render``; defined here so that the command line
+# parser can offer them without loading the renderer.
+FORMATS = ("text", "latex", "json", "csv")
+
+# Each exported name, by the submodule that defines it.
+_EXPORTS = {
+    "equations": (
+        "EquationSystem", "Label", "QuadraticEquation", "QuadTerm", "canonicalize",
+        "collect_terms", "dedupe", "gen_generalized", "gen_plucker", "gen_plucker_like",
+        "linear_combination", "make_term", "raw_equation", "size_ratio",
+    ),
+    "multiindex": (
+        "GrassmannParams", "MultiIndex", "as_multiindex", "difference",
+        "grassmann_codimension", "intersection", "inversion_pairs", "multinomial",
+        "ordered_union", "subsets_of_size", "symmetric_difference",
+    ),
+    "pvectors": (
+        "GaussianRational", "PVector", "Residual", "evaluate", "is_simple", "pvector",
+        "pvector_from_dict", "pvector_from_json", "pvector_to_dict", "pvector_to_json",
+        "random_pvector", "random_simple", "residual", "scaled", "wedge",
+    ),
+    "render": (
+        "equation_latex", "equation_text", "render", "system_from_dict",
+        "system_from_json", "system_to_dict",
+    ),
+    "structure": (
+        "CensusReport", "PairFamily", "ProbeReport", "QClass", "VerifyReport",
+        "census", "check_decomposition", "check_pair_combine", "classify",
+        "one_index_decomposition", "pair_combine", "pair_families", "stratum_probe",
+        "verify_structure",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+# Submodules the namespace also exports by name.
+_SUBMODULES = ("documents", "equations", "multiindex", "pvectors")
 
 
 def __getattr__(name: str):
-    if name in _STRUCTURE_NAMES:
-        from . import structure
-
-        return getattr(structure, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # the import binds it here
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without calling __getattr__
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _STRUCTURE_NAMES)
+    return sorted(globals().keys() | {*__all__})
 
 
-# A star import still takes every name, the structural ones included.
-__all__ = [name for name in globals() if not name.startswith("_")] + sorted(_STRUCTURE_NAMES)
+class _Package(ModuleType):
+    # Loading a submodule binds it onto its package by name, which would
+    # make ``pluckereqs.render`` the module once anything imported
+    # ``pluckereqs.render``.  The package's ``render`` is the function.
+    def __setattr__(self, name, value):
+        if name == "render" and isinstance(value, ModuleType):
+            value = value.render
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+# A star import takes every name, and so loads every submodule.
+__all__ = [*_SOURCE, *_SUBMODULES]
 
 
 __version__ = "0.1.0"

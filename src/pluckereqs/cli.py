@@ -13,16 +13,11 @@ import gc
 import sys
 from typing import Iterable, Iterator, TextIO
 
-from .equations import EquationSystem, canonicalize, dedupe, gen_generalized, size_ratio
-from .multiindex import GrassmannParams
-from .pvectors import (
-    is_simple,
-    pvector_from_json,
-    random_pvector,
-    random_simple,
-    residual,
-)
-from .render import FORMATS, _label_formatter, _load_system, _render_pieces
+# Each subcommand imports the submodules it runs, so a launch loads only
+# those: ``--help`` loads none, ``generate`` and ``export`` never load the
+# p-vector code, ``check`` loads the renderer only to print violations, and
+# the structural commands load neither.
+from . import FORMATS
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -86,6 +81,10 @@ def _add_params(parser: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .equations import EquationSystem, canonicalize, dedupe, gen_generalized
+    from .multiindex import GrassmannParams
+    from .render import _render_pieces
+
     params = GrassmannParams(args.n, args.p)
     if args.m >= 3 and not args.experimental:
         raise ValueError("m >= 3 has no structural guarantees; pass --experimental to proceed")
@@ -108,6 +107,9 @@ def _run_selftest(args: argparse.Namespace) -> int:
         raise ValueError("--selftest requires --seed")
     if args.selftest < 1:
         raise ValueError(f"--selftest needs N >= 1, got {args.selftest}")
+    from .multiindex import GrassmannParams
+    from .pvectors import is_simple, random_pvector, random_simple
+
     params = GrassmannParams(args.n, args.p)
     count = args.selftest
     failures = 0
@@ -132,6 +134,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.pvector is not None:
             raise ValueError("--selftest reads no input file; pass either FILE or --selftest")
         return _run_selftest(args)
+    from .pvectors import is_simple, pvector_from_json
+
     with _open_input(args.pvector) as handle:
         h = pvector_from_json(handle.read())
     if args.n is not None and args.n != h.params.n:
@@ -146,6 +150,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if is_simple(h, choice, args.tolerance):
         print("simple (zero vector)" if h.is_zero else "simple")
         return EXIT_OK
+    from .equations import gen_generalized
+    from .pvectors import residual
+    from .render import _label_formatter
+
     report = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance)
     label_text = _label_formatter(params.n)
     print(f"not simple: {len(report.violations)} violated equations")
@@ -155,6 +163,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .multiindex import GrassmannParams
     from .structure import verify_structure
 
     params = GrassmannParams(args.n, args.p)
@@ -181,6 +190,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .equations import size_ratio
+    from .multiindex import GrassmannParams
     from .structure import census
 
     params = GrassmannParams(args.n, args.p)
@@ -215,6 +226,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .render import _load_system, _render_pieces
+
     with _open_input(args.infile) as handle:
         system = _load_system(handle)
     _write_output(_render_pieces(system, args.format, with_labels=not args.no_labels), args.out)
@@ -222,6 +235,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    from .multiindex import GrassmannParams
     from .structure import stratum_probe
 
     params = GrassmannParams(args.n, args.p)

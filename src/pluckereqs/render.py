@@ -27,11 +27,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator, TextIO
 
+from . import FORMATS
 from .documents import json_int, load_document, read_document
 from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
-
-FORMATS = ("text", "latex", "json", "csv")
 
 __all__ = [
     "FORMATS",

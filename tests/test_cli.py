@@ -344,11 +344,46 @@ one_index_decomposition verify_structure __version__
 """.split()
 
 
-def test_cli_import_leaves_structure_unloaded():
+PACKAGE = {"pluckereqs", "pluckereqs.cli"}
+SYSTEM = PACKAGE | {"pluckereqs.documents", "pluckereqs.equations", "pluckereqs.multiindex"}
+DECIDE = SYSTEM | {"pluckereqs.pvectors"}
+STRUCTURE = PACKAGE | {"pluckereqs.equations", "pluckereqs.multiindex", "pluckereqs.structure"}
+
+
+# Each subcommand loads only the submodules it runs: the launch of a
+# command pays for no other part of the package.
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["--help"], 0, PACKAGE),
+        (["generate", "--n", "six"], 2, PACKAGE),
+        (["generate", "--n", "6", "--p", "3", "--m", "1"], 0, SYSTEM | {"pluckereqs.render"}),
+        (["export", "--in", "{system}", "--format", "csv"], 0, SYSTEM | {"pluckereqs.render"}),
+        (["check", "{simple}"], 0, DECIDE),
+        (["check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3"], 0, DECIDE),
+        (["check", str(DATA_DIR / "check_7_3_Q.json")], 1, DECIDE | {"pluckereqs.render"}),
+        (["check", str(DATA_DIR / "check_7_3_Q_i.json"), "--m", "1"], 1,
+         DECIDE | {"pluckereqs.render"}),
+        (["verify", "--n", "6", "--p", "3"], 0, STRUCTURE),
+        (["census", "--n", "6", "--p", "3"], 0, STRUCTURE),
+        (["probe", "--n", "6", "--p", "3", "--q", "0"], 0, STRUCTURE),
+    ],
+    ids=["help", "usage_error", "generate", "export", "check_simple", "selftest",
+         "check_non_simple_Q", "check_non_simple_Q_i", "verify", "census", "probe"],
+)
+def test_cli_subcommand_loads_only_its_modules(tmp_path, argv, code, modules):
+    system = tmp_path / "system.json"
+    system.write_text(render(gen_plucker_like(GrassmannParams(6, 3)), "json"))
+    simple = tmp_path / "simple.json"
+    rows = [[1, 2, 0, 1, 0, 3], [0, 1, 1, 0, 2, 1], [1, 0, 0, 2, 1, 1]]
+    simple.write_text(pvector_to_json(wedge(rows)))
+    argv = [arg.format(system=system, simple=simple) for arg in argv]
     script = f"""
 import sys
-import pluckereqs.cli
-assert "pluckereqs.structure" not in sys.modules, "structure loaded by the CLI import"
+from pluckereqs.cli import main
+assert main({argv!r}) == {code!r}
+loaded = {{name for name in sys.modules if name.split(".")[0] == "pluckereqs"}}
+assert loaded == {modules!r}, sorted(loaded)
 import pluckereqs
 for name in {PACKAGE_NAMES!r}:
     getattr(pluckereqs, name)
