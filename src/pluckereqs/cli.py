@@ -81,22 +81,21 @@ def _add_params(parser: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .equations import EquationSystem, canonicalize, dedupe, gen_generalized
+    from .equations import _first_occurrences, _raw_equations, canonicalize
     from .multiindex import GrassmannParams
-    from .render import _render_pieces
+    from .render import _system_pieces
 
     params = GrassmannParams(args.n, args.p)
     if args.m >= 3 and not args.experimental:
         raise ValueError("m >= 3 has no structural guarantees; pass --experimental to proceed")
-    system = gen_generalized(params, args.m)
+    # One equation at a time from generation to output: no system is held.
+    equations = _raw_equations(params, args.m)
     if args.dedupe:
-        reduced, _ = dedupe(system)
-        system = EquationSystem(params, args.m, tuple(reduced))
+        equations = _first_occurrences(equations)
     elif not args.raw:
-        system = EquationSystem(
-            params, args.m, tuple(canonicalize(eq) for eq in system.equations)
-        )
-    _write_output(_render_pieces(system, args.format, with_labels=not args.dedupe), args.out)
+        equations = map(canonicalize, equations)
+    pieces = _system_pieces(params, args.m, equations, args.format, with_labels=not args.dedupe)
+    _write_output(pieces, args.out)
     return EXIT_OK
 
 

@@ -18,7 +18,8 @@ Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
 ``& ~`` and an inversion count is a popcount.  Masks never leave this
 module.  Each term's ``left`` and ``right`` come from one intern table,
 so every equation generated in the process shares one tuple per distinct
-multi-index.
+multi-index.  A system is generated one equation at a time; the command
+line renders each one as it comes and holds no whole system.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .multiindex import GrassmannParams, MultiIndex
 
@@ -195,6 +196,21 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     return QuadraticEquation(params, (j, k), tuple(terms))
 
 
+def _raw_equations(params: GrassmannParams, m: int) -> Iterator[QuadraticEquation]:
+    """The raw equations of the system moving ``m`` indices, one at a time, in system order.
+
+    ``m`` is checked and the labels are validated and interned before the
+    iterator is returned, so a bad width raises here and not at the first
+    equation.
+    """
+    check_width(params, m)
+    j_list, k_list = (
+        [_validated(params, idx, size)[0] for idx in combinations(params.indices, size)]
+        for size in (params.p - m, params.p + m)
+    )
+    return (raw_equation(params, j, k, m) for j in j_list for k in k_list)
+
+
 def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationSystem:
     """Generate the full system moving ``m`` indices per term.
 
@@ -208,13 +224,7 @@ def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationS
     serial loop, because a process pool was slower at every measured size
     (it pickles each equation back to the parent).
     """
-    check_width(params, m)
-    j_list, k_list = (
-        [_validated(params, idx, size)[0] for idx in combinations(params.indices, size)]
-        for size in (params.p - m, params.p + m)
-    )
-    equations = tuple(raw_equation(params, j, k, m) for j in j_list for k in k_list)
-    return EquationSystem(params, m, equations)
+    return EquationSystem(params, m, tuple(_raw_equations(params, m)))
 
 
 def gen_plucker(params: GrassmannParams, jobs: int = 1) -> EquationSystem:
@@ -304,6 +314,28 @@ def linear_combination(
     return QuadraticEquation(params, label, tuple(terms))
 
 
+def _first_occurrences(
+    equations: Iterable[QuadraticEquation],
+    multiplicity: dict[tuple[QuadTerm, ...], list[Label]] | None = None,
+) -> Iterator[QuadraticEquation]:
+    """The canonical form of each equation that is non-trivial and not seen before.
+
+    Equations are read and yielded one at a time, so only the distinct
+    canonical term tuples are kept.  With ``multiplicity``, every label is
+    also appended to the list of its canonical terms there (the empty tuple
+    collects the trivial labels).
+    """
+    seen: set[tuple[QuadTerm, ...]] = set()
+    for eq in equations:
+        canonical = canonicalize(eq)
+        terms = canonical.terms
+        if multiplicity is not None:
+            multiplicity.setdefault(terms, []).append(eq.label)
+        if terms and terms not in seen:
+            seen.add(terms)
+            yield canonical
+
+
 def dedupe(
     system: EquationSystem,
 ) -> tuple[list[QuadraticEquation], dict[tuple[QuadTerm, ...], list[Label]]]:
@@ -313,14 +345,8 @@ def dedupe(
     order, plus a multiplicity map from canonical term tuple to every source
     label producing it (the empty tuple collects the trivial labels).
     """
-    reduced: list[QuadraticEquation] = []
     multiplicity: dict[tuple[QuadTerm, ...], list[Label]] = {}
-    for eq in system.equations:
-        canonical = canonicalize(eq)
-        seen = canonical.terms in multiplicity
-        multiplicity.setdefault(canonical.terms, []).append(eq.label)
-        if canonical.terms and not seen:
-            reduced.append(canonical)
+    reduced = list(_first_occurrences(system.equations, multiplicity))
     return reduced, multiplicity
 
 

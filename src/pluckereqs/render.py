@@ -5,11 +5,13 @@ prints as ``123``) and dot-separated for n >= 10 (``1.2.10``), since plain
 concatenation is ambiguous there.  JSON always stores explicit integer
 arrays and round-trips losslessly.
 
-Each format has one writer, a generator that yields the output one
-equation (one line or block) at a time; ``render`` joins its pieces, and
-the command line writes them out in batches, so a large system is never
-held as one string.  A system has far fewer distinct multi-indices than
-terms (252 against 158,760 at (n,p) = (10,5), m = 1), so each writer
+Each format has one writer, a generator that reads the equations from any
+iterable and yields the output one equation (one line or block) at a time;
+``render`` joins its pieces.  The command line feeds a writer equations as
+they are generated and writes its pieces out in batches, so a large system
+is held neither as equations nor as one string.  A system has far fewer
+distinct multi-indices than terms (252 against 158,760 at (n,p) = (10,5),
+m = 1), so each writer
 formats every distinct multi-index once, in a memo table keyed by the
 index tuple, and one function builds the equation bodies of text, LaTeX
 and the single-equation forms.  JSON output is
@@ -17,18 +19,26 @@ and the single-equation forms.  JSON output is
 from templates without building the nested dicts; ``system_to_dict`` stays
 public and is the oracle the tests compare with.
 
-Reading a system back decodes each term's index lists into one shared
-tuple per distinct multi-index while the JSON is parsed, validates each
-distinct multi-index once, and builds the system from those tuples.
+Reading a system back walks the document's top-level object by hand and
+decodes one member, and one element of ``"equations"``, at a time from a
+file read in chunks of about 1 MiB (``documents.JsonText``).  Each element
+becomes an equation as soon as ``n``, ``p`` and ``m`` are known, so neither
+the document's text nor its decoded tree is ever held whole; the system is
+still built in full before anything is written, so a malformed document
+writes nothing.  Each term's index lists are decoded into one shared tuple
+per distinct multi-index, each distinct multi-index is validated once, and
+the equations are built from those tuples.
 """
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
-from typing import Iterator, TextIO
+from functools import partial
+from typing import Iterable, Iterator, TextIO
 
 from . import FORMATS
-from .documents import json_int, load_document, read_document
+from .documents import JsonText, json_int, read_document
 from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
@@ -118,36 +128,42 @@ def equation_latex(eq: QuadraticEquation) -> str:
     return f"${_equation_body(eq.terms, _names(eq.params.n), latex=True)}$"
 
 
-def _system_caption(system: EquationSystem) -> str:
+def _system_caption(params: GrassmannParams, m: int) -> str:
     name = {1: "Plucker equations", 2: "Plucker-like equations"}.get(
-        system.m, f"generalized equations (m={system.m})"
+        m, f"generalized equations (m={m})"
     )
-    return f"{name} for (n,p) = ({system.params.n},{system.params.p})"
+    return f"{name} for (n,p) = ({params.n},{params.p})"
 
 
-def _text_pieces(system: EquationSystem, with_labels: bool) -> Iterator[str]:
-    names = _names(system.params.n)
-    for eq in system:
+def _text_pieces(
+    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
+) -> Iterator[str]:
+    names = _names(params.n)
+    empty = True
+    for eq in equations:
+        empty = False
         yield _text_line(eq, names, with_labels) + "\n"
-    if not system.equations:
+    if empty:
         yield "\n"
 
 
-def _latex_pieces(system: EquationSystem, with_labels: bool) -> Iterator[str]:
-    names = _names(system.params.n)
+def _latex_pieces(
+    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
+) -> Iterator[str]:
+    names = _names(params.n)
     if with_labels:
         yield (
             "\\begin{longtable}{rll}\n"
-            f"\\caption{{{_system_caption(system)}}} \\\\\n"
+            f"\\caption{{{_system_caption(params, m)}}} \\\\\n"
             "\\# & $(j,k)$ & Equation \\\\\n\\hline\n"
         )
     else:
         yield (
             "\\begin{longtable}{rl}\n"
-            f"\\caption{{{_system_caption(system)}, reduced}} \\\\\n"
+            f"\\caption{{{_system_caption(params, m)}, reduced}} \\\\\n"
             "\\# & Equation \\\\\n\\hline\n"
         )
-    for ordinal, eq in enumerate(system, 1):
+    for ordinal, eq in enumerate(equations, 1):
         body = _equation_body(eq.terms, names, True)
         if with_labels:
             yield f"{ordinal} & {_label_text(eq.label, names)} & ${body}$ \\\\\n"
@@ -257,9 +273,13 @@ def _equation_from_dict(
     return QuadraticEquation(params, label, tuple(terms))
 
 
-def _system_from_document(data: dict) -> EquationSystem:
+def _header(data: dict) -> tuple[GrassmannParams, int]:
     params = GrassmannParams(json_int(data["n"], "n"), json_int(data["p"], "p"))
-    m = check_width(params, json_int(data["m"], "m"))
+    return params, check_width(params, json_int(data["m"], "m"))
+
+
+def _system_from_document(data: dict) -> EquationSystem:
+    params, m = _header(data)
     read = _MultiindexReader(params)
     equations = tuple(_equation_from_dict(params, m, entry, read) for entry in data["equations"])
     return EquationSystem(params, m, equations)
@@ -277,15 +297,49 @@ def system_from_dict(data: dict) -> EquationSystem:
     return read_document(_system_from_document, data, "equation-system")
 
 
+def _system_from_text(text: JsonText) -> EquationSystem:
+    """Read a system document member by member, and its equations one at a time.
+
+    Each element of ``"equations"`` is decoded alone and built into an
+    equation as soon as ``n``, ``p`` and ``m`` are known; elements that come
+    before those keys wait, decoded, in the list.  A top-level key may
+    appear only once.  A document that is not an object is decoded whole
+    and refused by :func:`_system_from_document`.
+    """
+    decoder = json.JSONDecoder(object_hook=_term_index_sharer())
+    if text.peek() != "{":
+        data = text.decode(decoder)
+        text.end()
+        return _system_from_document(data)
+    values: dict = {}
+    equations: list = []  # equations, or decoded elements waiting for n, p and m
+    header = build = None
+    for key in text.members(decoder):
+        if key != "equations":
+            values[key] = text.decode(decoder)
+        elif text.peek() != "[":
+            raise TypeError("equations must be a JSON array")
+        else:
+            values[key] = equations
+            for _ in text.elements("]"):
+                entry = text.decode(decoder)
+                equations.append(entry if build is None else build(entry))
+        if build is None and all(name in values for name in ("n", "p", "m")):
+            header = _header(values)
+            build = partial(_equation_from_dict, *header, read=_MultiindexReader(header[0]))
+            equations[:] = map(build, equations)
+    text.end()
+    params, m = header or _header(values)
+    return EquationSystem(params, m, tuple(values["equations"]))
+
+
 def _load_system(source: str | TextIO) -> EquationSystem:
     """``system_from_json`` for a JSON string or an open text file.
 
-    A file is decoded with ``json.load``, so its text is freed before the
-    system is built.
+    A file is read in chunks (:class:`documents.JsonText`), so neither its
+    whole text nor its whole decoded tree is ever held.
     """
-    return load_document(
-        _system_from_document, source, "equation-system", object_hook=_term_index_sharer()
-    )
+    return read_document(_system_from_text, JsonText(source), "equation-system")
 
 
 def system_from_json(text: str) -> EquationSystem:
@@ -300,7 +354,9 @@ def _json_array(idx: MultiIndex, indent: int) -> str:
     return "[\n" + ",\n".join(pad + str(i) for i in idx) + "\n" + " " * indent + "]"
 
 
-def _json_pieces(system: EquationSystem) -> Iterator[str]:
+def _json_pieces(
+    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
+) -> Iterator[str]:
     """``json.dumps(system_to_dict(system), indent=2) + "\\n"``, one equation at a time.
 
     The encoder's indented mode runs in pure Python and first needs the
@@ -310,10 +366,9 @@ def _json_pieces(system: EquationSystem) -> Iterator[str]:
     """
     label_arrays = _Memo(lambda idx: _json_array(idx, 6))
     term_arrays = _Memo(lambda idx: _json_array(idx, 10))
-    params = system.params
-    yield f'{{\n  "n": {params.n},\n  "p": {params.p},\n  "m": {system.m},\n  "equations": '
+    yield f'{{\n  "n": {params.n},\n  "p": {params.p},\n  "m": {m},\n  "equations": '
     opener = "[\n"
-    for eq in system:
+    for eq in equations:
         j, k = eq.label
         terms = "[]"
         if eq.terms:
@@ -331,39 +386,53 @@ def _json_pieces(system: EquationSystem) -> Iterator[str]:
     yield "[]\n}\n" if opener == "[\n" else "\n  ]\n}\n"
 
 
-def _csv_pieces(system: EquationSystem) -> Iterator[str]:
+def _csv_pieces(
+    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
+) -> Iterator[str]:
     # Index names hold only digits and dots, so no field needs CSV quoting.
-    names = _names(system.params.n)
+    names = _names(params.n)
     yield "ordinal,j,k,coefficient,left,right\n"
-    for ordinal, eq in enumerate(system, 1):
+    for ordinal, eq in enumerate(equations, 1):
         label = f"{ordinal},{names[eq.label[0]]},{names[eq.label[1]]},"
         yield "".join(f"{label}{c},{names[left]},{names[right]}\n" for c, left, right in eq.terms)
+
+
+_WRITERS = {"text": _text_pieces, "latex": _latex_pieces, "json": _json_pieces, "csv": _csv_pieces}
+
+
+def _system_pieces(
+    params: GrassmannParams,
+    m: int,
+    equations: Iterable[QuadraticEquation],
+    fmt: str,
+    *,
+    with_labels: bool = True,
+) -> Iterator[str]:
+    """The rendered system ``(params, m, equations)`` in pieces of one equation each.
+
+    ``equations`` is read once, one equation per piece, so it may be a
+    generator: the system is never held whole.  The format is checked here,
+    before the first piece is asked for, so a caller writing the pieces out
+    learns of a bad format before any byte is written.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    return _WRITERS[fmt](params, m, equations, with_labels)
 
 
 def _render_pieces(
     obj: EquationSystem | QuadraticEquation, fmt: str, *, with_labels: bool = True
 ) -> Iterator[str]:
-    """The text of ``render(obj, fmt)`` in pieces of one equation (one line or block) each.
-
-    The format is checked here, before the first piece is asked for, so a
-    caller writing the pieces out learns of a bad format before any byte is
-    written.
-    """
+    """The text of ``render(obj, fmt)`` in pieces of one equation (one line or block) each."""
+    if not isinstance(obj, QuadraticEquation):
+        return _system_pieces(obj.params, obj.m, obj.equations, fmt, with_labels=with_labels)
+    if fmt == "text":
+        return iter((equation_text(obj, with_label=with_labels) + "\n",))
+    if fmt == "latex":
+        return iter((equation_latex(obj) + "\n",))
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    if isinstance(obj, QuadraticEquation):
-        if fmt == "text":
-            return iter((equation_text(obj, with_label=with_labels) + "\n",))
-        if fmt == "latex":
-            return iter((equation_latex(obj) + "\n",))
-        raise ValueError(f"{fmt} rendering requires a full EquationSystem")
-    if fmt == "text":
-        return _text_pieces(obj, with_labels)
-    if fmt == "latex":
-        return _latex_pieces(obj, with_labels)
-    if fmt == "json":
-        return _json_pieces(obj)
-    return _csv_pieces(obj)
+    raise ValueError(f"{fmt} rendering requires a full EquationSystem")
 
 
 def render(

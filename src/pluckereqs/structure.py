@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .equations import (
     EquationSystem,
@@ -506,11 +506,10 @@ def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
     """
     n, p = params.n, params.p
     admissible = 2 <= p <= n - 2 and max(0, 2 * p - n) <= q_size <= p - 4
-    equations = gen_plucker_like(params).equations if admissible else ()
+    labels = _stratum_labels(params, q_size) if admissible else ()
     supports = Counter(
-        frozenset((t.left, t.right) for t in canonicalize(eq).terms)
-        for eq in equations
-        if len(intersection(*eq.label)) == q_size
+        frozenset((t.left, t.right) for t in canonicalize(raw_equation(params, j, k, 2)).terms)
+        for j, k in labels
     )
     return ProbeReport(
         n=n, p=p, q_size=q_size, admissible=admissible,
@@ -518,6 +517,21 @@ def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
         support_group_sizes=tuple(sorted(Counter(supports.values()).items())),
         max_support_overlap=_max_overlap(supports),
     )
+
+
+def _stratum_labels(params: GrassmannParams, q_size: int) -> Iterator[Label]:
+    """The two-index labels ``(j, k)`` with ``|j intersect k| = q_size``.
+
+    ``j`` runs over the (p-2)-subsets in lexicographic order, and ``k`` is
+    ``q_size`` entries of ``j`` joined to ``p+2-q_size`` entries outside it,
+    so no label of another stratum is built.
+    """
+    p = params.p
+    for j in combinations(params.indices, p - 2):
+        rest = [i for i in params.indices if i not in j]
+        for common in combinations(j, q_size):
+            for extra in combinations(rest, p + 2 - q_size):
+                yield j, tuple(sorted(common + extra))
 
 
 def _max_overlap(supports: Iterable[frozenset]) -> int:

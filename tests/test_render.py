@@ -265,3 +265,168 @@ def test_scaled_coefficients_in_every_text_format(params63):
         "ordinal,j,k,coefficient,left,right\n1,,,-5,123,456\n1,,,12,124,356\n1,,,-1,125,346\n"
     )
     assert render(system, "latex", with_labels=False).splitlines()[4] == f"1 & ${latex}$ \\\\"
+
+
+def _spaced(value, rng) -> str:
+    """``value`` as JSON with random whitespace around every token."""
+    space = lambda: rng.choice(["", " ", "\n", "\t", "\r\n  ", "    "])  # noqa: E731
+    if isinstance(value, dict):
+        items = [f"{space()}{json.dumps(k)}{space()}:{_spaced(v, rng)}" for k, v in value.items()]
+        return f"{space()}{{{','.join(items) or space()}}}{space()}"
+    if isinstance(value, list):
+        return f"{space()}[{','.join(_spaced(v, rng) for v in value) or space()}]{space()}"
+    return f"{space()}{json.dumps(value)}{space()}"
+
+
+def _reader_documents() -> dict[str, str]:
+    import random
+    from itertools import permutations
+
+    rng = random.Random(15)
+    full = system_to_dict(gen_plucker_like(GrassmannParams(6, 3)))
+    few = {**full, "equations": full["equations"][:3]}
+    extra = {
+        "note": "x" * 5000,
+        "nested": [{"left": [1, 2, 3], "right": [4, 5, 6]}, 1.5e300, None],
+        # Each token a chunk can cut short: literals, escapes, a surrogate
+        # pair, long and signed numbers.
+        "tokens": [True, False, None, float("nan"), float("inf"), -float("inf"),
+                   'q"\\/\b\f\n\r\té\U0001F600', -0.5e-7, 10 ** 30, -(10 ** 30), 1e100],
+    }
+    documents = {
+        "rendered": render(gen_plucker_like(GrassmannParams(6, 3)), "json"),
+        "compact": json.dumps(full, separators=(",", ":")),
+        "spaced": _spaced(full, rng),
+        "empty_equations": json.dumps({**full, "equations": []}),
+        "empty_equations_spaced": '{"n": 6, "p": 3, "m": 2, "equations": [ \n\t ]}',
+        "long_number_last": json.dumps({**few, "extra": 10 ** 40}),
+    }
+    for order in permutations(["n", "p", "m", "equations", "extra"]):
+        doc = {key: extra if key == "extra" else few[key] for key in order}
+        documents["order_" + "_".join(order)] = _spaced(doc, rng)
+    return documents
+
+
+_READER_DOCUMENTS = _reader_documents()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk_1", "chunk_7", "default_chunk"])
+def test_chunked_reader_equals_whole_document_decode(monkeypatch, chunk):
+    import io
+
+    import pluckereqs.documents
+    from pluckereqs.render import _load_system
+
+    if chunk is not None:
+        monkeypatch.setattr(pluckereqs.documents, "_CHUNK", chunk)
+    for name, text in _READER_DOCUMENTS.items():
+        expected = system_from_dict(json.loads(text))
+        assert _load_system(io.StringIO(text)) == expected, name
+        assert system_from_json(text) == expected, name
+    assert len(_load_system(io.StringIO(_READER_DOCUMENTS["empty_equations"]))) == 0
+
+
+def _cut_points(text: str) -> list[int]:
+    return sorted(set(range(0, len(text), 13)) | {len(text) - 1, len(text) - 2})
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk_1", "chunk_7", "default_chunk"])
+def test_chunked_reader_places_syntax_errors_as_json_loads(monkeypatch, chunk):
+    # Every prefix of a valid document fails where json.loads fails, with the
+    # same message, line, column and offset, however the text is chunked.
+    import io
+
+    import pluckereqs.documents
+    from pluckereqs.render import _load_system
+
+    if chunk is not None:
+        monkeypatch.setattr(pluckereqs.documents, "_CHUNK", chunk)
+    system = EquationSystem(GrassmannParams(6, 3), 2, gen_plucker_like(GrassmannParams(6, 3)).equations[:4])
+    text = render(system, "json")
+    for cut in _cut_points(text) + [len(text)]:
+        prefix = text[:cut] + ("  }" if cut == len(text) else "")
+        try:
+            json.loads(prefix)
+        except json.JSONDecodeError as exc:
+            message = f"invalid JSON: {exc}"
+        else:
+            assert _load_system(io.StringIO(prefix)) == system
+            continue
+        with pytest.raises(ValueError) as raised:
+            _load_system(io.StringIO(prefix))
+        assert str(raised.value) == message, cut
+
+
+def test_chunked_reader_stops_at_an_error_away_from_the_chunk_end(monkeypatch):
+    # A syntax error early in a long document is reported without reading
+    # the rest of it.
+    import io
+
+    import pluckereqs.documents
+    from pluckereqs.render import _load_system
+
+    class CountingReader(io.StringIO):
+        read_chars = 0
+
+        def read(self, size=-1):
+            text = super().read(size)
+            self.read_chars += len(text)
+            return text
+
+    monkeypatch.setattr(pluckereqs.documents, "_CHUNK", 64)
+    text = render(gen_plucker_like(GrassmannParams(6, 3)), "json")
+    cut = text.index('"c": ', 300)
+    bad = text[:cut] + '"c": ]' + text[cut + 6:]
+    source = CountingReader(bad)
+    with pytest.raises(ValueError) as raised:
+        _load_system(source)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(bad)
+    assert str(raised.value) == f"invalid JSON: {expected.value}"
+    # Reads grow geometrically from the start of the broken element.
+    assert source.read_chars <= 2 * (cut + 64) < len(bad) // 10
+
+
+_VALID_63 = json.dumps(system_to_dict(gen_plucker_like(GrassmannParams(6, 3))))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk_1", "chunk_7", "default_chunk"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 6, "p": 3, "n": 6, "m": 2, "equations": []}',
+        '{"equations": [], "n": 6, "p": 3, "m": 2, "equations": []}',
+        _VALID_63[:-1] + ', "m": 2}',
+        _VALID_63 + " x",
+        _VALID_63 + _VALID_63,
+        _VALID_63 + "]",
+        "[" + _VALID_63 + "]",
+        "5",
+        '"n"',
+        "null",
+        "",
+        '{"n": 6, "p": 3, "m": 2, "equations": {}}',
+        '{"n": 6, "p": 3, "m": 2, "equations": ""}',
+        '{"n": 6, "p": 3, "m": 2, "equations": null}',
+        '{"equations": 5, "n": 6, "p": 3, "m": 2}',
+    ],
+    ids=[
+        "repeated_n", "repeated_equations", "repeated_m_last", "trailing_word",
+        "two_documents", "trailing_bracket", "array_top_level", "number_top_level",
+        "string_top_level", "null_top_level", "empty_document", "equations_object",
+        "equations_string", "equations_null", "equations_number_first",
+    ],
+)
+def test_export_refuses_document(capsys, monkeypatch, chunk, text):
+    import io
+
+    import pluckereqs.documents
+    from pluckereqs.cli import main
+
+    if chunk is not None:
+        monkeypatch.setattr(pluckereqs.documents, "_CHUNK", chunk)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["export", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -292,6 +292,42 @@ def test_probe_overlap_matches_pairwise_brute_force():
     assert max_overlap([frozenset({1, 2, 3}), frozenset({2, 3, 4}), frozenset({1, 3, 4})]) == 2
 
 
+def test_stratum_probe_equals_full_system_filter(monkeypatch):
+    # The probe builds only the labels of its stratum.  Its report equals the
+    # one read off the whole two-index system filtered by stratum, at every
+    # admissible (n, p, q) with n <= 9, and that system is never generated.
+    strata = [
+        (n, p, q)
+        for n in range(4, 10)
+        for p in range(2, n - 1)
+        for q in range(max(0, 2 * p - n), p - 3)
+    ]
+    assert strata == [(8, 4, 0), (9, 4, 0), (9, 5, 1)]
+    expected = {}
+    for n, p, q in strata:
+        supports = Counter(
+            frozenset((t.left, t.right) for t in canonicalize(eq).terms)
+            for eq in gen_plucker_like(GrassmannParams(n, p))
+            if len(set(eq.label[0]) & set(eq.label[1])) == q
+        )
+        expected[n, p, q] = ProbeReport(
+            n=n, p=p, q_size=q, admissible=True,
+            equation_count=sum(supports.values()),
+            support_group_sizes=tuple(sorted(Counter(supports.values()).items())),
+            max_support_overlap=pluckereqs.structure._max_overlap(supports),
+        )
+        assert expected[n, p, q].equation_count == multinomial(
+            n, [q, p - 2 - q, p + 2 - q, n + q - 2 * p]
+        )
+
+    def whole_system(params, jobs=1):
+        raise AssertionError("the probe generated the whole two-index system")
+
+    monkeypatch.setattr(pluckereqs.structure, "gen_plucker_like", whole_system)
+    for (n, p, q), report in expected.items():
+        assert stratum_probe(GrassmannParams(n, p), q) == report, (n, p, q)
+
+
 def test_large_stratum_support_determines_label():
     # The lemma of stratum_probe, checked on raw equations without the probe:
     # for q <= p-4 nothing cancels and the support of a label's two-index
