@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import gc
 import sys
+from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 # Each subcommand imports the submodules it runs, so a launch loads only
@@ -153,11 +154,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .pvectors import residual
     from .render import _label_formatter
 
-    report = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance)
+    violations = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance).violations
     label_text = _label_formatter(params.n)
-    print(f"not simple: {len(report.violations)} violated equations")
-    for label, value in report.violations:
-        print(f"  {label_text(label)} = {value}")
+    lines = (f"  {label_text(label)} = {value}\n" for label, value in violations)
+    _write_output(chain([f"not simple: {len(violations)} violated equations\n"], lines), None)
     return EXIT_NEGATIVE
 
 

@@ -1,13 +1,13 @@
 """The JSON input boundary shared by the p-vector and system readers.
 
-A reader walks a decoded document with plain indexing; whatever a malformed
-document makes that walk raise, nesting too deep included, leaves this
-module as ``ValueError``, which the command line reports with exit code 2.
-
-A p-vector document is small and decoded whole by :func:`load_document`.
-A system document can be tens of megabytes, so its reader walks the text
-itself with a :class:`JsonText`, which reads a file in chunks and decodes
-one value at a time.
+Both readers decode their input with a :class:`JsonText`, which reads a
+file in chunks and decodes one value at a time, and place a syntax error
+as ``json.loads`` does.  A p-vector document is small and decoded as one
+value; a system document can be tens of megabytes, so its reader walks the
+top-level object and the equations array itself.  Whatever a malformed
+document makes a reader raise, nesting too deep included, leaves
+:func:`read_document` as ``ValueError``, which the command line reports
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from typing import Any, Callable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["json_int", "read_document", "load_document", "JsonText"]
+__all__ = ["json_int", "read_document", "JsonText"]
 
 # Characters per read of a JSON file.
 _CHUNK = 1 << 20
 
 _SPACE = re.compile(r"[ \t\n\r]*")
+
+_DECODER = json.JSONDecoder()
 
 
 def json_int(value, name: str) -> int:
@@ -45,17 +47,6 @@ def read_document(build: Callable[[Any], T], data, what: str) -> T:
         raise ValueError(f"{what} JSON is nested too deeply") from None
     except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed {what} JSON: {type(exc).__name__}: {exc}") from exc
-
-
-def load_document(build: Callable[[Any], T], text: str, what: str) -> T:
-    """Decode the JSON string ``text`` and read it with :func:`read_document`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise ValueError(f"{what} JSON is nested too deeply") from None
-    return read_document(build, data, what)
 
 
 class JsonText:
@@ -134,7 +125,7 @@ class JsonText:
             if self.expect("," + closer, "Expecting ',' delimiter") == closer:
                 return
 
-    def members(self, decoder: json.JSONDecoder) -> Iterator[str]:
+    def members(self) -> Iterator[str]:
         """Walk the object that opens at the next character, refusing a repeated key.
 
         Yields each key with the text at its value, which the caller then
@@ -144,19 +135,19 @@ class JsonText:
         for _ in self.elements("}"):
             if self.peek() != '"':
                 raise self.error("Expecting property name enclosed in double quotes")
-            key = self.decode(decoder)
+            key = self.decode()
             if key in keys:
                 raise self.error(f"Repeated key {key!r}")
             keys.add(key)
             self.expect(":", "Expecting ':' delimiter")
             yield key
 
-    def decode(self, decoder: json.JSONDecoder) -> Any:
+    def decode(self) -> Any:
         """Decode the next value."""
         self.peek()
         while True:
             try:
-                value, end = decoder.raw_decode(self.buf, self.pos)
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
             except json.JSONDecodeError as exc:
                 # When the buffer cuts a value short, the scanner fails inside
                 # a string it opened or within a token of the buffer's end (the
@@ -166,8 +157,10 @@ class JsonText:
                 cut = exc.pos > len(self.buf) - 16 or exc.msg.startswith("Unterminated string")
                 if cut and self._read():
                     continue
-                self.pos = exc.pos
-                raise self.error(exc.msg) from None
+                self.pos, msg = exc.pos, exc.msg
+                if self.base + exc.pos == 0 and self.buf[:1] == "\ufeff":
+                    msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"  # as json.loads says
+                raise self.error(msg) from None
             # A number that ends the buffer may run on past it.
             if end < len(self.buf) or not self._read():
                 self.pos = end

@@ -17,9 +17,10 @@ basis-blade encoding of Dorst, Fontijne & Mann, *Geometric Algebra for
 Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
 ``& ~`` and an inversion count is a popcount.  Masks never leave this
 module.  Each term's ``left`` and ``right`` come from one intern table,
-so every equation generated in the process shares one tuple per distinct
-multi-index.  A system is generated one equation at a time; the command
-line renders each one as it comes and holds no whole system.
+which the readers share through ``_validated``, so every equation the
+process generates or reads, and every p-vector key, shares one tuple per
+distinct multi-index.  A system is generated one equation at a time; the
+command line renders each one as it comes and holds no whole system.
 """
 
 from __future__ import annotations
@@ -124,41 +125,57 @@ class _InternTable(dict):
     """Mask -> multi-index tuple; a missing mask is converted once and kept."""
 
     def __missing__(self, mask: int) -> MultiIndex:
-        idx = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        idx = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        idx = self[mask] = _INTERNED.setdefault(idx, idx)
         return idx
 
 
-# Shared by every generated term.  It holds at most one entry per distinct
-# multi-index this process has generated, so it is never larger than the
-# systems already built.
+class _MaskTable(dict):
+    """Multi-index -> (bitmask, parity-above mask); a missing multi-index is computed once.
+
+    Bit ``i`` of the parity-above mask is the parity of the number of
+    entries above ``i``.  Only :func:`raw_equation` asks for masks: a mask
+    has as many bits as the largest entry, so no reader builds one.
+    """
+
+    def __missing__(self, idx: MultiIndex) -> tuple[int, int]:
+        mask = parity = 0
+        for i in idx:
+            mask |= 1 << i
+            parity ^= (1 << i) - 1  # bits 0..i-1: the positions i lies above
+        self[idx] = mask, parity
+        return mask, parity
+
+
+# One tuple per distinct multi-index the process has generated or read, so
+# generated equations, parsed systems and p-vector keys share their tuples.
+_INTERNED: dict[MultiIndex, MultiIndex] = {}
 _MULTIINDEX_BY_MASK = _InternTable()
+_MASKS = _MaskTable()
 
-# (n, size, interned multi-index) -> (the multi-index, its bitmask, its
-# parity-above mask), filled as raw_equation validates its arguments.  Bit
-# ``i`` of the parity-above mask is the parity of the number of entries
-# above ``i``.  An entry records that the tuple passed ``params.multiindex``
-# at that n and size, and is used only for the very tuple it stores: an
-# equal tuple of floats or bools is a different object and is validated
-# in full.
-_VALIDATED: dict[tuple[int, int, MultiIndex], tuple[MultiIndex, int, int]] = {}
+# (n, size, multi-index) -> the interned multi-index, for each tuple that
+# passed ``params.multiindex`` at that n and size.  A lookup takes the entry
+# for the stored tuple itself, or for an equal tuple of exactly-``int``
+# entries: ``1.0`` and ``True`` compare equal to ``1``, so a tuple holding
+# one is validated in full, and refused.
+_VALIDATED: dict[tuple[int, int, MultiIndex], MultiIndex] = {}
+
+_INT_ONLY = {int}
 
 
-def _validated(params: GrassmannParams, values: Iterable[int], size: int) -> tuple[MultiIndex, int, int]:
-    """``params.multiindex(values, size)`` interned, with its two masks."""
+def _validated(params: GrassmannParams, values: Iterable[int], size: int) -> MultiIndex:
+    """``params.multiindex(values, size)``, interned: every multi-index read goes through it."""
+    if values.__class__ is not tuple:
+        values = tuple(values)
     try:
-        entry = _VALIDATED.get((params.n, size, values))
-    except TypeError:  # unhashable: not a stored tuple, so validated below
-        entry = None
-    if entry is not None and entry[0] is values:
-        return entry
+        idx = _VALIDATED.get((params.n, size, values))
+    except TypeError:  # an unhashable entry: not stored, so validated below
+        idx = None
+    if idx is not None and (idx is values or _INT_ONLY.issuperset(map(type, values))):
+        return idx
     idx = params.multiindex(values, size)
-    mask = parity = 0
-    for i in idx:
-        mask |= 1 << i
-        parity ^= (1 << i) - 1  # bits 0..i-1: the positions i lies above
-    idx = _MULTIINDEX_BY_MASK[mask]
-    entry = _VALIDATED[params.n, size, idx] = (idx, mask, parity)
-    return entry
+    idx = _VALIDATED[params.n, size, idx] = _INTERNED.setdefault(idx, idx)
+    return idx
 
 
 def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m: int) -> QuadraticEquation:
@@ -174,8 +191,10 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     parity-above masks of ``j`` and ``k``, since indices in both cancel in
     pairs.  The label is returned with the interned tuples.
     """
-    j, j_mask, j_parity = _validated(params, j, params.p - m)
-    k, k_mask, k_parity = _validated(params, k, params.p + m)
+    j = _validated(params, j, params.p - m)
+    k = _validated(params, k, params.p + m)
+    j_mask, j_parity = _MASKS[j]
+    k_mask, k_parity = _MASKS[k]
     parity = j_parity ^ k_parity
     table = _MULTIINDEX_BY_MASK
     # QuadTerm's own __new__ is a Python-level call; this is the tuple
@@ -205,7 +224,7 @@ def _raw_equations(params: GrassmannParams, m: int) -> Iterator[QuadraticEquatio
     """
     check_width(params, m)
     j_list, k_list = (
-        [_validated(params, idx, size)[0] for idx in combinations(params.indices, size)]
+        [_validated(params, idx, size) for idx in combinations(params.indices, size)]
         for size in (params.p - m, params.p + m)
     )
     return (raw_equation(params, j, k, m) for j in j_list for k in k_list)

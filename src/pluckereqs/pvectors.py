@@ -48,8 +48,8 @@ from math import frexp, isfinite, lcm, ldexp, prod
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .documents import json_int, load_document, read_document
-from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
+from .documents import JsonText, json_int, read_document
+from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, _validated, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 FIELDS = ("Q", "Q_i", "f64")
@@ -235,12 +235,16 @@ def _coerce_scalar(value, field: str) -> Scalar:
 
 
 def pvector(params: GrassmannParams, coeffs: Mapping, field: str = "Q") -> PVector:
-    """Validated constructor: checks key shapes, prunes stored zeros."""
+    """Validated constructor: checks key shapes, prunes stored zeros.
+
+    Each key becomes the process's one tuple for its multi-index, the tuple
+    that generated equations hold too.
+    """
     if field not in FIELDS:
         raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
     cleaned: dict[MultiIndex, Scalar] = {}
     for raw_idx, value in coeffs.items():
-        idx = params.multiindex(raw_idx, params.p)
+        idx = _validated(params, raw_idx, params.p)
         scalar = _coerce_scalar(value, field)
         if scalar:
             cleaned[idx] = scalar
@@ -542,6 +546,11 @@ def is_simple(h: PVector, system_choice: str = "plucker", tolerance: float | Non
     (default 1e-9) bounds the deviation of the chart wedge from
     ``h / lam_max``; :func:`residual` keeps the per-equation relative bound.
     The zero vector is reported simple by convention.
+
+    ``"plucker"`` needs ``1 <= min(p, n-p)``.  ``"plucker_like"`` does not
+    check width 2: at p = 1 or n - p = 1 every vector is simple, so the
+    answer there is True (``check --m 2`` prints ``simple`` and exits 0),
+    although no two-index system exists there (``generate --m 2`` exits 2).
     """
     choice = _normalize_choice(system_choice)
     tol = checked_tolerance(tolerance)
@@ -647,5 +656,11 @@ def pvector_to_json(h: PVector) -> str:
     return json.dumps(pvector_to_dict(h), indent=2) + "\n"
 
 
+def _pvector_from_text(text: JsonText) -> PVector:
+    data = text.decode()
+    text.end()
+    return _pvector_from_document(data)
+
+
 def pvector_from_json(text: str) -> PVector:
-    return load_document(_pvector_from_document, text, "p-vector")
+    return read_document(_pvector_from_text, JsonText(text), "p-vector")

@@ -25,21 +25,18 @@ file read in chunks of about 1 MiB (``documents.JsonText``).  Each element
 becomes an equation as soon as ``n``, ``p`` and ``m`` are known, so neither
 the document's text nor its decoded tree is ever held whole; the system is
 still built in full before anything is written, so a malformed document
-writes nothing.  Each term's index lists are decoded into one shared tuple
-per distinct multi-index, each distinct multi-index is validated once, and
-the equations are built from those tuples.
+writes nothing.  Every label and term index goes through
+``equations._validated``, so the system holds the process's one tuple per
+distinct multi-index, the tuples generated equations hold.
 """
 
 from __future__ import annotations
 
-import json
-from collections import defaultdict
-from functools import partial
 from typing import Iterable, Iterator, TextIO
 
 from . import FORMATS
 from .documents import JsonText, json_int, read_document
-from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
+from .equations import EquationSystem, QuadraticEquation, QuadTerm, _validated, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 __all__ = [
@@ -191,70 +188,14 @@ def system_to_dict(system: EquationSystem) -> dict:
     }
 
 
-_INT_ONLY = {int}
-
-
-def _term_index_sharer():
-    """A JSON ``object_hook`` for one document: each term's index lists become shared tuples.
-
-    When a term's ``left`` and ``right`` lists hold only entries that are
-    exactly ``int``, each becomes the one tuple stored for its value, so the
-    decoded document holds one tuple per distinct multi-index instead of
-    two fresh lists per term.  Any other term keeps its lists for the reader
-    to check: ``1.0`` and ``true`` compare equal to ``1``, so a list holding
-    one must never be replaced by the stored tuple of ints.
-    """
-    shared: dict[MultiIndex, MultiIndex] = {}
-
-    def share(obj: dict) -> dict:
-        left, right = obj.get("left"), obj.get("right")
-        if left.__class__ is not list or right.__class__ is not list:
-            return obj
-        # One type scan over both lists, without building a set.
-        if _INT_ONLY.issuperset(map(type, left + right)):
-            left, right = tuple(left), tuple(right)
-            obj["left"] = shared.setdefault(left, left)
-            obj["right"] = shared.setdefault(right, right)
-        return obj
-
-    return share
-
-
-class _MultiindexReader:
-    """``params.multiindex`` for one document, run once per distinct multi-index.
-
-    ``seen[size]`` maps each validated multi-index to the one tuple the
-    parsed system uses for it, so a parsed system holds one tuple per
-    distinct multi-index, as a generated one does.  A tuple is taken
-    without validation only when it is that stored tuple itself, the
-    identity rule of ``equations._validated``: an equal tuple of floats or
-    bools is another object and is validated, which rejects it.
-    """
-
-    def __init__(self, params: GrassmannParams) -> None:
-        self.params = params
-        self.seen: defaultdict[int, dict[MultiIndex, MultiIndex]] = defaultdict(dict)
-
-    def __call__(self, values, size: int) -> MultiIndex:
-        seen = self.seen[size]
-        if values.__class__ is tuple and seen.get(values) is values:
-            return values
-        idx = self.params.multiindex(values, size)
-        return seen.setdefault(idx, idx)
-
-
-def _equation_from_dict(
-    params: GrassmannParams, m: int, entry: dict, read: _MultiindexReader
-) -> QuadraticEquation:
+def _equation_from_dict(params: GrassmannParams, m: int, entry: dict) -> QuadraticEquation:
     j, k = entry["j"], entry["k"]
     # linear_combination gives its results the empty label ((), ()).
     sizes = (params.p - m, params.p + m) if j or k else (0, 0)
-    label = (read(j, sizes[0]), read(k, sizes[1]))
+    label = (_validated(params, j, sizes[0]), _validated(params, k, sizes[1]))
     p = params.p
-    seen = read.seen[p]
-    # The loop runs once per term of the document.  It inlines the reader's
-    # identity check and builds each term with the tuple constructor that
-    # QuadTerm's own Python-level __new__ wraps.
+    # The loop runs once per term of the document.  It builds each term with
+    # the tuple constructor that QuadTerm's own Python-level __new__ wraps.
     new_term = tuple.__new__
     terms = []
     for t in entry["terms"]:
@@ -262,11 +203,7 @@ def _equation_from_dict(
         if coefficient.__class__ is not int or not coefficient:
             json_int(coefficient, "term coefficient")
             raise ValueError("term coefficient must be non-zero")
-        left, right = t["left"], t["right"]
-        if left.__class__ is not tuple or seen.get(left) is not left:
-            left = read(left, p)
-        if right.__class__ is not tuple or seen.get(right) is not right:
-            right = read(right, p)
+        left, right = _validated(params, t["left"], p), _validated(params, t["right"], p)
         if right < left:
             raise ValueError("terms must be stored with left <= right")
         terms.append(new_term(QuadTerm, (coefficient, left, right)))
@@ -280,8 +217,7 @@ def _header(data: dict) -> tuple[GrassmannParams, int]:
 
 def _system_from_document(data: dict) -> EquationSystem:
     params, m = _header(data)
-    read = _MultiindexReader(params)
-    equations = tuple(_equation_from_dict(params, m, entry, read) for entry in data["equations"])
+    equations = tuple(_equation_from_dict(params, m, entry) for entry in data["equations"])
     return EquationSystem(params, m, equations)
 
 
@@ -306,28 +242,26 @@ def _system_from_text(text: JsonText) -> EquationSystem:
     appear only once.  A document that is not an object is decoded whole
     and refused by :func:`_system_from_document`.
     """
-    decoder = json.JSONDecoder(object_hook=_term_index_sharer())
     if text.peek() != "{":
-        data = text.decode(decoder)
+        data = text.decode()
         text.end()
         return _system_from_document(data)
     values: dict = {}
     equations: list = []  # equations, or decoded elements waiting for n, p and m
-    header = build = None
-    for key in text.members(decoder):
+    header = None
+    for key in text.members():
         if key != "equations":
-            values[key] = text.decode(decoder)
+            values[key] = text.decode()
         elif text.peek() != "[":
             raise TypeError("equations must be a JSON array")
         else:
             values[key] = equations
             for _ in text.elements("]"):
-                entry = text.decode(decoder)
-                equations.append(entry if build is None else build(entry))
-        if build is None and all(name in values for name in ("n", "p", "m")):
+                entry = text.decode()
+                equations.append(entry if header is None else _equation_from_dict(*header, entry))
+        if header is None and all(name in values for name in ("n", "p", "m")):
             header = _header(values)
-            build = partial(_equation_from_dict, *header, read=_MultiindexReader(header[0]))
-            equations[:] = map(build, equations)
+            equations[:] = [_equation_from_dict(*header, entry) for entry in equations]
     text.end()
     params, m = header or _header(values)
     return EquationSystem(params, m, tuple(values["equations"]))

@@ -22,6 +22,7 @@ from pluckereqs import (
     gen_plucker_like,
     pvector,
     pvector_to_json,
+    random_pvector,
     render,
     wedge,
 )
@@ -129,11 +130,22 @@ def test_check_non_simple(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("m", ["1", "2"])
-@pytest.mark.parametrize("field", ["Q", "Q_i", "f64"])
-def test_check_non_simple_golden_output(capsys, field, m):
+@pytest.mark.parametrize(
+    "field, m, batch",
+    [
+        pytest.param(field, m, batch, id=f"{field}-{m}" + ("-7_char_batches" if batch else ""))
+        for batch in (None, 7)
+        for field in ("Q", "Q_i", "f64")
+        for m in ("1", "2")
+    ],
+)
+def test_check_non_simple_golden_output(capsys, monkeypatch, field, m, batch):
     # Each input at (7,3) is a sum of two scaled wedges; the expected
     # outputs pin every violated label and its exact or float value.
+    import pluckereqs.cli
+
+    if batch is not None:
+        monkeypatch.setattr(pluckereqs.cli, "_BATCH", batch)
     path = DATA_DIR / f"check_7_3_{field}.json"
     code, out, err = run(capsys, "check", str(path), "--m", m)
     expected = (DATA_DIR / f"check_7_3_{field}_m{m}.out").read_bytes()
@@ -177,6 +189,67 @@ def test_check_malformed_input(tmp_path, capsys):
     assert_input_error(run(capsys, "check", str(path)))
     code, _, _ = run(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+# Malformed JSON texts: empty, trailing data, cut short, broken tokens,
+# nesting deeper than the interpreter recurses, a byte order mark.
+_BROKEN_JSON = {
+    "empty": "",
+    "whitespace_only": " \n\t ",
+    "trailing_data": "{} x",
+    "two_documents": '{"n": 6}\n{"n": 6}',
+    "truncated": '{"n": 6, "p": 3',
+    "unterminated_string": '{"n": 6, "field": "Q',
+    "deep_nesting": "[" * 100_000,
+    "bare_word": "{broken",
+    "cut_literal": "nul",
+    "trailing_comma": '{"n": 6,}',
+    "missing_colon": '{"n" 6}',
+    "number_key": "{6: 6}",
+    "missing_comma": "[1 2]",
+    "bad_escape": '"\\x"',
+    "byte_order_mark": "\ufeff{}",
+    "error_on_line_4": '{\n  "n": 6,\n  "p": 3\n  "field": "Q"\n}',
+}
+
+
+@pytest.mark.parametrize("text", list(_BROKEN_JSON.values()), ids=list(_BROKEN_JSON))
+def test_check_refuses_broken_json_as_json_loads(tmp_path, capsys, text):
+    from pluckereqs import pvector_from_json
+
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        message = f"invalid JSON: {exc}"
+    except RecursionError:
+        message = "p-vector JSON is nested too deeply"
+    with pytest.raises(ValueError) as raised:
+        pvector_from_json(text)
+    assert str(raised.value) == message
+    path = tmp_path / "h.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "check", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_check_writes_violations_in_batches(tmp_path, monkeypatch):
+    # On a write-through stdout (PYTHONUNBUFFERED=1) each write is one system
+    # call: the 2,573 lines of this report go out in one.
+    class CountingRaw(io.RawIOBase):
+        writes = 0
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            self.writes += 1
+            return len(data)
+
+    raw = CountingRaw()
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    path = tmp_path / "h.json"
+    path.write_text(pvector_to_json(random_pvector(GrassmannParams(8, 4), 1)))
+    assert main(["check", str(path), "--m", "1"]) == 1
+    assert raw.writes == 1
 
 
 @pytest.mark.parametrize(
@@ -791,17 +864,30 @@ def test_generate_and_export_peak_rss_per_document_byte(tmp_path):
     assert export_peak - help_peak < size
 
 
-# (8,4) is one 231 KB batch: with no write after it, only the check for a
-# short write can notice the closed reader.
-@pytest.mark.parametrize("n, p", [(10, 5), (8, 4)])
+# (8,4) is one 231 KB batch, and the violations of a random (9,4) vector
+# one 218 KB batch: with no write after it, only the check for a short
+# write can notice the closed reader.
+@pytest.mark.parametrize(
+    "command, n, p",
+    [
+        pytest.param("generate", 10, 5, id="10-5"),
+        pytest.param("generate", 8, 4, id="8-4"),
+        pytest.param("check", 9, 4, id="check-9-4"),
+    ],
+)
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_reader_closing_early_exits_3(unbuffered, n, p):
+def test_reader_closing_early_exits_3(tmp_path, unbuffered, command, n, p):
     env = {**os.environ, "PYTHONPATH": _SRC}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    argv = ["generate", "--n", str(n), "--p", str(p)]
+    if command == "check":
+        path = tmp_path / "h.json"
+        path.write_text(pvector_to_json(random_pvector(GrassmannParams(n, p), 1)))
+        argv = ["check", str(path), "--m", "1"]
     with subprocess.Popen(
-        [sys.executable, "-m", "pluckereqs.cli", "generate", "--n", str(n), "--p", str(p)],
+        [sys.executable, "-m", "pluckereqs.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     ) as proc:
         assert len(proc.stdout.read(100)) == 100

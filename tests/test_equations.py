@@ -383,3 +383,98 @@ def test_generated_terms_share_one_tuple_per_multiindex():
         for idx in (term.left, term.right)
     }
     assert len(ids) <= comb(8, 4)
+
+
+def _sign(idx):
+    # The sign of the permutation (I, I^c): (-1) ** (sum(I) - |I|(|I|+1)/2).
+    return -1 if (sum(idx) - len(idx) * (len(idx) + 1) // 2) % 2 else 1
+
+
+def test_complement_duality():
+    # lam_I -> sign(I) * lam_{I^c} sends the canonical E_m(j, k) at (n, p) to
+    # the canonical E_m(k^c, j^c) at (n, n-p), label by label.  Both labels
+    # have the symmetric difference j ^ k and the same moved sets, so this
+    # fails a sign rule that reads j or k beyond j ^ k; one that reads only
+    # j ^ k and the moved set is checked by the tuple reference above.
+    labels = 0
+    for n in range(4, 9):
+        for p in range(1, n):
+            params, dual = GrassmannParams(n, p), GrassmannParams(n, n - p)
+
+            def complement(idx):
+                return difference(params.indices, idx)
+
+            for m in range(1, min(p, n - p) + 1):
+                for j in combinations(params.indices, p - m):
+                    for k in combinations(params.indices, p + m):
+                        terms = tuple(
+                            make_term(c * _sign(a) * _sign(b), complement(a), complement(b))
+                            for c, a, b in canonicalize(raw_equation(params, j, k, m)).terms
+                        )
+                        mapped = canonicalize(QuadraticEquation(dual, (), terms))
+                        expected = canonicalize(raw_equation(dual, complement(k), complement(j), m))
+                        assert mapped.terms == expected.terms, (n, p, m, j, k)
+                        labels += 1
+    assert labels == 13_050
+
+
+@pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "reader", ["raw_equation", "system_from_dict", "chunked_reader", "pvector_from_json"]
+)
+def test_twin_of_a_cached_multiindex_is_refused(monkeypatch, reader, one):
+    # 1.0 and True compare equal to 1, so [1.0, 2, 3] finds the cache entry
+    # of (1, 2, 3); every reader must still refuse it.
+    import io
+    import json
+
+    import pluckereqs.documents
+    from pluckereqs import pvector_from_json, system_from_dict
+    from pluckereqs.render import _load_system
+
+    params = GrassmannParams(6, 3)
+    monkeypatch.setattr(pluckereqs.documents, "_CHUNK", 7)
+
+    def read(first):
+        idx = [first, 2, 3]
+        if reader == "raw_equation":
+            return raw_equation(params, idx[:1], [1, 2, 3, 4, 5], 2)
+        if reader == "pvector_from_json":
+            coeffs = [{"idx": idx, "re": "1"}]
+            return pvector_from_json(json.dumps({"n": 6, "p": 3, "field": "Q", "coeffs": coeffs}))
+        terms = [{"c": 1, "left": idx, "right": [1, 4, 5]}]
+        equation = {"j": [1], "k": [1, 2, 3, 4, 5], "terms": terms}
+        system = {"n": 6, "p": 3, "m": 2, "equations": [equation]}
+        if reader == "system_from_dict":
+            return system_from_dict(system)
+        return _load_system(io.StringIO(json.dumps(system)))
+
+    read(1)  # caches the multi-index of ints
+    with pytest.raises(ValueError, match="multi-index entries must be integers"):
+        read(one)
+
+
+def test_reading_a_multiindex_builds_no_mask_of_its_entries():
+    # A bitmask has as many bits as the largest entry, 12.5 MB at this n;
+    # the readers build none, so a short document costs little at any n.
+    import json
+    import tracemalloc
+
+    from pluckereqs import pvector_from_json, system_from_json
+
+    n = 10**8
+    pvector_text = json.dumps(
+        {"n": n, "p": 2, "field": "Q", "coeffs": [{"idx": [1, n], "re": "1"}]}
+    )
+    term = {"c": 1, "left": [1, n], "right": [2, n]}
+    system_text = json.dumps(
+        {"n": n, "p": 2, "m": 1, "equations": [{"j": [n], "k": [1, 2, n], "terms": [term]}]}
+    )
+    tracemalloc.start()
+    try:
+        pvector_from_json(pvector_text)
+        system_from_json(system_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -339,6 +339,12 @@ def test_pvector_json_gaussian_and_float(params63):
     assert pvector_from_json(pvector_to_json(f)) == f
 
 
+def test_parsed_keys_are_the_generated_tuples(params63):
+    generated = {idx: idx for eq in gen_plucker(params63) for t in eq.terms for idx in t[1:]}
+    h = pvector_from_json(pvector_to_json(random_pvector(params63, 5)))
+    assert h.coeffs and all(idx is generated[idx] for idx in h.coeffs)
+
+
 def test_pvector_json_rejects_malformed():
     with pytest.raises(ValueError):
         pvector_from_json("{")

@@ -56,6 +56,11 @@ def test_parsed_system_shares_one_tuple_per_multiindex():
     assert parsed == system
     ids = {id(idx) for eq in parsed for t in eq.terms for idx in (t.left, t.right)}
     assert len(ids) <= comb(8, 4)
+    # They are the generated tuples themselves, labels included.
+    for eq, generated in zip(parsed, system):
+        assert all(a is b for a, b in zip(eq.label, generated.label))
+        for term, twin in zip(eq.terms, generated.terms):
+            assert term.left is twin.left and term.right is twin.right
 
 
 def test_latex_system_shape(pluckerlike63):
