@@ -86,6 +86,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from .multiindex import GrassmannParams
     from .render import _system_pieces
 
+    if args.raw and args.dedupe:
+        raise ValueError("--raw and --dedupe cannot be combined: dedupe compares canonical forms")
     params = GrassmannParams(args.n, args.p)
     if args.m >= 3 and not args.experimental:
         raise ValueError("m >= 3 has no structural guarantees; pass --experimental to proceed")

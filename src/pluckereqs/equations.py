@@ -16,11 +16,12 @@ Generation works on int bitmasks (bit ``i`` set for index ``i``), the
 basis-blade encoding of Dorst, Fontijne & Mann, *Geometric Algebra for
 Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
 ``& ~`` and an inversion count is a popcount.  Masks never leave this
-module.  Each term's ``left`` and ``right`` come from one intern table,
-which the readers share through ``_validated``, so every equation the
-process generates or reads, and every p-vector key, shares one tuple per
-distinct multi-index.  A system is generated one equation at a time; the
-command line renders each one as it comes and holds no whole system.
+module.  Each term's ``left`` and ``right`` come from the intern table of
+``GrassmannParams.multiindex``, the one multi-index reader, so every
+equation the process generates or reads, and every p-vector key, shares
+one tuple per distinct multi-index.  A system is generated one equation at
+a time; the command line renders each one as it comes and holds no whole
+system.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .multiindex import GrassmannParams, MultiIndex
+from .multiindex import _INTERNED, GrassmannParams, MultiIndex
 
 Label = tuple[MultiIndex, MultiIndex]
 
@@ -147,35 +148,8 @@ class _MaskTable(dict):
         return mask, parity
 
 
-# One tuple per distinct multi-index the process has generated or read, so
-# generated equations, parsed systems and p-vector keys share their tuples.
-_INTERNED: dict[MultiIndex, MultiIndex] = {}
 _MULTIINDEX_BY_MASK = _InternTable()
 _MASKS = _MaskTable()
-
-# (n, size, multi-index) -> the interned multi-index, for each tuple that
-# passed ``params.multiindex`` at that n and size.  A lookup takes the entry
-# for the stored tuple itself, or for an equal tuple of exactly-``int``
-# entries: ``1.0`` and ``True`` compare equal to ``1``, so a tuple holding
-# one is validated in full, and refused.
-_VALIDATED: dict[tuple[int, int, MultiIndex], MultiIndex] = {}
-
-_INT_ONLY = {int}
-
-
-def _validated(params: GrassmannParams, values: Iterable[int], size: int) -> MultiIndex:
-    """``params.multiindex(values, size)``, interned: every multi-index read goes through it."""
-    if values.__class__ is not tuple:
-        values = tuple(values)
-    try:
-        idx = _VALIDATED.get((params.n, size, values))
-    except TypeError:  # an unhashable entry: not stored, so validated below
-        idx = None
-    if idx is not None and (idx is values or _INT_ONLY.issuperset(map(type, values))):
-        return idx
-    idx = params.multiindex(values, size)
-    idx = _VALIDATED[params.n, size, idx] = _INTERNED.setdefault(idx, idx)
-    return idx
 
 
 def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m: int) -> QuadraticEquation:
@@ -191,8 +165,8 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     parity-above masks of ``j`` and ``k``, since indices in both cancel in
     pairs.  The label is returned with the interned tuples.
     """
-    j = _validated(params, j, params.p - m)
-    k = _validated(params, k, params.p + m)
+    j = params.multiindex(j, params.p - m)
+    k = params.multiindex(k, params.p + m)
     j_mask, j_parity = _MASKS[j]
     k_mask, k_parity = _MASKS[k]
     parity = j_parity ^ k_parity
@@ -224,7 +198,7 @@ def _raw_equations(params: GrassmannParams, m: int) -> Iterator[QuadraticEquatio
     """
     check_width(params, m)
     j_list, k_list = (
-        [_validated(params, idx, size) for idx in combinations(params.indices, size)]
+        [params.multiindex(idx, size) for idx in combinations(params.indices, size)]
         for size in (params.p - m, params.p + m)
     )
     return (raw_equation(params, j, k, m) for j in j_list for k in k_list)
@@ -236,7 +210,7 @@ def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationS
     ``m = 1`` is the classical system, ``m = 2`` the two-index variant; the
     construction is parametric but only those two carry structural
     guarantees.  Requires ``1 <= m <= min(p, n - p)``.  The labels are the
-    interned tuples, validated once here and found in the cache by
+    interned tuples, validated once here and found in the intern table by
     :func:`raw_equation` on every call.
 
     ``jobs`` is accepted for compatibility and ignored: generation is one

@@ -80,11 +80,13 @@ class GrassmannParams:
         return range(1, self.n + 1)
 
     def multiindex(self, values: Iterable[int], size: int | None = None) -> MultiIndex:
-        """Validate ``values`` as a multi-index over 1..n and return it as a tuple.
+        """Validate ``values`` as a multi-index over 1..n and return it interned.
 
         When ``size`` is given the multi-index must have exactly that many
-        entries.  This is the one place the rule is written; every label,
-        term and coefficient index read by the package passes through it.
+        entries.  This is the package's one multi-index reader: every label,
+        term and coefficient index it reads passes through here.  The result
+        is the process's one tuple with that value, the tuple generated
+        equations hold too; a tuple is recorded only once it passes.
 
         >>> GrassmannParams(6, 3).multiindex([1, 4, 6], 3)
         (1, 4, 6)
@@ -93,12 +95,26 @@ class GrassmannParams:
         ...
         ValueError: multi-index entries must lie in 1..6, got (1, 2, 3, 4, 8)
         """
-        idx = as_multiindex(values)
+        if values.__class__ is not tuple:
+            values = tuple(values)
+        try:
+            idx = _INTERNED.get(values)
+        except TypeError:  # an unhashable entry: never recorded, so refused below
+            idx = None
+        # 1.0 and True compare equal to 1, so only the recorded tuple itself or
+        # one of exactly-int entries skips the entry checks.
+        if idx is None or idx is not values and not _INT_ONLY.issuperset(map(type, values)):
+            idx = as_multiindex(values)
         if size is not None and len(idx) != size:
             raise ValueError(f"multi-index {idx} must have {size} entries")
         if idx and idx[-1] > self.n:
             raise ValueError(f"multi-index entries must lie in 1..{self.n}, got {idx}")
-        return idx
+        return _INTERNED.setdefault(idx, idx)
+
+
+# One tuple per distinct valid multi-index the process has generated or read.
+_INTERNED: dict[MultiIndex, MultiIndex] = {}
+_INT_ONLY = {int}
 
 
 def inversion_pairs(a: Sequence[int], b: Sequence[int]) -> int:

@@ -49,7 +49,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .documents import JsonText, json_int, read_document
-from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, _validated, check_width
+from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 FIELDS = ("Q", "Q_i", "f64")
@@ -244,7 +244,7 @@ def pvector(params: GrassmannParams, coeffs: Mapping, field: str = "Q") -> PVect
         raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
     cleaned: dict[MultiIndex, Scalar] = {}
     for raw_idx, value in coeffs.items():
-        idx = _validated(params, raw_idx, params.p)
+        idx = params.multiindex(raw_idx, params.p)
         scalar = _coerce_scalar(value, field)
         if scalar:
             cleaned[idx] = scalar

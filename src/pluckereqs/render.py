@@ -26,8 +26,8 @@ becomes an equation as soon as ``n``, ``p`` and ``m`` are known, so neither
 the document's text nor its decoded tree is ever held whole; the system is
 still built in full before anything is written, so a malformed document
 writes nothing.  Every label and term index goes through
-``equations._validated``, so the system holds the process's one tuple per
-distinct multi-index, the tuples generated equations hold.
+``GrassmannParams.multiindex``, so the system holds the process's one tuple
+per distinct multi-index, the tuples generated equations hold.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, TextIO
 
 from . import FORMATS
 from .documents import JsonText, json_int, read_document
-from .equations import EquationSystem, QuadraticEquation, QuadTerm, _validated, check_width
+from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 __all__ = [
@@ -192,7 +192,7 @@ def _equation_from_dict(params: GrassmannParams, m: int, entry: dict) -> Quadrat
     j, k = entry["j"], entry["k"]
     # linear_combination gives its results the empty label ((), ()).
     sizes = (params.p - m, params.p + m) if j or k else (0, 0)
-    label = (_validated(params, j, sizes[0]), _validated(params, k, sizes[1]))
+    label = (params.multiindex(j, sizes[0]), params.multiindex(k, sizes[1]))
     p = params.p
     # The loop runs once per term of the document.  It builds each term with
     # the tuple constructor that QuadTerm's own Python-level __new__ wraps.
@@ -203,7 +203,7 @@ def _equation_from_dict(params: GrassmannParams, m: int, entry: dict) -> Quadrat
         if coefficient.__class__ is not int or not coefficient:
             json_int(coefficient, "term coefficient")
             raise ValueError("term coefficient must be non-zero")
-        left, right = _validated(params, t["left"], p), _validated(params, t["right"], p)
+        left, right = params.multiindex(t["left"], p), params.multiindex(t["right"], p)
         if right < left:
             raise ValueError("terms must be stored with left <= right")
         terms.append(new_term(QuadTerm, (coefficient, left, right)))

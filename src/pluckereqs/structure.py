@@ -49,7 +49,6 @@ from .equations import (
 from .multiindex import (
     GrassmannParams,
     MultiIndex,
-    as_multiindex,
     difference,
     intersection,
     inversion_pairs,
@@ -324,7 +323,7 @@ def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[i
 
 def _decomposition_holds(params: GrassmannParams, j, k, raw: _RawSource) -> bool:
     """``sum_i sign_i * raw_1(j+i, k-i) - 2 * raw_2(j, k)`` collects to nothing."""
-    j, k = as_multiindex(j), as_multiindex(k)
+    j, k = params.multiindex(j, params.p - 2), params.multiindex(k, params.p + 2)
     weighted = [
         (sign, raw(pj, pk, 1).terms) for sign, (pj, pk) in one_index_decomposition(params, j, k)
     ]

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +30,7 @@ from pluckereqs import (
     residual,
     size_ratio,
     symmetric_difference,
+    wedge,
 )
 from pluckereqs.cli import main
 
@@ -36,6 +38,8 @@ PROP1_PARAMS = [(4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (7, 4), (8, 4)]
 ALL_PARAMS_4_9 = [(n, p) for n in range(4, 10) for p in range(2, n - 1)]
 SIMPLE_PARAMS_4_8 = [(n, p) for n in range(4, 9) for p in range(2, n - 1)]
 SEEDS = range(100)
+# Criterion 8 compares two oracles on these seeds of each kind of non-simple vector.
+ORACLE_SEEDS = range(10)
 
 
 def report(number: int, name: str, failures: list, started: float) -> None:
@@ -227,7 +231,35 @@ def test_criterion_07_multiplicities(params63, plucker63, pluckerlike63):
     report(7, "3-term multiplicities across systems", failures, started)
 
 
+def _near_grassmannian(params, seed):
+    """Two seeded non-simple p-vectors next to Gr(p, n).
+
+    The first is (e12 + e34) ^ e5 ^ ... ^ e_{p+2} under the exact change of
+    basis g = L * U, with L and U unit triangular (so g is invertible): the
+    basis vector e_i becomes the column g_i.  The second is a random wedge
+    with one coefficient moved by a small rational.
+    """
+    n, p = params.n, params.p
+    rng = random.Random(seed)
+    lower = [[Fraction(int(r == c) if r <= c else rng.randint(-3, 3)) for c in range(n)] for r in range(n)]
+    upper = [[Fraction(int(r == c) if r >= c else rng.randint(-3, 3)) for c in range(n)] for r in range(n)]
+    columns = [[sum(lower[r][t] * upper[t][c] for t in range(n)) for r in range(n)] for c in range(n)]
+    rest = columns[4 : p + 2]
+    first, second = wedge(columns[0:2] + rest), wedge(columns[2:4] + rest)
+    coeffs = dict(first.coeffs)
+    for idx, value in second.coeffs.items():
+        coeffs[idx] = coeffs.get(idx, 0) + value
+    perturbed = dict(random_simple(params, seed).coeffs)
+    idx = rng.choice(sorted(perturbed))
+    perturbed[idx] += Fraction(1, rng.randint(50, 99))
+    return pvector(params, coeffs), pvector(params, perturbed)
+
+
 def test_criterion_08_simplicity_oracle():
+    # The chart test of is_simple against the equations themselves: each
+    # system's residual at h is empty exactly when h is simple.  The vectors
+    # are the random ones and two non-simple families near Gr(p, n), where a
+    # system that failed to cut out Gr would show.
     started = time.perf_counter()
     failures = []
     for n, p in SIMPLE_PARAMS_4_8:
@@ -239,11 +271,15 @@ def test_criterion_08_simplicity_oracle():
             if residual(one, h).violations or residual(two, h).violations:
                 failures.append(f"({n},{p}) seed {seed}: wedge vector violated an equation")
                 break
-        for seed in SEEDS:
-            h = random_pvector(params, seed)
-            if is_simple(h, "plucker") != is_simple(h, "plucker_like"):
-                failures.append(f"({n},{p}) seed {seed}: systems disagree")
-                break
+        vectors = [(f"random seed {seed}", random_pvector(params, seed)) for seed in ORACLE_SEEDS]
+        for seed in ORACLE_SEEDS:
+            basis_change, perturbed = _near_grassmannian(params, seed)
+            vectors += [(f"2-plane sum seed {seed}", basis_change), (f"perturbed seed {seed}", perturbed)]
+        for choice, system in (("plucker", one), ("plucker_like", two)):
+            for name, h in vectors:
+                if is_simple(h, choice) != (not residual(system, h).violations):
+                    failures.append(f"({n},{p}) {name}: {choice} chart test and equations disagree")
+                    break
     params = GrassmannParams(6, 3)
     h = pvector(params, {(1, 2, 3): 1, (4, 5, 6): 1})
     for choice, system in (("plucker", gen_plucker(params)), ("plucker_like", gen_plucker_like(params))):

@@ -62,6 +62,17 @@ def test_generate_dedupe_count(capsys):
     assert len(out.splitlines()) == 45
 
 
+def test_generate_refuses_raw_with_dedupe(tmp_path, capsys):
+    # Dedupe compares canonical forms, so raw output cannot be deduplicated.
+    target = tmp_path / "out.txt"
+    for out in ([], ["--out", str(target)]):
+        err = assert_input_error(
+            run(capsys, "generate", "--n", "6", "--p", "3", "--m", "1", "--raw", "--dedupe", *out)
+        )
+        assert "--raw and --dedupe" in err
+    assert not target.exists()
+
+
 def test_generate_pluckerlike_latex(capsys):
     code, out, _ = run(capsys, "generate", "--n", "6", "--p", "3", "--m", "2", "--format", "latex")
     assert code == 0
@@ -252,6 +263,23 @@ def test_check_writes_violations_in_batches(tmp_path, monkeypatch):
     assert raw.writes == 1
 
 
+@pytest.mark.parametrize("batch", [None, 7], ids=["default_batch", "7_char_batches"])
+def test_write_output_to_a_text_only_stdout(capsys, monkeypatch, batch):
+    # io.StringIO has no binary layer: the batches go to it as text.
+    from pluckereqs.cli import _write_output
+
+    if batch is not None:
+        monkeypatch.setattr("pluckereqs.cli._BATCH", batch)
+    pieces = [render(gen_plucker_like(GrassmannParams(6, 3)), "latex"), "λ\n"]
+    _write_output(pieces, None)
+    expected = capsys.readouterr().out
+    text_only = io.StringIO()
+    with redirect_stdout(text_only):
+        _write_output(pieces, None)
+    assert text_only.getvalue() == expected
+    assert expected == "".join(pieces)
+
+
 @pytest.mark.parametrize(
     "field, entry",
     [
@@ -388,6 +416,18 @@ def test_check_selftest(capsys):
             run(capsys, "check", "--selftest", count, "--seed", "9", "--n", "6", "--p", "3")
         )
         assert "N >= 1" in err
+
+
+def test_check_selftest_reports_flagged_wedges(capsys, monkeypatch):
+    # A "wedge" that is not simple must be named and fail the selftest.
+    import pluckereqs.pvectors
+
+    monkeypatch.setattr(pluckereqs.pvectors, "random_simple", pluckereqs.pvectors.random_pvector)
+    code, out, _ = run(capsys, "check", "--selftest", "3", "--seed", "9", "--n", "6", "--p", "3")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        f"simple vector at seed {seed} flagged as non-simple" for seed in (9, 10, 11)
+    ]
 
 
 def test_check_refuses_file_with_selftest(capsys):
@@ -607,6 +647,7 @@ _TWIN_TEXTS, _TWIN_IDS = _twin_index_cases()
         _system_json(entry={**_EQUATION, "terms": [{**_TERM, "right": [4, 5, 10]}]}),
         _system_json(entry={**_EQUATION, "terms": [{**_TERM, "left": [1, 2]}]}),
         _system_json(entry={**_EQUATION, "k": [2, 3, 4, 5, 10]}),
+        _system_json(entry={**_EQUATION, "terms": [{**_TERM, "left": [1, 4, 5], "right": [1, 2, 3]}]}),
         _system_json(n="6"),
         _system_json(m=-4),
         _system_json(m=0),
@@ -621,7 +662,7 @@ _TWIN_TEXTS, _TWIN_IDS = _twin_index_cases()
     ],
     ids=[
         "missing_terms", "entry_not_object", "float_c", "bool_c",
-        "index_above_n", "short_term", "label_above_n", "string_n",
+        "index_above_n", "short_term", "label_above_n", "term_left_above_right", "string_n",
         "negative_m", "zero_m", "m_above_min_p_n_minus_p", "deep_nesting",
         "label_sizes_not_m", "float_index_after_equal_int", "bool_index_after_equal_int",
         *_TWIN_IDS,

@@ -22,6 +22,7 @@ from pluckereqs import (
     size_ratio,
 )
 from pluckereqs.equations import collect_weighted
+from pluckereqs.multiindex import _INTERNED
 from pluckereqs.multiindex import (
     difference,
     inversion_pairs,
@@ -420,11 +421,12 @@ def test_complement_duality():
 
 @pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
 @pytest.mark.parametrize(
-    "reader", ["raw_equation", "system_from_dict", "chunked_reader", "pvector_from_json"]
+    "reader",
+    ["GrassmannParams.multiindex", "raw_equation", "system_from_dict", "chunked_reader", "pvector_from_json"],
 )
 def test_twin_of_a_cached_multiindex_is_refused(monkeypatch, reader, one):
-    # 1.0 and True compare equal to 1, so [1.0, 2, 3] finds the cache entry
-    # of (1, 2, 3); every reader must still refuse it.
+    # 1.0 and True compare equal to 1, so [1.0, 2, 3] finds the intern table
+    # entry of (1, 2, 3); every reader must still refuse it, and keep nothing.
     import io
     import json
 
@@ -437,6 +439,8 @@ def test_twin_of_a_cached_multiindex_is_refused(monkeypatch, reader, one):
 
     def read(first):
         idx = [first, 2, 3]
+        if reader == "GrassmannParams.multiindex":
+            return params.multiindex(idx, 3)
         if reader == "raw_equation":
             return raw_equation(params, idx[:1], [1, 2, 3, 4, 5], 2)
         if reader == "pvector_from_json":
@@ -449,9 +453,11 @@ def test_twin_of_a_cached_multiindex_is_refused(monkeypatch, reader, one):
             return system_from_dict(system)
         return _load_system(io.StringIO(json.dumps(system)))
 
-    read(1)  # caches the multi-index of ints
+    read(1)  # interns the multi-index of ints
+    recorded = len(_INTERNED)
     with pytest.raises(ValueError, match="multi-index entries must be integers"):
         read(one)
+    assert len(_INTERNED) == recorded
 
 
 def test_reading_a_multiindex_builds_no_mask_of_its_entries():

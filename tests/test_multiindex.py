@@ -16,6 +16,7 @@ from pluckereqs import (
     subsets_of_size,
     symmetric_difference,
 )
+from pluckereqs.multiindex import _INTERNED
 
 multiindices = st.sets(st.integers(1, 12), max_size=6).map(lambda s: tuple(sorted(s)))
 
@@ -39,6 +40,36 @@ def test_as_multiindex_validates():
             as_multiindex(bad)
 
 
+def test_reader_interns_one_tuple_per_value():
+    # Read at any n it fits and with or without its size, a value is
+    # recorded once, and every read returns that one tuple.
+    values = [7, 1009, 4099]
+    recorded = len(_INTERNED)
+    first = GrassmannParams(4099, 3).multiindex(values, 3)
+    assert first == tuple(values)
+    for n, size in [(4099, None), (5000, 3), (10**6, None), (10**6, 3)]:
+        assert GrassmannParams(n, 3).multiindex(iter(values), size) is first
+        assert GrassmannParams(n, 3).multiindex(tuple(values), size) is first
+    assert len(_INTERNED) == recorded + 1
+
+
+@pytest.mark.parametrize(
+    "n, values, size, message",
+    [
+        (5000, [3, 1013, 4111], 2, r"^multi-index \(3, 1013, 4111\) must have 2 entries$"),
+        (4110, [3, 1013, 4111], 3, r"^multi-index entries must lie in 1\.\.4110, got \(3, 1013, 4111\)$"),
+        (5000, [3, 4111, 1013], 3, r"^multi-index must be strictly increasing, got \(3, 4111, 1013\)$"),
+    ],
+    ids=["wrong_size", "above_n", "unsorted"],
+)
+def test_refused_read_records_nothing(n, values, size, message):
+    recorded = len(_INTERNED)
+    with pytest.raises(ValueError, match=message):
+        GrassmannParams(n, 3).multiindex(values, size)
+    assert len(_INTERNED) == recorded
+    assert tuple(values) not in _INTERNED
+
+
 def test_params_validation():
     GrassmannParams(6, 3)
     GrassmannParams(1, 1)
@@ -46,6 +77,8 @@ def test_params_validation():
         GrassmannParams(5, 6)
     with pytest.raises(ValueError):
         GrassmannParams(5, 0)
+    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+        GrassmannParams(0, 1)
 
 
 def test_inversion_pairs_examples():

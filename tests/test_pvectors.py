@@ -28,6 +28,7 @@ from pluckereqs import (
     scaled,
     wedge,
 )
+from pluckereqs.multiindex import _INTERNED
 
 E = [[1 if c == r else 0 for c in range(6)] for r in range(6)]
 
@@ -60,6 +61,10 @@ def test_pvector_validation(params63):
         pvector(params63, {(1, 2, 7): 1})
     with pytest.raises(ValueError):
         pvector(params63, {(1, 2, 3): 1}, field="R")
+    with pytest.raises(ValueError, match="^field Q needs int/Fraction coefficients, got float$"):
+        pvector(params63, {(1, 2, 3): 0.5}, field="Q")
+    with pytest.raises(ValueError, match="^field Q_i cannot hold str$"):
+        pvector(params63, {(1, 2, 3): "1"}, field="Q_i")
 
 
 def test_wedge_basis_vectors(params63):
@@ -123,6 +128,8 @@ def test_wedge_matches_leibniz_minors(field):
 def test_wedge_dimension_mismatch():
     with pytest.raises(ValueError):
         wedge([[1, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="^wedge needs at least one vector$"):
+        wedge([])
 
 
 def test_wedge_all_plucker_equations_vanish(params63):
@@ -143,9 +150,11 @@ def test_evaluate_monomial_pickout(params63, pluckerlike63, h_sum):
 
 
 def test_evaluate_params_mismatch(h_sum):
-    other = gen_plucker(GrassmannParams(7, 3)).equations[0]
+    other = gen_plucker(GrassmannParams(7, 3))
     with pytest.raises(ValueError):
-        evaluate(other, h_sum)
+        evaluate(other.equations[0], h_sum)
+    with pytest.raises(ValueError, match=r"^system is for GrassmannParams\(n=7, p=3\), p-vector for"):
+        residual(other, h_sum)
 
 
 def test_residual_pluckerlike_on_sum(pluckerlike63, h_sum):
@@ -341,8 +350,11 @@ def test_pvector_json_gaussian_and_float(params63):
 
 def test_parsed_keys_are_the_generated_tuples(params63):
     generated = {idx: idx for eq in gen_plucker(params63) for t in eq.terms for idx in t[1:]}
-    h = pvector_from_json(pvector_to_json(random_pvector(params63, 5)))
+    text = pvector_to_json(random_pvector(params63, 5))
+    recorded = len(_INTERNED)
+    h = pvector_from_json(text)
     assert h.coeffs and all(idx is generated[idx] for idx in h.coeffs)
+    assert len(_INTERNED) == recorded
 
 
 def test_pvector_json_rejects_malformed():

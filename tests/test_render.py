@@ -178,8 +178,14 @@ def test_system_from_dict_checks_the_size_of_a_reused_tuple():
 def test_render_rejects_unknown_format(pluckerlike63):
     with pytest.raises(ValueError):
         render(pluckerlike63, "yaml")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^csv rendering requires a full EquationSystem$"):
         render(pluckerlike63.equations[0], "csv")
+
+
+def test_render_one_equation_is_its_line(pluckerlike63):
+    eq = pluckerlike63.equations[0]
+    assert render(eq, "text") == equation_text(eq) + "\n"
+    assert render(eq, "latex") == equation_latex(eq) + "\n"
 
 
 def test_byte_identical_output(pluckerlike63):

@@ -31,6 +31,7 @@ from pluckereqs import (
     symmetric_difference,
     verify_structure,
 )
+from pluckereqs.multiindex import _INTERNED
 
 
 def test_classify_cases(params63):
@@ -65,6 +66,21 @@ def test_one_index_decomposition_validates_labels(params63):
         one_index_decomposition(params63, (1, 2), (1, 2, 3, 4, 5))
     with pytest.raises(ValueError, match="1..6"):
         one_index_decomposition(params63, [7], [1, 2, 3, 4, 8])
+
+
+def test_structure_reads_hit_the_generated_tuples():
+    # Once both systems are generated, every label that classify and the
+    # decomposition read is found in the intern table: nothing new is kept.
+    params = GrassmannParams(7, 3)
+    one_labels = {eq.label for eq in gen_plucker(params)}
+    two = gen_plucker_like(params)
+    recorded = len(_INTERNED)
+    for eq in two:
+        j, k = list(eq.label[0]), list(eq.label[1])
+        assert classify(params, j, k).q_size == len(set(j) & set(k))
+        assert {label for _, label in one_index_decomposition(params, j, k)} <= one_labels
+        assert check_decomposition(params, j, k)
+    assert len(_INTERNED) == recorded
 
 
 def test_census_6_3(params63):
