@@ -110,8 +110,9 @@ def _run_selftest(args: argparse.Namespace) -> int:
     if args.selftest < 1:
         raise ValueError(f"--selftest needs N >= 1, got {args.selftest}")
     from .multiindex import GrassmannParams
-    from .pvectors import is_simple, random_pvector, random_simple
+    from .pvectors import checked_tolerance, is_simple, random_pvector, random_simple
 
+    checked_tolerance(args.tolerance)
     params = GrassmannParams(args.n, args.p)
     count = args.selftest
     failures = 0
@@ -125,7 +126,10 @@ def _run_selftest(args: argparse.Namespace) -> int:
         h = random_pvector(params, args.seed + offset)
         if is_simple(h, "plucker") == is_simple(h, "plucker_like"):
             agreements += 1
-    print(f"selftest: {count} wedge vectors clean, {agreements}/{count} verdicts agree")
+    wedges = f"{count} wedge vectors clean"
+    if failures:
+        wedges = f"{failures} of {count} wedge vectors flagged as non-simple"
+    print(f"selftest: {wedges}, {agreements}/{count} verdicts agree")
     if failures or agreements != count:
         return EXIT_NEGATIVE
     return EXIT_OK
@@ -136,6 +140,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.pvector is not None:
             raise ValueError("--selftest reads no input file; pass either FILE or --selftest")
         return _run_selftest(args)
+    if args.seed is not None:
+        raise ValueError("--seed is read only by --selftest; pass --selftest N or drop --seed")
     from .pvectors import is_simple, pvector_from_json
 
     with _open_input(args.pvector) as handle:
@@ -229,6 +235,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from .render import _load_system, _render_pieces
 
+    if args.no_labels and args.format in ("json", "csv"):
+        raise ValueError(f"--no-labels applies to text and latex only, not {args.format}")
     with _open_input(args.infile) as handle:
         system = _load_system(handle)
     _write_output(_render_pieces(system, args.format, with_labels=not args.no_labels), args.out)
@@ -305,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="re-render a system JSON stream")
     p_export.add_argument("--in", dest="infile", default=None, help="input path (default stdin)")
     p_export.add_argument("--format", choices=FORMATS, default="text")
-    p_export.add_argument("--no-labels", action="store_true")
+    p_export.add_argument(
+        "--no-labels", action="store_true", help="drop the labels (text and latex only)"
+    )
     p_export.add_argument("--out", default=None)
     p_export.set_defaults(func=cmd_export)
 

@@ -20,9 +20,10 @@ as one signed sum: every term of every raw equation in it goes, times its
 weight, into one map keyed by monomial (``equations.collect_weighted``),
 and the identity holds exactly when the map ends empty.  No intermediate
 equation is built.  The family, census-distinctness and multiplicity
-checks read canonical forms.  ``verify_structure`` generates each system
-once, and the census computes each label's stratum once for the
-family-partition and multiplicity checks too.
+checks read canonical forms.  ``census`` reads the two-index equations
+one at a time, keeping only each label's stratum and canonical terms;
+``verify_structure`` generates each system once and keeps its raw
+equations in label maps for the identities.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .equations import (
-    EquationSystem,
     Label,
     QuadraticEquation,
     QuadTerm,
+    _raw_equations,
     canonicalize,
     collect_weighted,
-    gen_plucker,
-    gen_plucker_like,
     raw_equation,
 )
 from .multiindex import (
@@ -220,7 +219,7 @@ def census(params: GrassmannParams) -> CensusReport:
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"census needs 2 <= p <= n-2, got p={p}, n={n}")
-    return _census(params, gen_plucker_like(params))[0]
+    return _census(params, _raw_equations(params, 2))[0]
 
 
 def _label_stratum(
@@ -239,28 +238,30 @@ def _label_stratum(
 
 
 def _census(
-    params: GrassmannParams, system: EquationSystem
-) -> tuple[CensusReport, list[tuple[QuadTerm, ...]], list[int]]:
-    """Census of an already generated two-index system.
+    params: GrassmannParams, equations: Iterable[QuadraticEquation]
+) -> tuple[CensusReport, dict[Label, tuple[int, tuple[QuadTerm, ...]]]]:
+    """Census of the two-index equations, read one at a time.
 
-    Also returns, in system order, the canonical terms and the stratum
-    ``|j intersect k|`` of every equation, so a caller holding the system
-    need not canonicalize or stratify it again.
+    Also returns ``label -> (|j intersect k|, canonical terms)`` in system
+    order, so a caller need not canonicalize or stratify again.  The counts
+    and the distinctness flag read every equation, not the map's keys: a
+    label generated twice, in place of another, fails the census.
     """
     n, p = params.n, params.p
     canonical_terms: list[tuple[QuadTerm, ...]] = []
-    q_sizes: list[int] = []
+    by_label: dict[Label, tuple[int, tuple[QuadTerm, ...]]] = {}
+    observed: Counter[int] = Counter()
     term_counts: dict[int, set[int]] = {}
     family_groups: set[tuple[MultiIndex, MultiIndex]] = set()
-    for eq in system.equations:
+    for eq in equations:
         q_size, family_key = _label_stratum(p, *eq.label)
         terms = canonicalize(eq).terms
         canonical_terms.append(terms)
-        q_sizes.append(q_size)
+        by_label[eq.label] = q_size, terms
+        observed[q_size] += 1
         term_counts.setdefault(q_size, set()).add(len(terms))
         if family_key is not None:
             family_groups.add(family_key)
-    observed = Counter(q_sizes)
     q_min = max(0, 2 * p - n)
     classes = []
     for q_size in range(p - 2, q_min - 1, -1):
@@ -279,7 +280,7 @@ def _census(
         )
     report = CensusReport(
         params=params,
-        total_observed=len(system.equations),
+        total_observed=len(canonical_terms),
         total_predicted=comb(n, p - 2) * comb(n, p + 2),
         classes=classes,
         families_observed=len(family_groups),
@@ -287,7 +288,7 @@ def _census(
         all_distinct=len(set(canonical_terms)) == len(canonical_terms),
         all_nontrivial=all(canonical_terms),
     )
-    return report, canonical_terms, q_sizes
+    return report, by_label
 
 
 def one_index_decomposition(
@@ -590,15 +591,10 @@ class VerifyReport:
 
 
 def _check_family_structure(
-    family: PairFamily, canonical_by_label: dict[Label, tuple[QuadTerm, ...]]
+    family: PairFamily, by_label: dict[Label, tuple[int, tuple[QuadTerm, ...]]]
 ) -> bool:
-    canons = []
-    for label in family.members:
-        terms = canonical_by_label.get(label)
-        if terms is None:
-            return False
-        canons.append(terms)
-    if any(len(terms) != 10 for terms in canons):
+    canons = [by_label[label][1] for label in family.members if label in by_label]
+    if len(canons) != 6 or any(len(terms) != 10 for terms in canons):
         return False
     supports = {frozenset((t.left, t.right) for t in terms) for terms in canons}
     if len(supports) != 1:
@@ -610,40 +606,34 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     """Run every structural check at one (n, p) and collect failures.
 
     Each system is generated once.  The identities read raw equations from
-    label maps of those two systems; the census, family and multiplicity
-    checks read the canonical forms of the same equations.
+    label maps of those two systems; the family and multiplicity checks read
+    the census's map of strata and canonical forms of the same equations.
     """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
-    two_index = gen_plucker_like(params)
-    census_report, two_canonical, q_sizes = _census(params, two_index)
+    two_index = list(_raw_equations(params, 2))
+    census_report, by_label = _census(params, two_index)
     report = VerifyReport(params=params, census=census_report)
-    canonical_by_label = {
-        eq.label: terms for eq, terms in zip(two_index.equations, two_canonical)
-    }
-    one_index = gen_plucker(params)
     raw_by_label = {
-        1: {eq.label: eq for eq in one_index.equations},
-        2: {eq.label: eq for eq in two_index.equations},
+        1: {eq.label: eq for eq in _raw_equations(params, 1)},
+        2: {eq.label: eq for eq in two_index},
     }
 
     def shared_raw(j: MultiIndex, k: MultiIndex, m: int) -> QuadraticEquation:
         return raw_by_label[m][j, k]
 
-    for eq in two_index.equations:
+    for eq in two_index:
         report.decompositions_checked += 1
         if not _decomposition_holds(params, *eq.label, shared_raw):
             report.decomposition_failures.append(eq.label)
 
     families = pair_families(params)
-    family_stratum_labels = {
-        eq.label for eq, q_size in zip(two_index.equations, q_sizes) if q_size == p - 3
-    }
+    family_stratum_labels = {label for label, (q_size, _) in by_label.items() if q_size == p - 3}
     member_labels = {label for family in families for label in family.members}
     for family in families:
         report.families_checked += 1
-        if not _check_family_structure(family, canonical_by_label):
+        if not _check_family_structure(family, by_label):
             report.family_failures.append((family.q, family.l))
         for i, i2 in combinations(range(1, 7), 2):
             report.combinations_checked += 1
@@ -652,12 +642,12 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     if member_labels != family_stratum_labels:
         report.family_failures.append(("partition", "mismatch"))
 
-    one_counts = Counter(canonicalize(eq).terms for eq in one_index.equations)
-    two_counts = Counter(two_canonical)
-    for eq, terms, q_size in zip(two_index.equations, two_canonical, q_sizes):
+    one_counts = Counter(canonicalize(eq).terms for eq in raw_by_label[1].values())
+    two_counts = Counter(terms for _, terms in by_label.values())
+    for label, (q_size, terms) in by_label.items():
         if q_size != p - 2:
             continue
         if one_counts.get(terms, 0) != 4 or two_counts.get(terms, 0) != 1:
             report.multiplicity_ok = False
-            report.multiplicity_failures.append(eq.label)
+            report.multiplicity_failures.append(label)
     return report

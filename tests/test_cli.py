@@ -338,6 +338,10 @@ def test_check_rejects_bad_tolerance(tmp_path, capsys, tolerance):
             argv = ("check", str(path), "--m", m, f"--tolerance={tolerance}")
             err = assert_input_error(run(capsys, *argv))
             assert "tolerance" in err
+    # The selftest reads no tolerance, but a bad one is refused there too.
+    selftest = ("--selftest", "2", "--seed", "1", "--n", "6", "--p", "3")
+    err = assert_input_error(run(capsys, "check", *selftest, f"--tolerance={tolerance}"))
+    assert "tolerance" in err
 
 
 @pytest.mark.parametrize("m", ["1", "2"])
@@ -425,9 +429,9 @@ def test_check_selftest_reports_flagged_wedges(capsys, monkeypatch):
     monkeypatch.setattr(pluckereqs.pvectors, "random_simple", pluckereqs.pvectors.random_pvector)
     code, out, _ = run(capsys, "check", "--selftest", "3", "--seed", "9", "--n", "6", "--p", "3")
     assert code == 1
-    assert out.splitlines()[:3] == [
+    assert out.splitlines() == [
         f"simple vector at seed {seed} flagged as non-simple" for seed in (9, 10, 11)
-    ]
+    ] + ["selftest: 3 of 3 wedge vectors flagged as non-simple, 3/3 verdicts agree"]
 
 
 def test_check_refuses_file_with_selftest(capsys):
@@ -439,6 +443,32 @@ def test_check_refuses_file_with_selftest(capsys):
     ):
         err = assert_input_error(run(capsys, "check", *argv))
         assert "--selftest" in err
+
+
+def test_check_refuses_seed_without_selftest(capsys):
+    # Only the selftest reads --seed, so with a file it would be dropped.
+    path = DATA_DIR / "check_7_3_Q.json"
+    for source in (str(path), "-"):
+        err = assert_input_error(run(capsys, "check", source, "--seed", "5"))
+        assert "--seed" in err
+
+
+def test_export_no_labels(tmp_path, capsys):
+    # Text drops the labels and LaTeX the label column; JSON and CSV keep
+    # labels as data, so the flag is refused there before the input is read.
+    system = gen_plucker_like(GrassmannParams(6, 3))
+    path = tmp_path / "sys.json"
+    path.write_text(render(system, "json"))
+    for fmt in ("text", "latex"):
+        code, out, _ = run(capsys, "export", "--in", str(path), "--format", fmt, "--no-labels")
+        assert code == 0
+        assert out == render(system, fmt, with_labels=False) != render(system, fmt)
+    for fmt in ("json", "csv"):
+        missing = str(tmp_path / "missing.json")
+        err = assert_input_error(
+            run(capsys, "export", "--in", missing, "--format", fmt, "--no-labels")
+        )
+        assert "--no-labels" in err
 
 
 # Every name pluckereqs exported before the structural checks were loaded

@@ -1,4 +1,5 @@
 import json
+import weakref
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -31,7 +32,16 @@ from pluckereqs import (
     symmetric_difference,
     verify_structure,
 )
+from pluckereqs.equations import _raw_equations
 from pluckereqs.multiindex import _INTERNED
+
+
+def _patch_streams(monkeypatch, change):
+    """Make ``structure`` read every generated equation through ``change``."""
+    def streams(params, m):
+        return map(change, _raw_equations(params, m))
+
+    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", streams)
 
 
 def test_classify_cases(params63):
@@ -270,11 +280,11 @@ def test_stratum_probe_skips_one_index_system_without_groups(monkeypatch):
     # so the one-index system is never built.
     builds = []
 
-    def counting(params, jobs=1):
-        builds.append(params)
-        return gen_plucker(params, jobs)
+    def counting(params, m):
+        builds.append((params, m))
+        return _raw_equations(params, m)
 
-    monkeypatch.setattr(pluckereqs.structure, "gen_plucker", counting)
+    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", counting)
     report = stratum_probe(GrassmannParams(9, 4), 0)
     assert report.admissible
     assert report.combinations_tried == 0
@@ -336,10 +346,10 @@ def test_stratum_probe_equals_full_system_filter(monkeypatch):
             n, [q, p - 2 - q, p + 2 - q, n + q - 2 * p]
         )
 
-    def whole_system(params, jobs=1):
-        raise AssertionError("the probe generated the whole two-index system")
+    def whole_system(params, m):
+        raise AssertionError(f"the probe generated the whole m={m} system")
 
-    monkeypatch.setattr(pluckereqs.structure, "gen_plucker_like", whole_system)
+    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", whole_system)
     for (n, p, q), report in expected.items():
         assert stratum_probe(GrassmannParams(n, p), q) == report, (n, p, q)
 
@@ -441,11 +451,7 @@ def test_verify_structure_catches_flipped_one_index_sign(monkeypatch):
         terms = tuple(QuadTerm(-t.coefficient, t.left, t.right) for t in eq.terms)
         return QuadraticEquation(eq.params, eq.label, terms)
 
-    monkeypatch.setattr(
-        pluckereqs.structure,
-        "gen_plucker",
-        lambda params: EquationSystem(params, 1, tuple(map(flip, gen_plucker(params)))),
-    )
+    _patch_streams(monkeypatch, flip)
     monkeypatch.setattr(
         pluckereqs.structure,
         "raw_equation",
@@ -489,11 +495,7 @@ def test_verify_structure_names_corrupted_family_and_three_term_class(monkeypatc
             return QuadraticEquation(eq.params, eq.label, terms)
         return eq
 
-    def corrupted(generate, m):
-        return lambda params: EquationSystem(params, m, tuple(map(corrupt, generate(params))))
-
-    monkeypatch.setattr(pluckereqs.structure, "gen_plucker", corrupted(gen_plucker, 1))
-    monkeypatch.setattr(pluckereqs.structure, "gen_plucker_like", corrupted(gen_plucker_like, 2))
+    _patch_streams(monkeypatch, corrupt)
     report = verify_structure(params)
     assert not report.ok and not report.census.ok
     assert report.decomposition_failures == [three_term, dropped]
@@ -669,8 +671,10 @@ def test_verify_structure_identities_match_reference(monkeypatch, corruption):
             ]
             expected_combination = [(family.q, family.l, i, i2)]
         corrupted_points += corruption != "clean"
-        monkeypatch.setattr(pluckereqs.structure, "gen_plucker", lambda params: one_index)
-        monkeypatch.setattr(pluckereqs.structure, "gen_plucker_like", lambda params: two_index)
+        systems = {1: one_index, 2: two_index}
+        monkeypatch.setattr(
+            pluckereqs.structure, "_raw_equations", lambda params, m: iter(systems[m])
+        )
         report = verify_structure(params)
         reference = _reference_failures(params, one_index, two_index)
         assert (report.decomposition_failures, report.combination_failures) == reference, (n, p)
@@ -690,9 +694,10 @@ def test_census_stratum_matches_classify():
         for p in range(2, n - 1):
             params = GrassmannParams(n, p)
             system = gen_plucker_like(params)
-            _, _, q_sizes = pluckereqs.structure._census(params, system)
-            for eq, census_q_size in zip(system, q_sizes, strict=True):
-                j, k = eq.label
+            _, by_label = pluckereqs.structure._census(params, _raw_equations(params, 2))
+            for eq, (label, (census_q_size, terms)) in zip(system, by_label.items(), strict=True):
+                assert label == eq.label and terms == canonicalize(eq).terms
+                j, k = label
                 stratum = classify(params, j, k)
                 q_size, family_key = label_stratum(p, j, k)
                 assert q_size == census_q_size == stratum.q_size
@@ -704,6 +709,50 @@ def test_census_stratum_matches_classify():
     assert labels == sum(
         comb(n, p - 2) * comb(n, p + 2) for n in range(4, 10) for p in range(2, n - 1)
     )
+
+
+def test_census_counts_a_repeated_label(monkeypatch):
+    # One 3-term label generated twice, in place of the next label of its
+    # stratum: every count still matches the prediction, so only a census
+    # that counts each equation it reads, not the labels it keeps, sees the
+    # repeat.
+    params = GrassmannParams(7, 3)
+    first, second = ((1,), (1, 2, 3, 4, 5)), ((1,), (1, 2, 3, 4, 6))
+    assert classify(params, *first).kind == classify(params, *second).kind == "3-term"
+    repeated = raw_equation(params, *first, 2)
+    _patch_streams(monkeypatch, lambda eq: repeated if eq.label == second else eq)
+    report = census(params)
+    assert report.total_observed == report.total_predicted
+    assert all(entry.ok for entry in report.classes)
+    assert report.families_observed == report.families_predicted
+    assert report.all_nontrivial
+    assert not report.all_distinct
+    assert not report.ok
+
+
+def test_census_holds_no_raw_equation(monkeypatch):
+    # census reads the two-index equations as they are generated: at (8,4)
+    # at most two raw equations are alive at once, the one just read and the
+    # next one generated.
+    params = GrassmannParams(8, 4)
+    live: dict[int, weakref.ref] = {}
+    seen = peak = 0
+
+    def tracked(params, m):
+        nonlocal seen, peak
+        for eq in _raw_equations(params, m):
+            key = id(eq)
+            live[key] = weakref.ref(eq, lambda _ref, key=key: live.pop(key))
+            seen += 1
+            peak = max(peak, len(live))
+            yield eq
+
+    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", tracked)
+    report = census(params)
+    assert report.ok
+    assert seen == report.total_observed == comb(8, 2) * comb(8, 6)
+    assert 1 <= peak <= 2
+    assert not live
 
 
 def _reference_census_dict(params):
