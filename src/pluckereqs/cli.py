@@ -139,6 +139,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.selftest is not None:
         if args.pvector is not None:
             raise ValueError("--selftest reads no input file; pass either FILE or --selftest")
+        if args.m is not None:
+            raise ValueError("--selftest runs both systems; drop --m")
         return _run_selftest(args)
     if args.seed is not None:
         raise ValueError("--seed is read only by --selftest; pass --selftest N or drop --seed")
@@ -151,18 +153,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.p is not None and args.p != h.params.p:
         raise ValueError(f"--p {args.p} does not match input p={h.params.p}")
     params = h.params
-    choice = "plucker" if args.m == 1 else "plucker_like"
+    m = 2 if args.m is None else args.m
+    choice = "plucker" if m == 1 else "plucker_like"
     # is_simple checks the input (the width of --m 1, the tolerance) before
     # its zero-vector convention, so the zero vector is rejected where any
     # other vector would be.
     if is_simple(h, choice, args.tolerance):
         print("simple (zero vector)" if h.is_zero else "simple")
         return EXIT_OK
-    from .equations import gen_generalized
-    from .pvectors import residual
+    from .equations import _raw_equations
+    from .pvectors import _violations, checked_tolerance
     from .render import _label_formatter
 
-    violations = residual(gen_generalized(params, args.m), h, tolerance=args.tolerance).violations
+    # Each equation is evaluated as it is generated, so no system is held;
+    # the violations are kept because the header line counts them first.
+    violations = list(_violations(_raw_equations(params, m), h, checked_tolerance(args.tolerance)))
     label_text = _label_formatter(params.n)
     lines = (f"  {label_text(label)} = {value}\n" for label, value in violations)
     _write_output(chain([f"not simple: {len(violations)} violated equations\n"], lines), None)
@@ -288,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide simplicity of a p-vector")
     p_check.add_argument("pvector", nargs="?", default=None, help="p-vector JSON path or '-'")
     _add_params(p_check, required=False)
-    p_check.add_argument("--m", type=int, choices=(1, 2), default=2, help="system to evaluate")
+    p_check.add_argument(
+        "--m", type=int, choices=(1, 2), default=None, help="system to evaluate (default 2)"
+    )
     p_check.add_argument("--tolerance", type=float, default=None, help="float-mode tolerance")
     p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument(

@@ -25,11 +25,9 @@ pivot; :func:`residual` keeps the per-equation relative bound above.
 
 :func:`residual` evaluates the exact fields on plain integers: the
 coefficients are multiplied by the lcm of their denominators, and a Q_i
-scalar ``re + im*i`` is packed into the one integer ``re + im*X`` for a
-power of two ``X`` large enough that every equation value can be read back
-from its residue modulo ``X**2 + 1`` (the bound is argued in
-:func:`_packed`).  A violation becomes a ``Fraction`` or
-:class:`GaussianRational` only when it is reported.
+equation is summed as two integers, its real and imaginary parts.  A
+violation becomes a ``Fraction`` or :class:`GaussianRational` only when it
+is reported.
 
 The identities evaluated here relate basis coefficients only; no inner
 product on the underlying space is involved, so no orthonormality
@@ -45,8 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import frexp, isfinite, lcm, ldexp, prod
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .documents import JsonText, json_int, read_document
 from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
@@ -151,8 +148,10 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def norm_sq(self) -> Fraction:
-        """Exact squared modulus ``re**2 + im**2``."""
-        return self.re * self.re + self.im * self.im
+        """Exact squared modulus ``re**2 + im**2``, built as one reduced fraction."""
+        a, b = self.re.numerator, self.re.denominator
+        c, d = self.im.numerator, self.im.denominator
+        return Fraction(a * a * d * d + c * c * b * b, b * b * d * d)
 
 
 class _GaussInt:
@@ -354,44 +353,14 @@ def wedge(vectors: Sequence[Sequence], n: int | None = None) -> PVector:
 def _term_values(terms: Iterable[QuadTerm], coeffs: Mapping[MultiIndex, object]) -> list:
     """The non-zero products ``coefficient * lam_left * lam_right`` of one equation.
 
-    This is the module's only term-evaluation loop.  It runs on field
-    scalars and, in :func:`residual`, on plain integers: cleared Q scalars
-    and packed cleared Q_i scalars.
+    It runs on field scalars and, in :func:`_violations`, on cleared Q
+    integers; a cleared Q_i equation is summed there as two integers.
     """
     return [
         coefficient * a * b
         for coefficient, left, right in terms
         if (a := coeffs.get(left)) and (b := coeffs.get(right))
     ]
-
-
-_COEFFICIENT = itemgetter(0)
-
-
-def _packed(coeffs: Mapping[MultiIndex, _GaussInt], system: EquationSystem) -> tuple[dict, int]:
-    """Each Gaussian integer ``re + im*i`` as the integer ``re + im*X``, and ``log2 X``.
-
-    The product of two packed values is ``ac + (ad + bc)*X + bd*X**2``, and
-    ``X**2`` is ``-1`` modulo ``X**2 + 1``, so a packed equation value
-    reduced modulo ``X**2 + 1`` is ``R + I*X`` for the Gaussian value
-    ``R + I*i``.  That representative is recovered exactly when ``X`` is a
-    power of two above ``4*W*B**2``, with ``W`` the largest sum of
-    ``|coefficient|`` over one equation and ``B`` the largest ``|re|`` or
-    ``|im|``:
-
-    * every product part is at most ``B**2`` in size, so ``|R|`` (at most
-      ``sum |c| * (|ac| + |bd|)``) and ``|I|`` (at most
-      ``sum |c| * (|ad| + |bc|)``) are at most ``M = 2*W*B**2``;
-    * ``X > 2*M`` with ``M`` an integer gives ``M <= (X - 1)/2``, so
-      ``|R + I*X| <= M*(X + 1) <= (X**2 - 1)/2``: the residue of least
-      absolute value modulo ``X**2 + 1`` is ``R + I*X`` itself;
-    * ``|R| <= M < X/2``: the residue of least absolute value of that
-      modulo ``X`` is ``R``, and ``I`` is what is left, divided by ``X``.
-    """
-    weight = max((sum(map(abs, map(_COEFFICIENT, eq.terms))) for eq in system.equations), default=0)
-    bound = max((max(abs(v.re), abs(v.im)) for v in coeffs.values()), default=0)
-    shift = (4 * weight * bound * bound).bit_length()
-    return {key: v.re + (v.im << shift) for key, v in coeffs.items()}, shift
 
 
 def evaluate(eq: QuadraticEquation, h: PVector) -> Scalar:
@@ -428,6 +397,46 @@ def checked_tolerance(tolerance: float | None) -> float:
     return tol
 
 
+def _violations(
+    equations: Iterable[QuadraticEquation], h: PVector, tol: float
+) -> Iterator[tuple[Label, Scalar]]:
+    """Each equation of ``equations`` that ``h`` violates, with its value, as it is read.
+
+    Exact fields run on the cleared coefficients: a Q equation is one
+    integer sum, a Q_i equation two (its real and imaginary parts), and a
+    non-zero value becomes one field scalar.  The float field applies the
+    relative tolerance ``tol``, which the caller has checked.
+    """
+    if h.field == "f64":
+        # h / scale, a power of two near its largest coefficient: exact, and
+        # no product overflows or underflows.
+        scale = ldexp(1.0, frexp(max(map(abs, h.coeffs.values()), default=1.0))[1] - 1)
+        coeffs = {key: value / scale for key, value in h.coeffs.items()}
+        for eq in equations:
+            values = _term_values(eq.terms, coeffs)
+            value = 0.0
+            for term_value in values:  # left to right, as the tolerance bound assumes
+                value += term_value
+            if abs(value) > tol * max(map(abs, values), default=0.0):
+                yield eq.label, value * scale * scale  # inf or 0.0 outside float range
+        return
+    coeffs, denominator = _cleared(h.coeffs, h.field)
+    square = denominator * denominator
+    if h.field == "Q":
+        for eq in equations:
+            if value := sum(_term_values(eq.terms, coeffs)):
+                yield eq.label, Fraction(value, square)
+        return
+    for eq in equations:
+        re = im = 0
+        for c, left, right in eq.terms:
+            if (a := coeffs.get(left)) is not None and (b := coeffs.get(right)) is not None:
+                re += c * (a.re * b.re - a.im * b.im)
+                im += c * (a.re * b.im + a.im * b.re)
+        if re or im:
+            yield eq.label, GaussianRational(Fraction(re, square), Fraction(im, square))
+
+
 def residual(system: EquationSystem, h: PVector, tolerance: float | None = None) -> Residual:
     """Evaluate every equation of ``system`` at ``h`` and report violations.
 
@@ -438,51 +447,10 @@ def residual(system: EquationSystem, h: PVector, tolerance: float | None = None)
     if system.params != h.params:
         raise ValueError(f"system is for {system.params}, p-vector for {h.params}")
     tol = checked_tolerance(tolerance)
-    violations: list[tuple[Label, Scalar]] = []
-    if h.field == "f64":
-        # h / scale, a power of two near its largest coefficient: exact, and
-        # no product overflows or underflows.
-        scale = ldexp(1.0, frexp(max(map(abs, h.coeffs.values()), default=1.0))[1] - 1)
-        coeffs = {key: value / scale for key, value in h.coeffs.items()}
-        worst = 0.0
-        for eq in system.equations:
-            values = _term_values(eq.terms, coeffs)
-            value = 0.0
-            for term_value in values:  # left to right, as the tolerance bound assumes
-                value += term_value
-            if abs(value) > tol * max(map(abs, values), default=0.0):
-                value = value * scale * scale  # inf or 0.0 outside float range
-                violations.append((eq.label, value))
-                worst = max(worst, abs(value))
-        return Residual(worst, violations)
-    # One integer loop for both exact fields: cleared Q scalars, and Q_i
-    # scalars cleared and packed, whose sums are reduced modulo X**2 + 1 to
-    # the residue of least absolute value and split into two digits (see
-    # _packed).  Each violation becomes one field scalar as it is found.
-    coeffs, denominator = _cleared(h.coeffs, h.field)
-    square = denominator * denominator
-    gaussian = h.field == "Q_i"
-    if gaussian:
-        coeffs, shift = _packed(coeffs, system)
-        modulus = (1 << 2 * shift) + 1
-        half, low = 1 << shift >> 1, (1 << shift) - 1
-    worst = 0
-    for eq in system.equations:
-        value = sum(_term_values(eq.terms, coeffs))
-        if gaussian:
-            value %= modulus
-            if not value:
-                continue
-            if value > modulus >> 1:
-                value -= modulus
-            re = ((value + half) & low) - half
-            im = (value - re) >> shift
-            worst = max(worst, re * re + im * im)
-            violations.append((eq.label, GaussianRational(Fraction(re, square), Fraction(im, square))))
-        elif value:
-            worst = max(worst, abs(value))
-            violations.append((eq.label, Fraction(value, square)))
-    return Residual(Fraction(worst, square * square if gaussian else square), violations)
+    violations = list(_violations(system.equations, h, tol))
+    size = GaussianRational.norm_sq if h.field == "Q_i" else abs
+    zero = 0.0 if h.field == "f64" else Fraction(0)
+    return Residual(max((size(value) for _, value in violations), default=zero), violations)
 
 
 def _chart_is_simple(coeffs: Mapping[MultiIndex, object], p: int, tol: float | None = None) -> bool:

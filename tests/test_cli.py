@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from pluckereqs import (
     EquationSystem,
+    GaussianRational,
     canonicalize,
     dedupe,
     gen_generalized,
@@ -377,6 +380,42 @@ def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
     assert (code, out, builds) == (0, "simple\n", [])
 
 
+@pytest.mark.parametrize("field", ["Q", "Q_i"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_check_holds_no_raw_equation(tmp_path, capsys, monkeypatch, field, m):
+    # A non-simple check evaluates each equation as it is generated: at (8,4)
+    # at most two raw equations are alive at once, the one just read and the
+    # next one generated, and every equation of the system is read.
+    import pluckereqs.equations
+    from pluckereqs.equations import _raw_equations
+
+    params = GrassmannParams(8, 4)
+    live: dict[int, weakref.ref] = {}
+    seen = peak = 0
+
+    def tracked(params, m):
+        nonlocal seen, peak
+        for eq in _raw_equations(params, m):
+            key = id(eq)
+            live[key] = weakref.ref(eq, lambda _ref, key=key: live.pop(key))
+            seen += 1
+            peak = max(peak, len(live))
+            yield eq
+
+    monkeypatch.setattr(pluckereqs.equations, "_raw_equations", tracked)
+    h = random_pvector(params, 5)
+    if field == "Q_i":
+        h = pvector(params, {idx: GaussianRational(v, -v / 3) for idx, v in h.coeffs.items()}, field)
+    path = tmp_path / "h.json"
+    path.write_text(pvector_to_json(h))
+    code, out, _ = run(capsys, "check", str(path), "--m", str(m))
+    assert code == 1
+    assert out.startswith("not simple: ")
+    assert seen == comb(8, 4 - m) * comb(8, 4 + m)
+    assert 1 <= peak <= 2
+    assert not live
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-200])
 def test_check_f64_non_simple_at_any_scale(tmp_path, capsys, scale):
     # Products of two coefficients leave the float range at these scales;
@@ -443,6 +482,21 @@ def test_check_refuses_file_with_selftest(capsys):
     ):
         err = assert_input_error(run(capsys, "check", *argv))
         assert "--selftest" in err
+
+
+def test_check_refuses_m_with_selftest(capsys, monkeypatch):
+    # The selftest runs both systems, so --m would go unread.  It is refused
+    # before any work: no seeded vector is drawn.
+    import pluckereqs.pvectors
+
+    drawn = []
+    for name in ("random_simple", "random_pvector"):
+        monkeypatch.setattr(pluckereqs.pvectors, name, lambda params, seed: drawn.append(seed))
+    for m in ("1", "2"):
+        argv = ("--selftest", "5", "--seed", "1", "--n", "6", "--p", "3", "--m", m)
+        err = assert_input_error(run(capsys, "check", *argv))
+        assert "--m" in err
+    assert drawn == []
 
 
 def test_check_refuses_seed_without_selftest(capsys):

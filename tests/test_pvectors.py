@@ -478,7 +478,7 @@ def sparse_exact_pvectors(draw):
     """Q or Q_i p-vectors at 4 <= n <= 7 on a random support, parts up to ~1e40.
 
     Parts mix small and huge numerators of both signs over small
-    denominators, so packed Gaussian sums hit both signs of both digits.
+    denominators, so both integer sums of a Gaussian equation take both signs.
     """
     n = draw(st.integers(4, 7))
     p = draw(st.integers(2, n - 2))
@@ -519,8 +519,8 @@ _W = GaussianRational(_BIG, -_BIG)
     [
         # Keys 123, 124, 125, 126.  In the second equation (coefficients
         # -3, 1, -1, so W = 5 over 3 terms) every term adds the same
-        # 2B**2 or 2B**2 i, so one digit reaches +-2*W*B**2, the largest
-        # value the packing must read back.
+        # 2B**2 or 2B**2 i, so one part reaches +-2*W*B**2, the largest
+        # value either integer sum can take at these coefficients.
         [_U, -_U, _U, _U],
         [-_U, _U, _U, _U],
         [_U, -_U, _W, _W],
