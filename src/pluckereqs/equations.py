@@ -293,18 +293,16 @@ def canonicalize(eq: QuadraticEquation) -> QuadraticEquation:
 
 
 def linear_combination(
-    weighted: Iterable[tuple[int, QuadraticEquation]],
-    params: GrassmannParams,
-    label: Label = ((), ()),
+    weighted: Iterable[tuple[int, QuadraticEquation]], params: GrassmannParams
 ) -> QuadraticEquation:
-    """Raw equation formed by an integer linear combination of equations."""
+    """Integer linear combination of equations, as a raw equation labelled ``((), ())``."""
     terms: list[QuadTerm] = []
     for weight, eq in weighted:
         if weight == 0:
             continue
         for term in eq.terms:
             terms.append(QuadTerm(weight * term.coefficient, term.left, term.right))
-    return QuadraticEquation(params, label, tuple(terms))
+    return QuadraticEquation(params, ((), ()), tuple(terms))
 
 
 def _first_occurrences(

@@ -312,8 +312,8 @@ def _wedge_coeffs(rows: Sequence[Mapping[int, Scalar]]) -> dict[MultiIndex, Scal
     return blades
 
 
-def wedge(vectors: Sequence[Sequence], n: int | None = None) -> PVector:
-    """Wedge together ``p`` coordinate vectors of length ``n``.
+def wedge(vectors: Sequence[Sequence]) -> PVector:
+    """Wedge together ``p`` coordinate vectors of one length ``n``.
 
     The coefficient at multi-index ``i`` is the p x p minor of the stacked
     vectors selecting columns ``i``; the result is simple by construction.
@@ -323,8 +323,7 @@ def wedge(vectors: Sequence[Sequence], n: int | None = None) -> PVector:
     rows = [list(v) for v in vectors]
     if not rows:
         raise ValueError("wedge needs at least one vector")
-    if n is None:
-        n = len(rows[0])
+    n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError(f"all vectors must have length {n}")
     p = len(rows)

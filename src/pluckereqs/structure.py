@@ -324,11 +324,10 @@ def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[i
 
 def _decomposition_holds(params: GrassmannParams, j, k, raw: _RawSource) -> bool:
     """``sum_i sign_i * raw_1(j+i, k-i) - 2 * raw_2(j, k)`` collects to nothing."""
-    j, k = params.multiindex(j, params.p - 2), params.multiindex(k, params.p + 2)
-    weighted = [
-        (sign, raw(pj, pk, 1).terms) for sign, (pj, pk) in one_index_decomposition(params, j, k)
-    ]
-    weighted.append((-2, raw(j, k, 2).terms))
+    doubled = raw(j, k, 2)  # the one read of j and k, which may be one-shot iterables
+    weighted = [(-2, doubled.terms)]
+    for sign, (pj, pk) in one_index_decomposition(params, *doubled.label):
+        weighted.append((sign, raw(pj, pk, 1).terms))
     return not collect_weighted(weighted)
 
 
@@ -421,11 +420,12 @@ class ProbeReport:
     """Support statistics of one large stratum (q <= p-4).
 
     Purely observational: no structural claim is attached.  The search
-    fields are fixed by the lemma in :func:`stratum_probe`: no two equations
-    of a large stratum share a support, so a same-support combination search
-    has nothing to try.  ``coefficient_bound``, ``combination_sizes``,
-    ``combinations_tried`` and ``collapses`` keep the JSON schema of that
-    search until exact per-stratum rank and relation data replace them.
+    values are class constants, fixed by the lemma in :func:`stratum_probe`:
+    no two equations of a large stratum share a support, so a same-support
+    combination search has nothing to try.  ``coefficient_bound``,
+    ``combination_sizes``, ``combinations_tried`` and ``collapses`` keep the
+    JSON schema of that search until exact per-stratum rank and relation
+    data replace them.
     """
 
     n: int
@@ -435,11 +435,11 @@ class ProbeReport:
     equation_count: int
     support_group_sizes: tuple[tuple[int, int], ...]
     max_support_overlap: int
-    coefficient_bound: int = 2
-    combination_sizes: tuple[int, ...] = (2, 3)
-    combinations_tried: int = 0
-    collapses: tuple[tuple, ...] = ()
-    note: str = PROBE_NOTE
+    coefficient_bound = 2
+    combination_sizes = (2, 3)
+    combinations_tried = 0
+    collapses = ()
+    note = PROBE_NOTE
 
     def to_dict(self) -> dict:
         return {
@@ -453,14 +453,7 @@ class ProbeReport:
             "coefficient_bound": self.coefficient_bound,
             "combination_sizes": list(self.combination_sizes),
             "combinations_tried": self.combinations_tried,
-            "collapses": [
-                {
-                    "labels": [[list(j), list(k)] for j, k in labels],
-                    "coefficients": list(coeffs),
-                    "result_label": [list(result[0]), list(result[1])],
-                }
-                for labels, coeffs, result in self.collapses
-            ],
+            "collapses": list(self.collapses),
             "note": self.note,
         }
 
@@ -562,8 +555,11 @@ class VerifyReport:
     family_failures: list[tuple] = field(default_factory=list)
     combinations_checked: int = 0
     combination_failures: list[tuple] = field(default_factory=list)
-    multiplicity_ok: bool = True
     multiplicity_failures: list[Label] = field(default_factory=list)
+
+    @property
+    def multiplicity_ok(self) -> bool:
+        return not self.multiplicity_failures
 
     @property
     def ok(self) -> bool:
@@ -572,7 +568,7 @@ class VerifyReport:
             and not self.decomposition_failures
             and not self.family_failures
             and not self.combination_failures
-            and self.multiplicity_ok
+            and not self.multiplicity_failures
         )
 
     @property
@@ -648,6 +644,5 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
         if q_size != p - 2:
             continue
         if one_counts.get(terms, 0) != 4 or two_counts.get(terms, 0) != 1:
-            report.multiplicity_ok = False
             report.multiplicity_failures.append(label)
     return report

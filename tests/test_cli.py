@@ -325,6 +325,14 @@ def test_check_non_integer_n_p_exits_2(tmp_path, capsys, n, p, idx):
     assert "JSON integer" in err
 
 
+def test_check_refuses_unknown_field(tmp_path, capsys):
+    data = {"n": 6, "p": 3, "field": "R", "coeffs": [{"idx": [1, 2, 3], "re": "1"}]}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    err = assert_input_error(run(capsys, "check", str(path)))
+    assert err == "error: field must be one of ('Q', 'Q_i', 'f64'), got 'R'\n"
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
 def test_check_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     params = GrassmannParams(6, 3)
@@ -645,6 +653,13 @@ def test_export_reads_stdin(monkeypatch, capsys):
     assert out.splitlines()[0] == "ordinal,j,k,coefficient,left,right"
 
 
+def test_export_empty_system_text(tmp_path, capsys):
+    # A system with no equations is one empty line in text.
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"n": 6, "p": 3, "m": 2, "equations": []}))
+    assert run(capsys, "export", "--in", str(path), "--format", "text") == (0, "\n", "")
+
+
 def test_census_text(capsys):
     code, out, _ = run(capsys, "census", "--n", "6", "--p", "3")
     assert code == 0
@@ -797,6 +812,20 @@ def test_probe_json(capsys):
     code, out, _ = run(capsys, "probe", "--n", "6", "--p", "3", "--q", "0", "--format", "text")
     assert code == 0
     assert "admissible=False" in out
+
+
+def test_probe_text_golden_output(capsys):
+    # The text report of an admissible stratum, byte for byte, fixed
+    # search values included.
+    assert run(capsys, "probe", "--n", "9", "--p", "4", "--q", "0", "--format", "text") == (
+        0,
+        "probe (n=9, p=4, q=0): 252 equations, admissible=True\n"
+        "support groups (size, count): [(1, 252)]\n"
+        "max support overlap: 7\n"
+        "combinations tried: 0, collapses found: 0\n"
+        "note: exploratory - no claim\n",
+        "",
+    )
 
 
 def test_usage_errors(capsys):

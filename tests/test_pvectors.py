@@ -422,7 +422,7 @@ def exact_pvectors(draw):
         idx = draw(st.sampled_from(list(combinations(params.indices, p))))
         coeffs = {idx: draw(entry.filter(bool))}
     elif shape == "sum":
-        first, second = wedge(draw(rows), n).coeffs, wedge(draw(rows), n).coeffs
+        first, second = wedge(draw(rows)).coeffs, wedge(draw(rows)).coeffs
         zero = 0 if field == "Q" else GaussianRational(0)
         coeffs = {
             idx: first.get(idx, zero) + second.get(idx, zero) for idx in {*first, *second}
@@ -432,16 +432,41 @@ def exact_pvectors(draw):
         if shape == "zero_pivot":
             # Equal leading p x p blocks in two rows kill the (1..p) minor.
             drawn[0][:p] = drawn[1][:p]
-        coeffs = dict(wedge(drawn, n).coeffs)
+        coeffs = dict(wedge(drawn).coeffs)
     denominator = draw(st.integers(1, 6))
     coeffs = {idx: v * Fraction(1, denominator) for idx, v in coeffs.items()}
     return pvector(params, coeffs, field)
 
 
+_BIG = 10**40
+
+
+@st.composite
+def sparse_exact_pvectors(draw):
+    """Q or Q_i p-vectors at 4 <= n <= 7 on a random support, parts up to ~1e40.
+
+    Parts mix small and huge numerators of both signs over small
+    denominators, so both integer sums of a Gaussian equation take both signs.
+    """
+    n = draw(st.integers(4, 7))
+    p = draw(st.integers(2, n - 2))
+    params = GrassmannParams(n, p)
+    field = draw(st.sampled_from(["Q", "Q_i"]))
+    numerator = st.one_of(st.integers(-3, 3), st.integers(-_BIG, _BIG), st.sampled_from([-_BIG, _BIG]))
+    part = st.builds(Fraction, numerator, st.integers(1, 12))
+    value = part if field == "Q" else st.builds(GaussianRational, part, part)
+    keys = st.sampled_from(list(combinations(params.indices, p)))
+    return pvector(params, draw(st.dictionaries(keys, value, max_size=3 * n)), field)
+
+
 @settings(max_examples=80, deadline=None)
-@given(exact_pvectors())
+@given(st.one_of(exact_pvectors(), sparse_exact_pvectors()))
 @example(pvector(GrassmannParams(6, 3), {(1, 2, 3): 1, (4, 5, 6): 1}))
 @example(pvector(GrassmannParams(5, 2), {(2, 4): Fraction(-3, 2)}, "Q"))
+# The wedge of each chart's rows is h plus one coefficient h lacks (e34,
+# e145), so only the count of non-zero coefficients tells the two apart.
+@example(pvector(GrassmannParams(4, 2), {(1, 2): 1, (1, 4): 1, (2, 3): 1}))
+@example(pvector(GrassmannParams(6, 3), {(1, 2, 3): 1, (1, 2, 5): 1, (1, 3, 4): 1}))
 def test_chart_verdict_matches_equation_oracle(h):
     # Two independent oracles: the affine-chart wedge test inside is_simple,
     # and "no equation of the system is violated".  The cleared residual is
@@ -468,27 +493,6 @@ def _assert_residual_matches_reference(system, h):
     assert report.violations == violations
     assert report.max_violation == worst
     assert type(report.max_violation) is Fraction
-
-
-_BIG = 10**40
-
-
-@st.composite
-def sparse_exact_pvectors(draw):
-    """Q or Q_i p-vectors at 4 <= n <= 7 on a random support, parts up to ~1e40.
-
-    Parts mix small and huge numerators of both signs over small
-    denominators, so both integer sums of a Gaussian equation take both signs.
-    """
-    n = draw(st.integers(4, 7))
-    p = draw(st.integers(2, n - 2))
-    params = GrassmannParams(n, p)
-    field = draw(st.sampled_from(["Q", "Q_i"]))
-    numerator = st.one_of(st.integers(-3, 3), st.integers(-_BIG, _BIG), st.sampled_from([-_BIG, _BIG]))
-    part = st.builds(Fraction, numerator, st.integers(1, 12))
-    value = part if field == "Q" else st.builds(GaussianRational, part, part)
-    keys = st.sampled_from(list(combinations(params.indices, p)))
-    return pvector(params, draw(st.dictionaries(keys, value, max_size=3 * n)), field)
 
 
 @settings(max_examples=120, deadline=None)
@@ -552,9 +556,9 @@ def float_pvectors(draw):
     n = draw(st.integers(4, 8))
     p = draw(st.integers(2, n - 2))
     rows = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=p, max_size=p)
-    coeffs = dict(wedge(draw(rows), n).coeffs)
+    coeffs = dict(wedge(draw(rows)).coeffs)
     if draw(st.booleans()):
-        for idx, value in wedge(draw(rows), n).coeffs.items():
+        for idx, value in wedge(draw(rows)).coeffs.items():
             coeffs[idx] = coeffs.get(idx, 0) + value
     scale = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-250, 250))
     return pvector(GrassmannParams(n, p), {idx: v * scale for idx, v in coeffs.items()}, "f64")
@@ -581,7 +585,7 @@ def test_float_chart_near_boundary_never_outruns_the_equations():
         p = rng.randint(2, n - 2)
         params = GrassmannParams(n, p)
         rows = [[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(p)]
-        coeffs = dict(wedge(rows, n).coeffs)
+        coeffs = dict(wedge(rows).coeffs)
         if not coeffs:
             continue
         largest = max(map(abs, coeffs.values()))

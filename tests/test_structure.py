@@ -509,6 +509,26 @@ def test_verify_structure_names_corrupted_family_and_three_term_class(monkeypatc
     assert last == "VERIFY (n=7, p=4): FAIL at census counts or distinctness"
 
 
+def test_verify_structure_names_family_with_a_foreign_monomial(params63, monkeypatch):
+    # Swap one monomial of a family member for one outside the family's
+    # support: the member keeps 10 distinct terms and the census passes,
+    # so only the one-support check can name the family.
+    family = pair_families(params63)[0]
+    swapped = family.members[0]
+
+    def corrupt(eq):
+        if eq.label != swapped:
+            return eq
+        first = eq.terms[0]
+        foreign = QuadTerm(first.coefficient, (1, 2, 3), (1, 2, 4))
+        return QuadraticEquation(eq.params, eq.label, (foreign,) + eq.terms[1:])
+
+    _patch_streams(monkeypatch, corrupt)
+    report = verify_structure(params63)
+    assert report.census.ok
+    assert report.family_failures == [(family.q, family.l)]
+
+
 def test_verify_structure_catches_family_partition_mismatch(monkeypatch):
     # A family missing from the enumeration leaves 10-term labels that no
     # family covers; nothing else fails.
@@ -528,7 +548,6 @@ def test_verify_report_first_failure_order(params63):
     # also breaks a decomposition, which is reported first; the order of the
     # later branches is checked on the report itself.
     report = verify_structure(params63)
-    report.multiplicity_ok = False
     report.multiplicity_failures.append(((1,), (1, 2, 3, 4, 5)))
     assert report.first_failure == "multiplicity at label ((1,), (1, 2, 3, 4, 5))"
     report.combination_failures.append(((), (1, 2, 3, 4, 5, 6), 1, 2))
