@@ -14,12 +14,14 @@ from types import ModuleType
 # parser can offer them without loading the renderer.
 FORMATS = ("text", "latex", "json", "csv")
 
-# Each exported name, by the submodule that defines it.
+# Each exported name, by the submodule that defines it: the one list of
+# public names, which each submodule reads as its ``__all__``.
 _EXPORTS = {
     "equations": (
         "EquationSystem", "Label", "QuadraticEquation", "QuadTerm", "canonicalize",
-        "collect_terms", "dedupe", "gen_generalized", "gen_plucker", "gen_plucker_like",
-        "linear_combination", "make_term", "raw_equation", "size_ratio",
+        "check_width", "collect_terms", "collect_weighted", "dedupe", "gen_generalized",
+        "gen_plucker", "gen_plucker_like", "linear_combination", "make_term",
+        "raw_equation", "size_ratio",
     ),
     "multiindex": (
         "GrassmannParams", "MultiIndex", "as_multiindex", "difference",
@@ -27,16 +29,16 @@ _EXPORTS = {
         "ordered_union", "subsets_of_size", "symmetric_difference",
     ),
     "pvectors": (
-        "GaussianRational", "PVector", "Residual", "evaluate", "is_simple", "pvector",
+        "FIELDS", "GaussianRational", "PVector", "Residual", "evaluate", "is_simple", "pvector",
         "pvector_from_dict", "pvector_from_json", "pvector_to_dict", "pvector_to_json",
         "random_pvector", "random_simple", "residual", "scaled", "wedge",
     ),
     "render": (
-        "equation_latex", "equation_text", "render", "system_from_dict",
+        "FORMATS", "equation_latex", "equation_text", "render", "system_from_dict",
         "system_from_json", "system_to_dict",
     ),
     "structure": (
-        "CensusReport", "PairFamily", "ProbeReport", "QClass", "VerifyReport",
+        "CensusReport", "PairFamily", "ProbeReport", "QClass", "QClassCensus", "VerifyReport",
         "census", "check_decomposition", "check_pair_combine", "classify",
         "one_index_decomposition", "pair_combine", "pair_families", "stratum_probe",
         "verify_structure",

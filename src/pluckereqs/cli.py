@@ -109,23 +109,27 @@ def _run_selftest(args: argparse.Namespace) -> int:
         raise ValueError("--selftest requires --seed")
     if args.selftest < 1:
         raise ValueError(f"--selftest needs N >= 1, got {args.selftest}")
+    from .equations import _raw_equations
     from .multiindex import GrassmannParams
-    from .pvectors import checked_tolerance, is_simple, random_pvector, random_simple
+    from .pvectors import _violations, checked_tolerance, is_simple, random_pvector, random_simple
 
-    checked_tolerance(args.tolerance)
+    tol = checked_tolerance(args.tolerance)
     params = GrassmannParams(args.n, args.p)
     count = args.selftest
     failures = 0
     for offset in range(count):
-        simple = random_simple(params, args.seed + offset)
-        if not (is_simple(simple, "plucker") and is_simple(simple, "plucker_like")):
+        if not is_simple(random_simple(params, args.seed + offset), "plucker"):
             failures += 1
             print(f"simple vector at seed {args.seed + offset} flagged as non-simple")
+    # The chart verdict against each system that exists at (n, p), read
+    # equation by equation up to the first violated one.
+    widths = range(1, min(2, params.p, params.n - params.p) + 1)
     agreements = 0
     for offset in range(count):
         h = random_pvector(params, args.seed + offset)
-        if is_simple(h, "plucker") == is_simple(h, "plucker_like"):
-            agreements += 1
+        verdict = is_simple(h, "plucker")
+        violated = (next(_violations(_raw_equations(params, m), h, tol), None) for m in widths)
+        agreements += all(verdict == (first is None) for first in violated)
     wedges = f"{count} wedge vectors clean"
     if failures:
         wedges = f"{failures} of {count} wedge vectors flagged as non-simple"

@@ -33,28 +33,12 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
+from . import _EXPORTS
 from .multiindex import _INTERNED, GrassmannParams, MultiIndex
 
 Label = tuple[MultiIndex, MultiIndex]
 
-__all__ = [
-    "Label",
-    "QuadTerm",
-    "QuadraticEquation",
-    "EquationSystem",
-    "make_term",
-    "check_width",
-    "raw_equation",
-    "gen_plucker",
-    "gen_plucker_like",
-    "gen_generalized",
-    "canonicalize",
-    "collect_terms",
-    "collect_weighted",
-    "linear_combination",
-    "dedupe",
-    "size_ratio",
-]
+__all__ = _EXPORTS["equations"]
 
 
 class QuadTerm(NamedTuple):

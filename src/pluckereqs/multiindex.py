@@ -15,21 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from . import _EXPORTS
+
 MultiIndex = tuple[int, ...]
 
-__all__ = [
-    "MultiIndex",
-    "GrassmannParams",
-    "as_multiindex",
-    "inversion_pairs",
-    "ordered_union",
-    "difference",
-    "symmetric_difference",
-    "intersection",
-    "subsets_of_size",
-    "multinomial",
-    "grassmann_codimension",
-]
+__all__ = _EXPORTS["multiindex"]
 
 
 def as_multiindex(values: Iterable[int]) -> MultiIndex:

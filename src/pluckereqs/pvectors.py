@@ -45,30 +45,14 @@ from itertools import combinations
 from math import frexp, isfinite, lcm, ldexp, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
+from . import _EXPORTS
 from .documents import JsonText, json_int, read_document
 from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 FIELDS = ("Q", "Q_i", "f64")
 
-__all__ = [
-    "FIELDS",
-    "GaussianRational",
-    "PVector",
-    "Residual",
-    "pvector",
-    "scaled",
-    "wedge",
-    "evaluate",
-    "residual",
-    "is_simple",
-    "random_pvector",
-    "random_simple",
-    "pvector_to_dict",
-    "pvector_from_dict",
-    "pvector_to_json",
-    "pvector_from_json",
-]
+__all__ = _EXPORTS["pvectors"]
 
 
 @dataclass(frozen=True)

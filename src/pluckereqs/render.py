@@ -34,20 +34,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, TextIO
 
-from . import FORMATS
+from . import _EXPORTS, FORMATS
 from .documents import JsonText, json_int, read_document
 from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
-__all__ = [
-    "FORMATS",
-    "equation_text",
-    "equation_latex",
-    "render",
-    "system_to_dict",
-    "system_from_dict",
-    "system_from_json",
-]
+__all__ = _EXPORTS["render"]
 
 
 class _Memo(dict):

@@ -36,6 +36,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator
 
+from . import _EXPORTS
 from .equations import (
     Label,
     QuadraticEquation,
@@ -58,23 +59,7 @@ from .multiindex import (
 
 PROBE_NOTE = "exploratory - no claim"
 
-__all__ = [
-    "QClass",
-    "PairFamily",
-    "QClassCensus",
-    "CensusReport",
-    "ProbeReport",
-    "VerifyReport",
-    "classify",
-    "census",
-    "one_index_decomposition",
-    "check_decomposition",
-    "pair_families",
-    "pair_combine",
-    "check_pair_combine",
-    "stratum_probe",
-    "verify_structure",
-]
+__all__ = _EXPORTS["structure"]
 
 
 @dataclass(frozen=True)
@@ -638,7 +623,10 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     if member_labels != family_stratum_labels:
         report.family_failures.append(("partition", "mismatch"))
 
-    one_counts = Counter(canonicalize(eq).terms for eq in raw_by_label[1].values())
+    # Only the canonical forms of the 3-term labels are looked up.
+    wanted = {terms for q_size, terms in by_label.values() if q_size == p - 2}
+    one_forms = (canonicalize(eq).terms for eq in raw_by_label[1].values())
+    one_counts = Counter(terms for terms in one_forms if terms in wanted)
     two_counts = Counter(terms for _, terms in by_label.values())
     for label, (q_size, terms) in by_label.items():
         if q_size != p - 2:

@@ -481,6 +481,17 @@ def test_check_selftest_reports_flagged_wedges(capsys, monkeypatch):
     ] + ["selftest: 3 of 3 wedge vectors flagged as non-simple, 3/3 verdicts agree"]
 
 
+def test_check_selftest_verdicts_can_disagree(capsys, monkeypatch):
+    # A chart test that calls every vector simple disagrees with the
+    # equations on each random vector, and the selftest must say so.
+    import pluckereqs.pvectors
+
+    monkeypatch.setattr(pluckereqs.pvectors, "_chart_is_simple", lambda *args: True)
+    code, out, _ = run(capsys, "check", "--selftest", "5", "--seed", "9", "--n", "6", "--p", "3")
+    assert code == 1
+    assert out == "selftest: 5 wedge vectors clean, 0/5 verdicts agree\n"
+
+
 def test_check_refuses_file_with_selftest(capsys):
     # The selftest reads no input, so a file next to it would go unchecked.
     path = DATA_DIR / "check_7_3_Q.json"

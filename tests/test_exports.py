@@ -24,6 +24,13 @@ def test_all_names_resolve_and_star_import_works(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert not missing, missing
+    # A submodule's names are its group of the package's table, the same
+    # objects; the package exports ``documents`` as a module, not its names.
+    if name not in ("pluckereqs", "pluckereqs.documents"):
+        package = importlib.import_module("pluckereqs")
+        for export in module.__all__:
+            assert export in package.__all__, export
+            assert getattr(package, export) is getattr(module, export), export
     exec(f"from {name} import *", {})
 
 
