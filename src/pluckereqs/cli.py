@@ -180,10 +180,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .multiindex import GrassmannParams
-    from .structure import verify_structure
+    from .structure import verify_by_blocks
 
     params = GrassmannParams(args.n, args.p)
-    report = verify_structure(params)
+    report = verify_by_blocks(params)
     print(
         f"decomposition identity: {report.decompositions_checked - len(report.decomposition_failures)}"
         f"/{report.decompositions_checked} labels ok"

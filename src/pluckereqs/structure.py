@@ -21,9 +21,16 @@ weight, into one map keyed by monomial (``equations.collect_weighted``),
 and the identity holds exactly when the map ends empty.  No intermediate
 equation is built.  The family, census-distinctness and multiplicity
 checks read canonical forms.  ``census`` reads the two-index equations
-one at a time, keeping only each label's stratum and canonical terms;
-``verify_structure`` generates each system once and keeps its raw
-equations in label maps for the identities.
+one at a time, keeping only each label's stratum and canonical terms.
+
+By the lemma in :func:`strip`, every raw equation at (n, p) is a raw
+equation of the q = 0 block of Gr(r, 2r), with its common part added back
+to both factors of every term.  ``verify_by_blocks``, which the command
+line runs, therefore reads the (n, p) system only for the census, the
+families and the "1x two-index" count, and checks each identity once per
+block label for r = 2..min(p, n-p).  ``verify_structure`` generates both
+systems once and checks every identity label by label, as the reference
+the tests compare it with.
 """
 
 from __future__ import annotations
@@ -632,5 +639,128 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
         if q_size != p - 2:
             continue
         if one_counts.get(terms, 0) != 4 or two_counts.get(terms, 0) != 1:
+            report.multiplicity_failures.append(label)
+    return report
+
+
+def strip(
+    params: GrassmannParams, label: Iterable[Iterable[int]]
+) -> tuple[int, MultiIndex, MultiIndex]:
+    """The block label ``(r, j', k')`` of an m-index label ``(j, k)``.
+
+    With ``D = j intersect k``, ``S = j ^ k`` and ``|S| = 2r`` (so ``r = p
+    - |D|``), ``j'`` and ``k'`` are ``j \\ D`` and ``k \\ D`` relabeled onto
+    ``1..2r`` by the increasing map ``phi: S -> 1..2r``.
+
+    Lemma: the raw equation of ``(j, k)`` at ``params`` is the raw equation
+    of ``(j', k')`` at ``GrassmannParams(2r, r)``, moving the same ``m``,
+    with each factor ``X`` of each term replaced by its lift ``D +
+    phi^-1(X)``: the same terms, in the same order, with the same signs
+    and the same left/right order.
+
+    Proof.  The terms run over the m-subsets ``ii`` of ``k \\ j``, which
+    lies in ``S``; ``phi`` is increasing, so ``ii -> phi(ii)`` maps them
+    onto the m-subsets of ``k'`` in the same lexicographic order.  Since
+    ``ii`` avoids ``j`` and ``D``, ``j + ii = D + phi^-1(j' + phi(ii))`` and
+    ``k - ii = D + phi^-1(k' - phi(ii))``: every term holds ``D`` in both
+    factors.  The sign ``(-1)**<j^k | ii>`` counts the pairs ``x`` in ``S``,
+    ``y`` in ``ii`` with ``x > y``; it reads only ``S``, and ``phi`` keeps
+    each such comparison.  Both factors have size ``p``; of two sorted
+    tuples of one size, the smaller holds the smallest element of their
+    symmetric difference.  Adding ``D`` to both, or relabeling them by an
+    increasing map, keeps that element's side, so each term keeps its
+    left/right order.
+
+    Lifting is injective on monomials, so a signed sum of raw equations
+    whose labels share ``D`` and ``S`` collects to nothing exactly when
+    its block image does.  The decomposition identity of a two-index label
+    is such a sum: each ``(j+i, k-i)`` with ``i`` in ``k \\ j`` has the same
+    ``D`` and ``S``, and ``sign_i`` reads only ``S``.  So is the pair
+    identity of a family ``(q, l)``, whose members, and each pair's
+    target, have ``D = q`` and ``S = l``.
+    """
+    j, k = (params.multiindex(idx) for idx in label)
+    if len(j) > params.p or len(j) + len(k) != 2 * params.p:
+        raise ValueError(f"label sizes must be (p-m, p+m) with m >= 0, got ({len(j)}, {len(k)})")
+    common = set(j).intersection(k)
+    position = {x: at for at, x in enumerate(symmetric_difference(j, k), 1)}
+    return (
+        len(position) // 2,
+        tuple(position[x] for x in j if x not in common),
+        tuple(position[x] for x in k if x not in common),
+    )
+
+
+def verify_by_blocks(params: GrassmannParams) -> VerifyReport:
+    """The report of :func:`verify_structure`, with each identity checked once per block.
+
+    The census, the family structure and partition, and the "1x two-index"
+    count read the (n, p) two-index equations one at a time, as
+    :func:`verify_structure` does.  By the lemma in :func:`strip`, the
+    identities are checked on the q = 0 blocks of Gr(r, 2r) instead:
+
+    * the decomposition identity at every two-index label of each block,
+      for r = 2..min(p, n-p);
+    * the pair identity for the 15 pairs of the one r = 3 family, when
+      ``3 <= p <= n-3``: member ``i`` of every family strips to member
+      ``i`` of that one, and each pair's target to its target;
+    * the "4x one-index" count on the r = 2 block.  Equal non-trivial
+      canonical forms share their monomials, and so ``D`` and ``S``, and
+      the one-index labels of a 3-term label's ``D`` and ``S`` strip to
+      the four of that block.  (A trivial 3-term form fails the census.)
+
+    A failed block label is reported at every (n, p) label that strips to
+    it, in system order; with no failure, no label is stripped.
+    """
+    n, p = params.n, params.p
+    if not 2 <= p <= n - 2:
+        raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
+    census_report, by_label = _census(params, _raw_equations(params, 2))
+    report = VerifyReport(
+        params=params, census=census_report, decompositions_checked=census_report.total_observed
+    )
+
+    failed_blocks = set()
+    for r in range(2, min(p, n - p) + 1):
+        block = GrassmannParams(2 * r, r)
+        raw = partial(raw_equation, block)
+        for j in combinations(block.indices, r - 2):
+            k = difference(block.indices, j)
+            if not _decomposition_holds(block, j, k, raw):
+                failed_blocks.add((r, j, k))
+    if failed_blocks:
+        report.decomposition_failures = [
+            label for label in by_label if strip(params, label) in failed_blocks
+        ]
+
+    families = pair_families(params)
+    pairs = list(combinations(range(1, 7), 2))
+    failed_pairs = []
+    if families:
+        block = GrassmannParams(6, 3)
+        (block_family,) = pair_families(block)
+        raw = partial(raw_equation, block)
+        failed_pairs = [pair for pair in pairs if not _pair_combine_holds(block_family, *pair, raw)]
+    family_stratum_labels = {label for label, (q_size, _) in by_label.items() if q_size == p - 3}
+    member_labels = {label for family in families for label in family.members}
+    for family in families:
+        report.families_checked += 1
+        if not _check_family_structure(family, by_label):
+            report.family_failures.append((family.q, family.l))
+        report.combinations_checked += len(pairs)
+        report.combination_failures.extend((family.q, family.l, i, i2) for i, i2 in failed_pairs)
+    if member_labels != family_stratum_labels:
+        report.family_failures.append(("partition", "mismatch"))
+
+    block = GrassmannParams(4, 2)
+    three_term = canonicalize(raw_equation(block, (), block.indices, 2)).terms
+    one_count = sum(
+        canonicalize(raw_equation(block, (i,), difference(block.indices, (i,)), 1)).terms
+        == three_term
+        for i in block.indices
+    )
+    two_counts = Counter(terms for _, terms in by_label.values())
+    for label, (q_size, terms) in by_label.items():
+        if q_size == p - 2 and (one_count != 4 or two_counts[terms] != 1):
             report.multiplicity_failures.append(label)
     return report

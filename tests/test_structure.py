@@ -29,7 +29,9 @@ from pluckereqs import (
     pair_families,
     one_index_decomposition,
     raw_equation,
+    strip,
     symmetric_difference,
+    verify_by_blocks,
     verify_structure,
 )
 from pluckereqs.equations import _raw_equations
@@ -832,3 +834,132 @@ def test_census_matches_classify_reference_up_to_n9():
         for p in range(2, n - 1):
             params = GrassmannParams(n, p)
             assert census(params).to_dict() == _reference_census_dict(params), (n, p)
+
+
+def test_strip_relabels_the_symmetric_difference():
+    params = GrassmannParams(7, 4)
+    assert strip(params, ((1, 3), (1, 2, 4, 5, 6, 7))) == (3, (2,), (1, 3, 4, 5, 6))
+    assert strip(params, ((2, 5, 7), (1, 2, 3, 6, 7))) == (2, (3,), (1, 2, 4))
+    assert strip(params, ((1, 2, 3, 4), (1, 2, 3, 4))) == (0, (), ())
+    # One-shot iterables are read once.
+    assert strip(params, (iter([1, 3]), iter([1, 2, 4, 5, 6, 7]))) == (3, (2,), (1, 3, 4, 5, 6))
+    with pytest.raises(ValueError, match="label sizes"):
+        strip(params, ((1, 2, 3), (1, 2, 3)))
+    with pytest.raises(ValueError, match="label sizes"):
+        strip(params, ((1, 2, 3, 4, 5), (1, 2, 3)))
+    with pytest.raises(ValueError, match="1..7"):
+        strip(params, ((1,), (2, 3, 4, 5, 6, 8)))
+
+
+def test_strip_lemma_every_label_up_to_n9():
+    # Lifting the block equation of strip(params, label) back through
+    # D = j & k and the increasing relabeling of S = j ^ k gives the raw
+    # equation at (n, p): the same terms, signs, left/right order and term
+    # order, at every label with n <= 9 and every 1 <= m <= min(p, n-p).
+    labels = 0
+    for n in range(2, 10):
+        for p in range(1, n):
+            params = GrassmannParams(n, p)
+            for m in range(1, min(p, n - p) + 1):
+                for eq in _raw_equations(params, m):
+                    j, k = eq.label
+                    common = set(j) & set(k)
+                    moved = sorted(set(j) ^ set(k))
+
+                    def lift(block_idx):
+                        return tuple(sorted(common | {moved[x - 1] for x in block_idx}))
+
+                    r, j_block, k_block = strip(params, eq.label)
+                    assert r == p - len(common) and (lift(j_block), lift(k_block)) == eq.label
+                    block = raw_equation(GrassmannParams(2 * r, r), j_block, k_block, m)
+                    lifted = tuple((c, lift(left), lift(right)) for c, left, right in block.terms)
+                    assert lifted == eq.terms, (n, p, m, eq.label)
+                    labels += 1
+    assert labels == sum(
+        comb(n, p - m) * comb(n, p + m)
+        for n in range(2, 10) for p in range(1, n) for m in range(1, min(p, n - p) + 1)
+    )
+
+
+@pytest.mark.parametrize("n, p", _POINTS_UP_TO_8 + [(9, 4)])
+def test_verify_by_blocks_matches_verify_structure(n, p):
+    params = GrassmannParams(n, p)
+    report = verify_by_blocks(params)
+    assert report == verify_structure(params)
+    assert report.ok
+
+
+def _drop_last_one_index_term(eq, m):
+    return QuadraticEquation(eq.params, eq.label, eq.terms[:-1]) if m == 1 else eq
+
+
+def _flip_first_two_index_term(eq, m):
+    if m != 2:
+        return eq
+    first = eq.terms[0]
+    terms = (QuadTerm(-first.coefficient, first.left, first.right),) + eq.terms[1:]
+    return QuadraticEquation(eq.params, eq.label, terms)
+
+
+@pytest.mark.parametrize("mutant", [_drop_last_one_index_term, _flip_first_two_index_term])
+def test_verify_by_blocks_fails_where_verify_structure_does(monkeypatch, capsys, mutant):
+    # A raw_equation mutant that strip cannot see fails the block path
+    # exactly where it fails the per-label path: it changes every equation
+    # of one width at one term position, and lifting keeps term order.
+    # Both the generator and the structural checks read the patched function.
+    from pluckereqs.cli import main
+
+    def mutated(params, j, k, m):
+        return mutant(raw_equation(params, j, k, m), m)
+
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", mutated)
+    monkeypatch.setattr(pluckereqs.structure, "raw_equation", mutated)
+    params = GrassmannParams(7, 4)
+    by_blocks, per_label = verify_by_blocks(params), verify_structure(params)
+    assert not by_blocks.ok and not per_label.ok
+    assert by_blocks.decomposition_failures == per_label.decomposition_failures != []
+    assert by_blocks.combination_failures == per_label.combination_failures != []
+    assert by_blocks.first_failure == per_label.first_failure
+    assert by_blocks == per_label
+    assert main(["verify", "--n", "7", "--p", "4"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"VERIFY (n=7, p=4): FAIL at {per_label.first_failure}"
+
+
+@pytest.mark.parametrize("n, p", [(8, 4), (9, 4)])
+def test_verify_reads_the_one_index_system_only_on_blocks(monkeypatch, capsys, n, p):
+    # The command reads each two-index label of (n, p) once, for the census,
+    # and every other raw equation on a q = 0 label of a block Gr(r, 2r),
+    # 2 <= r <= min(p, n-p).  (8, 4) is itself the r = 4 block, so its
+    # calls on q = 0 labels include the block's.
+    from pluckereqs.cli import main
+
+    params = GrassmannParams(n, p)
+    census_calls = Counter({(params, eq.label, 2): 1 for eq in gen_plucker_like(params)})
+    calls = Counter()
+
+    def counting(params, j, k, m):
+        eq = raw_equation(params, j, k, m)
+        calls[params, eq.label, m] += 1
+        return eq
+
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", counting)
+    monkeypatch.setattr(pluckereqs.structure, "raw_equation", counting)
+    assert main(["verify", "--n", str(n), "--p", str(p)]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    blocks = {GrassmannParams(2 * r, r) for r in range(2, min(p, n - p) + 1)}
+    block_calls = calls - census_calls
+    assert calls == census_calls + block_calls  # each (n, p) label is read for the census
+    for at, (j, k), m in block_calls:
+        assert at in blocks and not set(j) & set(k), (at, j, k, m)
+    at_point = Counter()
+    for (at, _, m), count in calls.items():
+        if at == params:
+            at_point[m] += count
+    two_index_labels = comb(n, p - 2) * comb(n, p + 2)
+    if params in blocks:
+        # The block's decomposition reads each of its C(2p, p-2) two-index
+        # labels once more, and p+2 one-index equations for each.
+        assert at_point == {2: two_index_labels + comb(n, p - 2), 1: (p + 2) * comb(n, p - 2)}
+    else:
+        assert at_point == {2: two_index_labels}
