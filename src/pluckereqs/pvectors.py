@@ -315,7 +315,7 @@ def wedge(vectors: Sequence[Sequence]) -> PVector:
     entries = [v for r in rows for v in r]
     if any(isinstance(v, float) for v in entries):
         field = "f64"
-    elif any(isinstance(v, (complex, GaussianRational)) for v in entries):
+    elif any(isinstance(v, GaussianRational) for v in entries):
         field = "Q_i"
     else:
         field = "Q"
@@ -608,7 +608,15 @@ def pvector_to_json(h: PVector) -> str:
 
 
 def _pvector_from_text(text: JsonText) -> PVector:
-    data = text.decode()
+    """Read a p-vector document; a top-level key may appear only once.
+
+    A document that is not an object is decoded whole and refused by
+    :func:`_pvector_from_document`.
+    """
+    if text.peek() == "{":
+        data = {key: text.decode() for key in text.members()}
+    else:
+        data = text.decode()
     text.end()
     return _pvector_from_document(data)
 

@@ -28,9 +28,9 @@ equation of the q = 0 block of Gr(r, 2r), with its common part added back
 to both factors of every term.  ``verify_by_blocks``, which the command
 line runs, therefore reads the (n, p) system only for the census, the
 families and the "1x two-index" count, and checks each identity once per
-block label for r = 2..min(p, n-p).  ``verify_structure`` generates both
-systems once and checks every identity label by label, as the reference
-the tests compare it with.
+block label for r = 2..min(p, n-p).  ``verify_structure``, the reference
+the tests compare it with, reads each system once as it is generated,
+holds neither, and runs the public per-label checks at every label.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import _EXPORTS
 from .equations import (
@@ -303,23 +302,15 @@ def one_index_decomposition(
     return expansion
 
 
-# Where the checks read raw equations: ``raw(j, k, m)``.  The public
-# per-label checks generate them; ``verify_structure`` looks them up in
-# the systems it generated once.
-_RawSource = Callable[[MultiIndex, MultiIndex, int], QuadraticEquation]
-
-
 def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[int]) -> bool:
-    """Verify the raw decomposition identity exactly for one label."""
-    return _decomposition_holds(params, j, k, partial(raw_equation, params))
+    """Verify the raw decomposition identity exactly for one label.
 
-
-def _decomposition_holds(params: GrassmannParams, j, k, raw: _RawSource) -> bool:
-    """``sum_i sign_i * raw_1(j+i, k-i) - 2 * raw_2(j, k)`` collects to nothing."""
-    doubled = raw(j, k, 2)  # the one read of j and k, which may be one-shot iterables
+    ``sum_i sign_i * raw_1(j+i, k-i) - 2 * raw_2(j, k)`` collects to nothing.
+    """
+    doubled = raw_equation(params, j, k, 2)  # the one read of j and k, maybe one-shot
     weighted = [(-2, doubled.terms)]
     for sign, (pj, pk) in one_index_decomposition(params, *doubled.label):
-        weighted.append((sign, raw(pj, pk, 1).terms))
+        weighted.append((sign, raw_equation(params, pj, pk, 1).terms))
     return not collect_weighted(weighted)
 
 
@@ -384,25 +375,18 @@ def pair_combine(
 def check_pair_combine(params: GrassmannParams, family: PairFamily, i: int, i2: int) -> bool:
     """Exact raw identity ``E_i + (-1)**(i+i2) E_i2 = 2*(-1)**i2 * raw_1(target)``.
 
-    It implies that :func:`pair_combine` returns the target's canonical form.
-    """
-    return _pair_combine_holds(family, i, i2, partial(raw_equation, params))
-
-
-def _pair_combine_holds(family: PairFamily, i: int, i2: int, raw: _RawSource) -> bool:
-    """``E_i + (-1)**(i+i2) E_i2 - 2*(-1)**i2 * target`` collects to nothing.
-
-    This also settles that the pair canonicalizes to the target's form, so
-    that is not compared on its own: an empty sum makes ``E_i +- E_i2``
-    and ``2*(-1)**i2 * target`` one polynomial, ``canonicalize`` reads only
-    the collected polynomial, and it gives a term list and that list times
-    any non-zero integer the same form, because it divides out the gcd
-    signed by the first term.
+    The signed sum of the three raw equations collects to nothing.  This
+    also settles that :func:`pair_combine` returns the target's canonical
+    form, so that is not compared on its own: an empty sum makes
+    ``E_i +- E_i2`` and ``2*(-1)**i2 * target`` one polynomial,
+    ``canonicalize`` reads only the collected polynomial, and it gives a
+    term list and that list times any non-zero integer the same form,
+    because it divides out the gcd signed by the first term.
     """
     weighted = (
-        (1, raw(*family.members[i - 1], 2).terms),
-        ((-1) ** (i + i2), raw(*family.members[i2 - 1], 2).terms),
-        (-2 * (-1) ** i2, raw(*_combined_label(family, i, i2), 1).terms),
+        (1, raw_equation(params, *family.members[i - 1], 2).terms),
+        ((-1) ** (i + i2), raw_equation(params, *family.members[i2 - 1], 2).terms),
+        (-2 * (-1) ** i2, raw_equation(params, *_combined_label(family, i, i2), 1).terms),
     )
     return not collect_weighted(weighted)
 
@@ -593,28 +577,23 @@ def _check_family_structure(
 def verify_structure(params: GrassmannParams) -> VerifyReport:
     """Run every structural check at one (n, p) and collect failures.
 
-    Each system is generated once.  The identities read raw equations from
-    label maps of those two systems; the family and multiplicity checks read
-    the census's map of strata and canonical forms of the same equations.
+    Each system is read once, as it is generated, and neither is held: the
+    census keeps each two-index label's stratum and canonical form, and the
+    "4x one-index" count reads the one-index system against the 3-term
+    forms.  :func:`check_decomposition` runs at every census label and
+    :func:`check_pair_combine` at every pair of every family; the family
+    and multiplicity checks read the census's map.
     """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
-    two_index = list(_raw_equations(params, 2))
-    census_report, by_label = _census(params, two_index)
-    report = VerifyReport(params=params, census=census_report)
-    raw_by_label = {
-        1: {eq.label: eq for eq in _raw_equations(params, 1)},
-        2: {eq.label: eq for eq in two_index},
-    }
-
-    def shared_raw(j: MultiIndex, k: MultiIndex, m: int) -> QuadraticEquation:
-        return raw_by_label[m][j, k]
-
-    for eq in two_index:
-        report.decompositions_checked += 1
-        if not _decomposition_holds(params, *eq.label, shared_raw):
-            report.decomposition_failures.append(eq.label)
+    census_report, by_label = _census(params, _raw_equations(params, 2))
+    report = VerifyReport(
+        params=params, census=census_report, decompositions_checked=census_report.total_observed
+    )
+    report.decomposition_failures = [
+        label for label in by_label if not check_decomposition(params, *label)
+    ]
 
     families = pair_families(params)
     family_stratum_labels = {label for label, (q_size, _) in by_label.items() if q_size == p - 3}
@@ -625,14 +604,14 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
             report.family_failures.append((family.q, family.l))
         for i, i2 in combinations(range(1, 7), 2):
             report.combinations_checked += 1
-            if not _pair_combine_holds(family, i, i2, shared_raw):
+            if not check_pair_combine(params, family, i, i2):
                 report.combination_failures.append((family.q, family.l, i, i2))
     if member_labels != family_stratum_labels:
         report.family_failures.append(("partition", "mismatch"))
 
     # Only the canonical forms of the 3-term labels are looked up.
     wanted = {terms for q_size, terms in by_label.values() if q_size == p - 2}
-    one_forms = (canonicalize(eq).terms for eq in raw_by_label[1].values())
+    one_forms = (canonicalize(eq).terms for eq in _raw_equations(params, 1))
     one_counts = Counter(terms for terms in one_forms if terms in wanted)
     two_counts = Counter(terms for _, terms in by_label.values())
     for label, (q_size, terms) in by_label.items():
@@ -723,10 +702,9 @@ def verify_by_blocks(params: GrassmannParams) -> VerifyReport:
     failed_blocks = set()
     for r in range(2, min(p, n - p) + 1):
         block = GrassmannParams(2 * r, r)
-        raw = partial(raw_equation, block)
         for j in combinations(block.indices, r - 2):
             k = difference(block.indices, j)
-            if not _decomposition_holds(block, j, k, raw):
+            if not check_decomposition(block, j, k):
                 failed_blocks.add((r, j, k))
     if failed_blocks:
         report.decomposition_failures = [
@@ -739,8 +717,7 @@ def verify_by_blocks(params: GrassmannParams) -> VerifyReport:
     if families:
         block = GrassmannParams(6, 3)
         (block_family,) = pair_families(block)
-        raw = partial(raw_equation, block)
-        failed_pairs = [pair for pair in pairs if not _pair_combine_holds(block_family, *pair, raw)]
+        failed_pairs = [pair for pair in pairs if not check_pair_combine(block, block_family, *pair)]
     family_stratum_labels = {label for label, (q_size, _) in by_label.items() if q_size == p - 3}
     member_labels = {label for family in families for label in family.members}
     for family in families:

@@ -245,6 +245,17 @@ def test_check_refuses_broken_json_as_json_loads(tmp_path, capsys, text):
     assert run(capsys, "check", str(path)) == (2, "", f"error: {message}\n")
 
 
+def test_check_refuses_a_repeated_top_level_key(monkeypatch, capsys):
+    # Read with json.loads, the last "coeffs" would win: "simple (zero vector)".
+    text = (
+        '{"n":4,"p":2,"field":"Q","coeffs":[{"idx":[1,2],"re":"1"},{"idx":[1,3],"re":"1"},'
+        '{"idx":[2,4],"re":"1"},{"idx":[3,4],"re":"1"}],"coeffs":[]}'
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    err = assert_input_error(run(capsys, "check", "-"))
+    assert err.startswith("error: invalid JSON: Repeated key 'coeffs': ")
+
+
 def test_check_writes_violations_in_batches(tmp_path, monkeypatch):
     # On a write-through stdout (PYTHONUNBUFFERED=1) each write is one system
     # call: the 2,573 lines of this report go out in one.

@@ -132,6 +132,13 @@ def test_wedge_dimension_mismatch():
         wedge([])
 
 
+def test_wedge_refuses_a_complex_entry():
+    # No field holds a complex: float, Gaussian rational and rational entries
+    # choose the field, and a complex does not make it Q_i.
+    with pytest.raises(ValueError, match="^field Q needs int/Fraction coefficients, got complex$"):
+        wedge([[1j, 0, 0], [0, 1, 0]])
+
+
 def test_wedge_all_plucker_equations_vanish(params63):
     # Independent Laplace-consistency oracle for the generator signs.
     h = random_simple(params63, seed=7)
@@ -367,6 +374,19 @@ def test_pvector_json_rejects_malformed():
             '{"n": 6, "p": 3, "field": "Q", "coeffs": ['
             '{"idx": [1, 2, 3], "re": "1"}, {"idx": [1, 2, 3], "re": "2"}]}'
         )
+
+
+def test_pvector_json_refuses_a_repeated_top_level_key():
+    # The last "coeffs" would otherwise win and read as the zero vector.
+    text = (
+        '{"n": 4, "p": 2, "field": "Q", "coeffs": [{"idx": [1, 2], "re": "1"}, '
+        '{"idx": [1, 3], "re": "1"}, {"idx": [2, 4], "re": "1"}, {"idx": [3, 4], "re": "1"}], '
+        '"coeffs": []}'
+    )
+    with pytest.raises(ValueError, match="^invalid JSON: Repeated key 'coeffs': line 1 "):
+        pvector_from_json(text)
+    with pytest.raises(ValueError, match="^invalid JSON: Repeated key 'n': "):
+        pvector_from_json('{"n": 4, "p": 2, "field": "Q", "coeffs": [], "n": 5}')
 
 
 @pytest.mark.parametrize(

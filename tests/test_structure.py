@@ -424,20 +424,37 @@ def test_verify_structure_7_4():
     assert report.combinations_checked == 7 * 15
 
 
-def test_verify_structure_generates_each_system_once(monkeypatch):
-    calls = []
+def test_verify_structure_reads_each_system_once_and_holds_none(monkeypatch):
+    # verify_structure reads each system once, as it is generated, and the
+    # per-label checks generate what they read: at (8,4) at most two raw
+    # equations are alive at once, and none is left at the end.
+    params = GrassmannParams(8, 4)
+    live: dict[int, weakref.ref] = {}
+    reads = []
+    peak = 0
 
-    def counting(params, j, k, m):
-        calls.append(m)
-        return raw_equation(params, j, k, m)
+    def track(eq):
+        nonlocal peak
+        key = id(eq)
+        live[key] = weakref.ref(eq, lambda _ref, key=key: live.pop(key))
+        peak = max(peak, len(live))
+        return eq
 
-    monkeypatch.setattr(pluckereqs.equations, "raw_equation", counting)
-    monkeypatch.setattr(pluckereqs.structure, "raw_equation", counting)
-    n, p = 7, 4
-    assert verify_structure(GrassmannParams(n, p)).ok
-    assert calls.count(1) == comb(n, p - 1) * comb(n, p + 1)
-    assert calls.count(2) == comb(n, p - 2) * comb(n, p + 2)
-    assert len(calls) == 882
+    def streams(params, m):
+        reads.append(m)
+        for eq in _raw_equations(params, m):
+            yield track(eq)
+
+    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", streams)
+    monkeypatch.setattr(
+        pluckereqs.structure,
+        "raw_equation",
+        lambda params, j, k, m: track(raw_equation(params, j, k, m)),
+    )
+    assert verify_structure(params).ok
+    assert reads == [2, 1]
+    assert 1 <= peak <= 2
+    assert not live
 
 
 def test_verify_structure_catches_flipped_one_index_sign(monkeypatch):
@@ -498,6 +515,11 @@ def test_verify_structure_names_corrupted_family_and_three_term_class(monkeypatc
         return eq
 
     _patch_streams(monkeypatch, corrupt)
+    monkeypatch.setattr(
+        pluckereqs.structure,
+        "raw_equation",
+        lambda params, j, k, m: corrupt(raw_equation(params, j, k, m)),
+    )
     report = verify_structure(params)
     assert not report.ok and not report.census.ok
     assert report.decomposition_failures == [three_term, dropped]
@@ -693,8 +715,12 @@ def test_verify_structure_identities_match_reference(monkeypatch, corruption):
             expected_combination = [(family.q, family.l, i, i2)]
         corrupted_points += corruption != "clean"
         systems = {1: one_index, 2: two_index}
+        by_label = {(m, eq.label): eq for m, system in systems.items() for eq in system}
         monkeypatch.setattr(
             pluckereqs.structure, "_raw_equations", lambda params, m: iter(systems[m])
+        )
+        monkeypatch.setattr(
+            pluckereqs.structure, "raw_equation", lambda params, j, k, m: by_label[m, (j, k)]
         )
         report = verify_structure(params)
         reference = _reference_failures(params, one_index, two_index)
@@ -887,6 +913,28 @@ def test_verify_by_blocks_matches_verify_structure(n, p):
     report = verify_by_blocks(params)
     assert report == verify_structure(params)
     assert report.ok
+
+
+def test_verify_by_blocks_matches_verify_structure_on_a_corrupted_stream(monkeypatch):
+    # A 10-term equation corrupted in the generated two-index system but not
+    # in raw_equation: the census and the family checks read the stream and
+    # fail in both paths, and the identities, which read raw_equation in
+    # both, hold in both.
+    params = GrassmannParams(7, 4)
+    family = pair_families(params)[0]
+    dropped = family.members[0]
+
+    def corrupt(eq):
+        if eq.label != dropped:
+            return eq
+        return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
+
+    _patch_streams(monkeypatch, corrupt)
+    report = verify_structure(params)
+    assert not report.census.ok
+    assert report.family_failures == [(family.q, family.l)]
+    assert not report.decomposition_failures and not report.combination_failures
+    assert verify_by_blocks(params) == report
 
 
 def _drop_last_one_index_term(eq, m):
