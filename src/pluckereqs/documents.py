@@ -124,6 +124,19 @@ class JsonText:
             yield
             if self.expect("," + closer, "Expecting ',' delimiter") == closer:
                 return
+            self.pos -= 1  # back onto the comma, which a read then keeps in the buffer
+            end = _SPACE.match(self.buf, self.pos + 1).end()
+            while end == len(self.buf) and self._read():
+                end = _SPACE.match(self.buf, self.pos + 1).end()
+            if self.buf.startswith(closer, end):
+                # Say what the running scanner says: Python 3.13 names a trailing comma.
+                prefix = "[0" if closer == "]" else '{"": 0'
+                try:
+                    _DECODER.raw_decode(prefix + self.buf[self.pos : end + 1])
+                except json.JSONDecodeError as exc:
+                    self.pos += exc.pos - len(prefix)
+                    raise self.error(exc.msg) from None
+            self.pos = end
 
     def members(self) -> Iterator[str]:
         """Walk the object that opens at the next character, refusing a repeated key.

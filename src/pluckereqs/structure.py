@@ -580,16 +580,17 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     Each system is read once, as it is generated, and neither is held: the
     census keeps each two-index label's stratum and canonical form, and the
     "4x one-index" count reads the one-index system against the 3-term
-    forms.  :func:`check_decomposition` runs at every census label and
+    forms.  :func:`check_decomposition` runs once at every label of the
+    census's map (a repeated label fails the census) and
     :func:`check_pair_combine` at every pair of every family; the family
-    and multiplicity checks read the census's map.
+    and multiplicity checks read the same map.
     """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
     census_report, by_label = _census(params, _raw_equations(params, 2))
     report = VerifyReport(
-        params=params, census=census_report, decompositions_checked=census_report.total_observed
+        params=params, census=census_report, decompositions_checked=len(by_label)
     )
     report.decomposition_failures = [
         label for label in by_label if not check_decomposition(params, *label)
@@ -696,7 +697,7 @@ def verify_by_blocks(params: GrassmannParams) -> VerifyReport:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
     census_report, by_label = _census(params, _raw_equations(params, 2))
     report = VerifyReport(
-        params=params, census=census_report, decompositions_checked=census_report.total_observed
+        params=params, census=census_report, decompositions_checked=len(by_label)
     )
 
     failed_blocks = set()

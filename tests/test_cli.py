@@ -218,6 +218,7 @@ _BROKEN_JSON = {
     "bare_word": "{broken",
     "cut_literal": "nul",
     "trailing_comma": '{"n": 6,}',
+    "trailing_comma_then_newline": '{"n": 6,\n  }',
     "missing_colon": '{"n" 6}',
     "number_key": "{6: 6}",
     "missing_comma": "[1 2]",

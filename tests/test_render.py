@@ -368,6 +368,77 @@ def test_chunked_reader_places_syntax_errors_as_json_loads(monkeypatch, chunk):
         assert str(raised.value) == message, cut
 
 
+_TRAILING_COMMAS = [
+    '{"n": 6,}',
+    '{"n": 6,\n  }',
+    '{"equations": [{}, ], "n": 6}',
+    '{"equations": [{},\n\n]}',
+    '{"n": 6, "p": [3,]}',
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk_1", "chunk_7", "default_chunk"])
+def test_chunked_reader_refuses_a_trailing_comma_as_json_loads(monkeypatch, chunk):
+    # Python 3.13 names a trailing comma and places it at the comma; earlier
+    # versions fail at the closer.  The reader walks the top-level object and
+    # the equations array itself, and says what the running interpreter says.
+    import io
+
+    import pluckereqs.documents
+    from pluckereqs.render import _load_system
+
+    if chunk is not None:
+        monkeypatch.setattr(pluckereqs.documents, "_CHUNK", chunk)
+    for text in _TRAILING_COMMAS:
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(ValueError) as raised:
+            _load_system(io.StringIO(text))
+        assert str(raised.value) == f"invalid JSON: {expected.value}", text
+
+
+class _Scanner313(json.JSONDecoder):
+    """The scanner of Python 3.13 on: a comma right before a closer is named and placed there."""
+
+    def raw_decode(self, s, idx=0):
+        try:
+            return super().raw_decode(s, idx)
+        except json.JSONDecodeError as exc:
+            comma = len(s[: exc.pos].rstrip(" \t\n\r")) - 1
+            closer = {"]": "array", "}": "object"}.get(s[exc.pos : exc.pos + 1])
+            if closer is None or s[comma] != ",":
+                raise
+            msg = f"Illegal trailing comma before end of {closer}"
+            raise json.JSONDecodeError(msg, s, comma) from None
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk_1", "chunk_7", "default_chunk"])
+def test_chunked_reader_places_a_named_trailing_comma_at_the_comma(monkeypatch, chunk):
+    # Whichever interpreter runs this, both readers say what a 3.13 scanner says.
+    import io
+
+    import pluckereqs.documents
+    from pluckereqs import pvector_from_json
+    from pluckereqs.render import _load_system
+
+    if chunk is not None:
+        monkeypatch.setattr(pluckereqs.documents, "_CHUNK", chunk)
+    monkeypatch.setattr(pluckereqs.documents, "_DECODER", _Scanner313())
+    in_object = "Illegal trailing comma before end of object: line 1 column 8 (char 7)"
+    in_array = "Illegal trailing comma before end of array: line 1 column 18 (char 17)"
+    in_value = "Illegal trailing comma before end of array: line 1 column 17 (char 16)"
+    messages = [in_object, in_object, in_array, in_array, in_value]
+    for text, message in zip(_TRAILING_COMMAS, messages):
+        with pytest.raises(ValueError) as raised:
+            _load_system(io.StringIO(text))
+        assert str(raised.value) == f"invalid JSON: {message}", text
+    # The p-vector reader walks its top-level object the same way.
+    for text, message in zip(_TRAILING_COMMAS, [in_object, in_object]):
+        with pytest.raises(ValueError) as raised:
+            pvector_from_json(text)
+        assert str(raised.value) == f"invalid JSON: {message}", text
+
+
 def test_chunked_reader_stops_at_an_error_away_from_the_chunk_end(monkeypatch):
     # A syntax error early in a long document is reported without reading
     # the rest of it.

@@ -937,6 +937,27 @@ def test_verify_by_blocks_matches_verify_structure_on_a_corrupted_stream(monkeyp
     assert verify_by_blocks(params) == report
 
 
+def test_verify_counts_each_distinct_label_once_on_a_repeating_stream(monkeypatch):
+    # A stream that repeats a two-index label in place of the next one: the
+    # census fails, and both paths check, count and report each distinct
+    # label once.
+    params = GrassmannParams(6, 3)
+    labels = [eq.label for eq in gen_plucker_like(params)]
+    previous = {}
+
+    def repeat(eq):
+        if eq.label == labels[1]:
+            return previous[labels[0]]
+        previous[eq.label] = eq
+        return eq
+
+    _patch_streams(monkeypatch, repeat)
+    report = verify_structure(params)
+    assert not report.census.ok
+    assert report.decompositions_checked == len(labels) - 1
+    assert verify_by_blocks(params) == report
+
+
 def _drop_last_one_index_term(eq, m):
     return QuadraticEquation(eq.params, eq.label, eq.terms[:-1]) if m == 1 else eq
 
