@@ -568,6 +568,8 @@ def pvector_to_dict(h: PVector) -> dict:
 
 def _entry_from_dict(entry: dict, field: str) -> tuple[MultiIndex, Scalar]:
     idx = tuple(entry["idx"])
+    if "im" in entry and field != "Q_i":
+        raise ValueError(f'"im" is allowed only in Q_i coefficients, got field {field!r}')
     if field == "Q":
         return idx, _fraction_from_text(entry["re"])
     if field == "Q_i":
@@ -608,17 +610,31 @@ def pvector_to_json(h: PVector) -> str:
 
 
 def _pvector_from_text(text: JsonText) -> PVector:
-    """Read a p-vector document; a top-level key may appear only once.
+    """Read a p-vector document; no key may repeat at the top level or in a coefficient.
 
-    A document that is not an object is decoded whole and refused by
+    The top-level object and each object entry of a ``"coeffs"`` array are
+    read member by member.  A document that is not an object, and an entry
+    that is not an object, are decoded whole and refused by
     :func:`_pvector_from_document`.
     """
-    if text.peek() == "{":
-        data = {key: text.decode() for key in text.members()}
-    else:
+    if text.peek() != "{":
         data = text.decode()
+    else:
+        data = {}
+        for key in text.members():
+            if key == "coeffs" and text.peek() == "[":
+                data[key] = [_entry_from_text(text) for _ in text.elements("]")]
+            else:
+                data[key] = text.decode()
     text.end()
     return _pvector_from_document(data)
+
+
+def _entry_from_text(text: JsonText):
+    """One ``"coeffs"`` entry: an object read member by member, any other value whole."""
+    if text.peek() != "{":
+        return text.decode()
+    return {key: text.decode() for key in text.members()}
 
 
 def pvector_from_json(text: str) -> PVector:

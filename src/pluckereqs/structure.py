@@ -28,9 +28,9 @@ equation of the q = 0 block of Gr(r, 2r), with its common part added back
 to both factors of every term.  ``verify_by_blocks``, which the command
 line runs, therefore reads the (n, p) system only for the census, the
 families and the "1x two-index" count, and checks each identity once per
-block label for r = 2..min(p, n-p).  ``verify_structure``, the reference
-the tests compare it with, reads each system once as it is generated,
-holds neither, and runs the public per-label checks at every label.
+block label for r = 2..min(p, n-p); ``stratum_probe`` reads only the block
+r = p - q.  ``verify_structure``, the per-label reference of the tests,
+reads each system once as it is generated and holds neither.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import _EXPORTS
 from .equations import (
@@ -472,35 +472,33 @@ def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
     equations sharing one support.  Hence every support group of a large
     stratum is a singleton, and no two of its equations can be combined
     over a shared support.
+
+    The probe reads one weight block.  A monomial ``{A, B}`` gives ``D =
+    A intersect B`` and ``S = A ^ B``, so two supports meet only when their
+    labels share ``D`` and ``S``.  With ``r = p - q_size``, the labels of
+    one ``(D, S)`` are the :func:`strip` lifts of the C(2r, r-2) labels
+    ``(j, complement of j)`` of ``GrassmannParams(2r, r)``, and lifting is
+    injective on monomials, so each ``(D, S)`` has the block's support
+    groups and overlaps.  A weight is one choice of ``D`` and ``S``; there
+    are ``multinomial(n, [q_size, 2r, n-p-r])``, and the equation count and
+    every group count are the block's times that number.
     """
     n, p = params.n, params.p
     admissible = 2 <= p <= n - 2 and max(0, 2 * p - n) <= q_size <= p - 4
-    labels = _stratum_labels(params, q_size) if admissible else ()
-    supports = Counter(
-        frozenset((t.left, t.right) for t in canonicalize(raw_equation(params, j, k, 2)).terms)
-        for j, k in labels
-    )
+    supports, weights = Counter(), 0
+    if admissible:
+        r = p - q_size
+        block, weights = GrassmannParams(2 * r, r), multinomial(n, [q_size, 2 * r, n - p - r])
+        for j in combinations(block.indices, r - 2):
+            terms = canonicalize(raw_equation(block, j, difference(block.indices, j), 2)).terms
+            supports[frozenset((t.left, t.right) for t in terms)] += 1
+    groups = Counter(supports.values())
     return ProbeReport(
         n=n, p=p, q_size=q_size, admissible=admissible,
-        equation_count=sum(supports.values()),
-        support_group_sizes=tuple(sorted(Counter(supports.values()).items())),
+        equation_count=weights * sum(supports.values()),
+        support_group_sizes=tuple(sorted((size, weights * count) for size, count in groups.items())),
         max_support_overlap=_max_overlap(supports),
     )
-
-
-def _stratum_labels(params: GrassmannParams, q_size: int) -> Iterator[Label]:
-    """The two-index labels ``(j, k)`` with ``|j intersect k| = q_size``.
-
-    ``j`` runs over the (p-2)-subsets in lexicographic order, and ``k`` is
-    ``q_size`` entries of ``j`` joined to ``p+2-q_size`` entries outside it,
-    so no label of another stratum is built.
-    """
-    p = params.p
-    for j in combinations(params.indices, p - 2):
-        rest = [i for i in params.indices if i not in j]
-        for common in combinations(j, q_size):
-            for extra in combinations(rest, p + 2 - q_size):
-                yield j, tuple(sorted(common + extra))
 
 
 def _max_overlap(supports: Iterable[frozenset]) -> int:

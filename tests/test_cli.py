@@ -257,6 +257,22 @@ def test_check_refuses_a_repeated_top_level_key(monkeypatch, capsys):
     assert err.startswith("error: invalid JSON: Repeated key 'coeffs': ")
 
 
+def test_check_refuses_a_repeated_key_in_a_coefficient(monkeypatch, capsys):
+    # Read last-wins, "re":"0" would make e12 + e34 the simple e12.
+    text = '{"n":4,"p":2,"field":"Q","coeffs":[{"idx":[1,2],"re":"1"},{"idx":[3,4],"re":"1","re":"0"}]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    err = assert_input_error(run(capsys, "check", "-"))
+    assert err == "error: invalid JSON: Repeated key 're': line 1 column 85 (char 84)\n"
+
+
+def test_check_refuses_im_outside_q_i(monkeypatch, capsys):
+    # Dropped, the "im" would leave e12 and the verdict "simple".
+    text = '{"n":4,"p":2,"field":"Q","coeffs":[{"idx":[1,2],"re":"1"},{"idx":[3,4],"re":"0","im":"1"}]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    err = assert_input_error(run(capsys, "check", "-"))
+    assert err == """error: "im" is allowed only in Q_i coefficients, got field 'Q'\n"""
+
+
 def test_check_writes_violations_in_batches(tmp_path, monkeypatch):
     # On a write-through stdout (PYTHONUNBUFFERED=1) each write is one system
     # call: the 2,573 lines of this report go out in one.

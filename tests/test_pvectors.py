@@ -389,6 +389,35 @@ def test_pvector_json_refuses_a_repeated_top_level_key():
         pvector_from_json('{"n": 4, "p": 2, "field": "Q", "coeffs": [], "n": 5}')
 
 
+def test_pvector_json_refuses_a_repeated_key_in_a_coefficient():
+    # Read last-wins, the second "re" would make e12 + e34 the simple e12.
+    text = (
+        '{"n":4,"p":2,"field":"Q","coeffs":[{"idx":[1,2],"re":"1"},'
+        '{"idx":[3,4],"re":"1","re":"0"}]}'
+    )
+    with pytest.raises(ValueError) as raised:
+        pvector_from_json(text)
+    assert str(raised.value) == "invalid JSON: Repeated key 're': line 1 column 85 (char 84)"
+    # With one "re", the vector is the non-simple e12 + e34.
+    h = pvector_from_json(text.replace(',"re":"0"', ""))
+    assert not is_simple(h)
+
+
+def test_pvector_refuses_im_outside_q_i():
+    # Dropped, the "im" would leave the simple e12; with field Q_i the same
+    # coefficients are e12 + i e34, which is not simple.
+    text = (
+        '{"n":4,"p":2,"field":"Q","coeffs":[{"idx":[1,2],"re":"1"},'
+        '{"idx":[3,4],"re":"0","im":"1"}]}'
+    )
+    assert not is_simple(pvector_from_json(text.replace('"Q"', '"Q_i"')))
+    with pytest.raises(ValueError, match="""^"im" is allowed only in Q_i coefficients, got field 'Q'$"""):
+        pvector_from_json(text)
+    entries = [{"idx": [1, 2], "re": 1.0}, {"idx": [3, 4], "re": 0.0, "im": "1"}]
+    with pytest.raises(ValueError, match="""^"im" is allowed only in Q_i coefficients, got field 'f64'$"""):
+        pvector_from_dict({"n": 4, "p": 2, "field": "f64", "coeffs": entries})
+
+
 @pytest.mark.parametrize(
     "text, value",
     [("3", Fraction(3)), ("-2/3", Fraction(-2, 3)), ("+4/6", Fraction(2, 3)),

@@ -321,16 +321,18 @@ def test_probe_overlap_matches_pairwise_brute_force():
 
 
 def test_stratum_probe_equals_full_system_filter(monkeypatch):
-    # The probe builds only the labels of its stratum.  Its report equals the
-    # one read off the whole two-index system filtered by stratum, at every
-    # admissible (n, p, q) with n <= 9, and that system is never generated.
+    # The probe reads one weight block.  Its report equals the one read off
+    # the whole two-index system filtered by stratum, at every admissible
+    # (n, p, q) with n <= 10, and that system is never generated.
     strata = [
         (n, p, q)
-        for n in range(4, 10)
+        for n in range(4, 11)
         for p in range(2, n - 1)
         for q in range(max(0, 2 * p - n), p - 3)
     ]
-    assert strata == [(8, 4, 0), (9, 4, 0), (9, 5, 1)]
+    assert strata == [
+        (8, 4, 0), (9, 4, 0), (9, 5, 1), (10, 4, 0), (10, 5, 0), (10, 5, 1), (10, 6, 2)
+    ]
     expected = {}
     for n, p, q in strata:
         supports = Counter(
@@ -354,6 +356,22 @@ def test_stratum_probe_equals_full_system_filter(monkeypatch):
     monkeypatch.setattr(pluckereqs.structure, "_raw_equations", whole_system)
     for (n, p, q), report in expected.items():
         assert stratum_probe(GrassmannParams(n, p), q) == report, (n, p, q)
+
+
+def test_stratum_probe_reads_one_weight_block(monkeypatch):
+    # At (12,6) q = 1, r = 5: the probe reads the C(10, 3) labels of the
+    # block Gr(5, 10) and no equation of the 15,840 in the stratum.
+    calls = []
+
+    def recording(params, j, k, m):
+        calls.append(params)
+        return raw_equation(params, j, k, m)
+
+    monkeypatch.setattr(pluckereqs.structure, "raw_equation", recording)
+    report = stratum_probe(GrassmannParams(12, 6), 1)
+    assert calls == [GrassmannParams(10, 5)] * comb(10, 3)  # 120 calls
+    assert report.equation_count == multinomial(12, [1, 3, 7, 1]) == 15840
+    assert report.support_group_sizes == ((1, 15840),)
 
 
 def test_large_stratum_support_determines_label():
