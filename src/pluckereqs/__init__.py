@@ -41,7 +41,7 @@ _EXPORTS = {
         "CensusReport", "PairFamily", "ProbeReport", "QClass", "QClassCensus", "VerifyReport",
         "census", "check_decomposition", "check_pair_combine", "classify",
         "one_index_decomposition", "pair_combine", "pair_families", "stratum_probe", "strip",
-        "verify_by_blocks", "verify_structure",
+        "verify_structure",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -115,6 +115,8 @@ def _run_selftest(args: argparse.Namespace) -> int:
 
     tol = checked_tolerance(args.tolerance)
     params = GrassmannParams(args.n, args.p)
+    if params.p == params.n:
+        raise ValueError(f"--selftest needs p < n: no equation system exists at p = n = {params.n}")
     count = args.selftest
     failures = 0
     for offset in range(count):
@@ -180,10 +182,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .multiindex import GrassmannParams
-    from .structure import verify_by_blocks
+    from .structure import verify_structure
 
     params = GrassmannParams(args.n, args.p)
-    report = verify_by_blocks(params)
+    report = verify_structure(params)
     print(
         f"decomposition identity: {report.decompositions_checked - len(report.decomposition_failures)}"
         f"/{report.decompositions_checked} labels ok"

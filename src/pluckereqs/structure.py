@@ -25,12 +25,10 @@ one at a time, keeping only each label's stratum and canonical terms.
 
 By the lemma in :func:`strip`, every raw equation at (n, p) is a raw
 equation of the q = 0 block of Gr(r, 2r), with its common part added back
-to both factors of every term.  ``verify_by_blocks``, which the command
-line runs, therefore reads the (n, p) system only for the census, the
-families and the "1x two-index" count, and checks each identity once per
-block label for r = 2..min(p, n-p); ``stratum_probe`` reads only the block
-r = p - q.  ``verify_structure``, the per-label reference of the tests,
-reads each system once as it is generated and holds neither.
+to both factors of every term.  ``verify_structure`` therefore reads the
+(n, p) system only for the census, the families and the "1x two-index"
+count, and checks each identity once per block label for r =
+2..min(p, n-p); ``stratum_probe`` reads only the block r = p - q.
 """
 
 from __future__ import annotations
@@ -537,13 +535,7 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.census.ok
-            and not self.decomposition_failures
-            and not self.family_failures
-            and not self.combination_failures
-            and not self.multiplicity_failures
-        )
+        return self.first_failure is None
 
     @property
     def first_failure(self) -> str | None:
@@ -570,55 +562,6 @@ def _check_family_structure(
     if len(supports) != 1:
         return False
     return len(set(canons)) == 6
-
-
-def verify_structure(params: GrassmannParams) -> VerifyReport:
-    """Run every structural check at one (n, p) and collect failures.
-
-    Each system is read once, as it is generated, and neither is held: the
-    census keeps each two-index label's stratum and canonical form, and the
-    "4x one-index" count reads the one-index system against the 3-term
-    forms.  :func:`check_decomposition` runs once at every label of the
-    census's map (a repeated label fails the census) and
-    :func:`check_pair_combine` at every pair of every family; the family
-    and multiplicity checks read the same map.
-    """
-    n, p = params.n, params.p
-    if not 2 <= p <= n - 2:
-        raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
-    census_report, by_label = _census(params, _raw_equations(params, 2))
-    report = VerifyReport(
-        params=params, census=census_report, decompositions_checked=len(by_label)
-    )
-    report.decomposition_failures = [
-        label for label in by_label if not check_decomposition(params, *label)
-    ]
-
-    families = pair_families(params)
-    family_stratum_labels = {label for label, (q_size, _) in by_label.items() if q_size == p - 3}
-    member_labels = {label for family in families for label in family.members}
-    for family in families:
-        report.families_checked += 1
-        if not _check_family_structure(family, by_label):
-            report.family_failures.append((family.q, family.l))
-        for i, i2 in combinations(range(1, 7), 2):
-            report.combinations_checked += 1
-            if not check_pair_combine(params, family, i, i2):
-                report.combination_failures.append((family.q, family.l, i, i2))
-    if member_labels != family_stratum_labels:
-        report.family_failures.append(("partition", "mismatch"))
-
-    # Only the canonical forms of the 3-term labels are looked up.
-    wanted = {terms for q_size, terms in by_label.values() if q_size == p - 2}
-    one_forms = (canonicalize(eq).terms for eq in _raw_equations(params, 1))
-    one_counts = Counter(terms for terms in one_forms if terms in wanted)
-    two_counts = Counter(terms for _, terms in by_label.values())
-    for label, (q_size, terms) in by_label.items():
-        if q_size != p - 2:
-            continue
-        if one_counts.get(terms, 0) != 4 or two_counts.get(terms, 0) != 1:
-            report.multiplicity_failures.append(label)
-    return report
 
 
 def strip(
@@ -669,13 +612,14 @@ def strip(
     )
 
 
-def verify_by_blocks(params: GrassmannParams) -> VerifyReport:
-    """The report of :func:`verify_structure`, with each identity checked once per block.
+def verify_structure(params: GrassmannParams) -> VerifyReport:
+    """Run every structural check at one (n, p) and collect failures.
 
     The census, the family structure and partition, and the "1x two-index"
-    count read the (n, p) two-index equations one at a time, as
-    :func:`verify_structure` does.  By the lemma in :func:`strip`, the
-    identities are checked on the q = 0 blocks of Gr(r, 2r) instead:
+    count read the (n, p) two-index equations one at a time; the census
+    keeps each label's stratum and canonical form, and the family and
+    multiplicity checks read that map.  By the lemma in :func:`strip`, the
+    identities are checked on the q = 0 blocks of Gr(r, 2r):
 
     * the decomposition identity at every two-index label of each block,
       for r = 2..min(p, n-p);
@@ -687,8 +631,8 @@ def verify_by_blocks(params: GrassmannParams) -> VerifyReport:
       the one-index labels of a 3-term label's ``D`` and ``S`` strip to
       the four of that block.  (A trivial 3-term form fails the census.)
 
-    A failed block label is reported at every (n, p) label that strips to
-    it, in system order; with no failure, no label is stripped.
+    A failed block label is reported at every (n, p) label or family that
+    strips to it, in system order; with no failure, no label is stripped.
     """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:

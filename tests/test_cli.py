@@ -497,6 +497,15 @@ def test_check_selftest(capsys):
         assert "N >= 1" in err
 
 
+def test_check_selftest_refuses_p_equal_to_n(capsys):
+    # No equation system exists at p = n, so there is nothing to test against;
+    # the refusal names --selftest, not the --m that was never given.
+    err = assert_input_error(
+        run(capsys, "check", "--selftest", "2", "--seed", "1", "--n", "3", "--p", "3")
+    )
+    assert "--selftest" in err and "p = n" in err and "--m" not in err
+
+
 def test_check_selftest_reports_flagged_wedges(capsys, monkeypatch):
     # A "wedge" that is not simple must be named and fail the selftest.
     import pluckereqs.pvectors

@@ -31,7 +31,6 @@ from pluckereqs import (
     raw_equation,
     strip,
     symmetric_difference,
-    verify_by_blocks,
     verify_structure,
 )
 from pluckereqs.equations import _raw_equations
@@ -44,6 +43,15 @@ def _patch_streams(monkeypatch, change):
         return map(change, _raw_equations(params, m))
 
     monkeypatch.setattr(pluckereqs.structure, "_raw_equations", streams)
+
+
+def _patch_raw_equation(monkeypatch, change):
+    """Make the generator and the structural checks read every raw equation through ``change``."""
+    def changed(params, j, k, m):
+        return change(raw_equation(params, j, k, m))
+
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", changed)
+    monkeypatch.setattr(pluckereqs.structure, "raw_equation", changed)
 
 
 def test_classify_cases(params63):
@@ -443,9 +451,10 @@ def test_verify_structure_7_4():
 
 
 def test_verify_structure_reads_each_system_once_and_holds_none(monkeypatch):
-    # verify_structure reads each system once, as it is generated, and the
-    # per-label checks generate what they read: at (8,4) at most two raw
-    # equations are alive at once, and none is left at the end.
+    # verify_structure reads the two-index system once, as it is generated,
+    # and no one-index stream: the block checks generate what they read.  At
+    # (8,4) at most two raw equations are alive at once, and none is left at
+    # the end.
     params = GrassmannParams(8, 4)
     live: dict[int, weakref.ref] = {}
     reads = []
@@ -470,15 +479,17 @@ def test_verify_structure_reads_each_system_once_and_holds_none(monkeypatch):
         lambda params, j, k, m: track(raw_equation(params, j, k, m)),
     )
     assert verify_structure(params).ok
-    assert reads == [2, 1]
+    assert reads == [2]
     assert 1 <= peak <= 2
     assert not live
 
 
-def test_verify_structure_catches_flipped_one_index_sign(monkeypatch):
-    # Flip one one-index equation both where verify_structure reads it (its
-    # generated system) and where the public per-label checks read it
-    # (raw_equation); the batch report must then fail exactly where they do.
+def test_per_label_checks_catch_flipped_one_index_sign(monkeypatch):
+    # Flip one one-index equation at (7,4): the public per-label checks fail
+    # at the two two-index labels that decompose through it and at the one
+    # pair that collapses to it.  verify_structure checks the identities on
+    # the q = 0 blocks and reads no (n, p) one-index label, so a corruption
+    # of one (n, p) label is this reference's to find.
     params = GrassmannParams(7, 4)
     flipped = ((1, 2, 3), (1, 4, 5, 6, 7))
 
@@ -488,33 +499,20 @@ def test_verify_structure_catches_flipped_one_index_sign(monkeypatch):
         terms = tuple(QuadTerm(-t.coefficient, t.left, t.right) for t in eq.terms)
         return QuadraticEquation(eq.params, eq.label, terms)
 
-    _patch_streams(monkeypatch, flip)
-    monkeypatch.setattr(
-        pluckereqs.structure,
-        "raw_equation",
-        lambda params, j, k, m: flip(raw_equation(params, j, k, m)),
+    _patch_raw_equation(monkeypatch, flip)
+    assert _per_label_failures(params) == (
+        [((1, 2), (1, 3, 4, 5, 6, 7)), ((1, 3), (1, 2, 4, 5, 6, 7))],
+        [((1,), (2, 3, 4, 5, 6, 7), 1, 2)],
     )
-    report = verify_structure(params)
-    assert not report.ok
-    assert report.first_failure.startswith("decomposition identity at label ")
-    decomposition_failures = [
-        eq.label for eq in gen_plucker_like(params) if not check_decomposition(params, *eq.label)
-    ]
-    assert report.decomposition_failures == decomposition_failures
-    assert ((1, 3), (1, 2, 4, 5, 6, 7)) in decomposition_failures
-    combination_failures = [
-        (family.q, family.l, i, i2)
-        for family in pair_families(params)
-        for i, i2 in combinations(range(1, 7), 2)
-        if not check_pair_combine(params, family, i, i2)
-    ]
-    assert report.combination_failures == combination_failures != []
 
 
 def test_verify_structure_names_corrupted_family_and_three_term_class(monkeypatch, capsys):
     # Drop a term of one 10-term family member and flip the sign of one term
     # of a one-index equation in the 3-term class of ((1, 2), (1, 2, 3, 4, 5, 6)):
-    # each failure list must name what was corrupted, and verify says FAIL.
+    # verify_structure's census and family checks, which read the (n, p)
+    # stream, name the family, and verify says FAIL.  The identities and the
+    # "4x one-index" count are checked on the blocks, so at (n, p) the
+    # per-label reference names the corrupted labels and the 3-term class.
     from pluckereqs.cli import main
 
     params = GrassmannParams(7, 4)
@@ -532,20 +530,16 @@ def test_verify_structure_names_corrupted_family_and_three_term_class(monkeypatc
             return QuadraticEquation(eq.params, eq.label, terms)
         return eq
 
-    _patch_streams(monkeypatch, corrupt)
-    monkeypatch.setattr(
-        pluckereqs.structure,
-        "raw_equation",
-        lambda params, j, k, m: corrupt(raw_equation(params, j, k, m)),
-    )
+    _patch_raw_equation(monkeypatch, corrupt)
     report = verify_structure(params)
     assert not report.ok and not report.census.ok
-    assert report.decomposition_failures == [three_term, dropped]
     assert report.family_failures == [(family.q, family.l)]
-    assert report.combination_failures == [(family.q, family.l, 1, i2) for i2 in range(2, 7)]
-    assert not report.multiplicity_ok
-    assert report.multiplicity_failures == [three_term]
     assert report.first_failure == "census counts or distinctness"
+    assert _per_label_failures(params) == (
+        [three_term, dropped],
+        [(family.q, family.l, 1, i2) for i2 in range(2, 7)],
+    )
+    assert _per_label_multiplicity_failures(params) == [three_term]
     assert main(["verify", "--n", "7", "--p", "4"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "VERIFY (n=7, p=4): FAIL at census counts or distinctness"
@@ -572,11 +566,14 @@ def test_verify_structure_names_family_with_a_foreign_monomial(params63, monkeyp
 
 
 def test_verify_structure_catches_family_partition_mismatch(monkeypatch):
-    # A family missing from the enumeration leaves 10-term labels that no
-    # family covers; nothing else fails.
+    # A family missing from the enumeration at (7,4) leaves 10-term labels
+    # that no family covers; nothing else fails.  The r = 3 block, read
+    # through the same name, keeps its family.
     params = GrassmannParams(7, 4)
     monkeypatch.setattr(
-        pluckereqs.structure, "pair_families", lambda params: pair_families(params)[:-1]
+        pluckereqs.structure,
+        "pair_families",
+        lambda at: pair_families(at)[:-1] if at == params else pair_families(at),
     )
     report = verify_structure(params)
     assert report.census.ok and not report.decomposition_failures
@@ -588,36 +585,58 @@ def test_verify_structure_catches_family_partition_mismatch(monkeypatch):
 def test_verify_report_first_failure_order(params63):
     # A real corruption that breaks a pair combination or a multiplicity
     # also breaks a decomposition, which is reported first; the order of the
-    # later branches is checked on the report itself.
+    # later branches is checked on the report itself.  ok is exactly "no
+    # first failure".
     report = verify_structure(params63)
+    assert report.ok is (report.first_failure is None)
     report.multiplicity_failures.append(((1,), (1, 2, 3, 4, 5)))
     assert report.first_failure == "multiplicity at label ((1,), (1, 2, 3, 4, 5))"
+    assert report.ok is (report.first_failure is None)
     report.combination_failures.append(((), (1, 2, 3, 4, 5, 6), 1, 2))
     assert report.first_failure == "pair combination at ((), (1, 2, 3, 4, 5, 6), 1, 2)"
+    assert report.ok is (report.first_failure is None)
     report.family_failures.append(((), (1, 2, 3, 4, 5, 6)))
     assert report.first_failure == "family structure at ((), (1, 2, 3, 4, 5, 6))"
+    assert report.ok is (report.first_failure is None)
+    report.census.all_distinct = False
+    assert report.first_failure == "census counts or distinctness"
+    assert report.ok is (report.first_failure is None)
     assert not report.ok
 
 
-@pytest.mark.parametrize("n, p", [(6, 3), (7, 3), (7, 4), (8, 4)])
-def test_verify_structure_matches_per_label_checks(n, p):
-    params = GrassmannParams(n, p)
-    report = verify_structure(params)
-    labels = [eq.label for eq in gen_plucker_like(params)]
-    families = pair_families(params)
-    assert report.decompositions_checked == len(labels)
-    assert report.decomposition_failures == [
-        label for label in labels if not check_decomposition(params, *label)
+def _per_label_failures(params):
+    """The per-label reference of verify_structure's identity lists.
+
+    :func:`check_decomposition` at every two-index label and
+    :func:`check_pair_combine` at every pair of every family, in system
+    order, each reading ``raw_equation`` at (n, p).
+    """
+    labels = [
+        (j, k)
+        for j in combinations(params.indices, params.p - 2)
+        for k in combinations(params.indices, params.p + 2)
     ]
-    assert report.families_checked == len(families)
-    assert report.combinations_checked == 15 * len(families)
-    assert report.combination_failures == [
+    decomposition = [label for label in labels if not check_decomposition(params, *label)]
+    combination = [
         (family.q, family.l, i, i2)
-        for family in families
+        for family in pair_families(params)
         for i, i2 in combinations(range(1, 7), 2)
         if not check_pair_combine(params, family, i, i2)
     ]
-    assert report.ok
+    return decomposition, combination
+
+
+def _per_label_multiplicity_failures(params):
+    """The 3-term labels whose canonical form is not 4x a one-index form and 1x a two-index form."""
+    one_counts = Counter(canonicalize(eq).terms for eq in gen_plucker(params))
+    two_forms = {eq.label: canonicalize(eq).terms for eq in gen_plucker_like(params)}
+    two_counts = Counter(two_forms.values())
+    return [
+        label
+        for label, terms in two_forms.items()
+        if classify(params, *label).kind == "3-term"
+        and (one_counts[terms] != 4 or two_counts[terms] != 1)
+    ]
 
 
 # The formulation the one-signed-sum checks replaced, kept as their oracle:
@@ -681,8 +700,9 @@ _POINTS_UP_TO_8 = [(n, p) for n in range(4, 9) for p in range(2, n - 1)]
 
 @pytest.mark.parametrize("corruption", ["clean", "scaled_coefficient", "dropped_target_term"])
 def test_verify_structure_identities_match_reference(monkeypatch, corruption):
-    # verify_structure's decomposition and pair-combination failures equal
-    # the reference's, label by label, at every 2 <= p <= n-2 with n <= 8.
+    # The public per-label checks' decomposition and pair-combination
+    # failures equal the reference's, label by label, at every 2 <= p <= n-2
+    # with n <= 8.
     # "scaled_coefficient" turns one raw two-index coefficient from +-1 into
     # +-3, which keeps every sign and support, so a check that tracked only
     # those would pass; "dropped_target_term" drops one term of the one-index
@@ -732,20 +752,15 @@ def test_verify_structure_identities_match_reference(monkeypatch, corruption):
             ]
             expected_combination = [(family.q, family.l, i, i2)]
         corrupted_points += corruption != "clean"
-        systems = {1: one_index, 2: two_index}
-        by_label = {(m, eq.label): eq for m, system in systems.items() for eq in system}
-        monkeypatch.setattr(
-            pluckereqs.structure, "_raw_equations", lambda params, m: iter(systems[m])
-        )
+        by_label = {
+            (m, eq.label): eq for m, system in ((1, one_index), (2, two_index)) for eq in system
+        }
         monkeypatch.setattr(
             pluckereqs.structure, "raw_equation", lambda params, j, k, m: by_label[m, (j, k)]
         )
-        report = verify_structure(params)
         reference = _reference_failures(params, one_index, two_index)
-        assert (report.decomposition_failures, report.combination_failures) == reference, (n, p)
+        assert _per_label_failures(params) == reference, (n, p)
         assert reference == (expected_decomposition, expected_combination), (n, p)
-        assert report.decompositions_checked == len(two_index)
-        assert report.combinations_checked == 15 * len(families)
     expected_points = {"clean": 0, "scaled_coefficient": len(_POINTS_UP_TO_8), "dropped_target_term": 6}
     assert corrupted_points == expected_points[corruption]
 
@@ -927,17 +942,27 @@ def test_strip_lemma_every_label_up_to_n9():
 
 @pytest.mark.parametrize("n, p", _POINTS_UP_TO_8 + [(9, 4)])
 def test_verify_by_blocks_matches_verify_structure(n, p):
+    # verify_structure, which checks the identities once per block label,
+    # gives the per-label reference's lists at every 2 <= p <= n-2 with
+    # n <= 8, and at (9,4).
     params = GrassmannParams(n, p)
-    report = verify_by_blocks(params)
-    assert report == verify_structure(params)
+    report = verify_structure(params)
+    families = pair_families(params)
+    assert report.decompositions_checked == comb(n, p - 2) * comb(n, p + 2)
+    decomposition, combination = _per_label_failures(params)
+    assert report.decomposition_failures == decomposition
+    assert report.combination_failures == combination
+    assert report.families_checked == len(families)
+    assert report.combinations_checked == 15 * len(families)
+    assert report.multiplicity_failures == _per_label_multiplicity_failures(params) == []
+    assert report.family_failures == []
     assert report.ok
 
 
 def test_verify_by_blocks_matches_verify_structure_on_a_corrupted_stream(monkeypatch):
     # A 10-term equation corrupted in the generated two-index system but not
     # in raw_equation: the census and the family checks read the stream and
-    # fail in both paths, and the identities, which read raw_equation in
-    # both, hold in both.
+    # fail, and the identities, which read raw_equation, hold.
     params = GrassmannParams(7, 4)
     family = pair_families(params)[0]
     dropped = family.members[0]
@@ -952,13 +977,12 @@ def test_verify_by_blocks_matches_verify_structure_on_a_corrupted_stream(monkeyp
     assert not report.census.ok
     assert report.family_failures == [(family.q, family.l)]
     assert not report.decomposition_failures and not report.combination_failures
-    assert verify_by_blocks(params) == report
 
 
 def test_verify_counts_each_distinct_label_once_on_a_repeating_stream(monkeypatch):
     # A stream that repeats a two-index label in place of the next one: the
-    # census fails, and both paths check, count and report each distinct
-    # label once.
+    # census fails, and each distinct label is checked, counted and reported
+    # once.
     params = GrassmannParams(6, 3)
     labels = [eq.label for eq in gen_plucker_like(params)]
     previous = {}
@@ -973,7 +997,6 @@ def test_verify_counts_each_distinct_label_once_on_a_repeating_stream(monkeypatc
     report = verify_structure(params)
     assert not report.census.ok
     assert report.decompositions_checked == len(labels) - 1
-    assert verify_by_blocks(params) == report
 
 
 def _drop_last_one_index_term(eq, m):
@@ -990,10 +1013,11 @@ def _flip_first_two_index_term(eq, m):
 
 @pytest.mark.parametrize("mutant", [_drop_last_one_index_term, _flip_first_two_index_term])
 def test_verify_by_blocks_fails_where_verify_structure_does(monkeypatch, capsys, mutant):
-    # A raw_equation mutant that strip cannot see fails the block path
-    # exactly where it fails the per-label path: it changes every equation
-    # of one width at one term position, and lifting keeps term order.
-    # Both the generator and the structural checks read the patched function.
+    # A raw_equation mutant that strip cannot see fails verify_structure,
+    # which checks the identities on the blocks, exactly where it fails the
+    # per-label reference: it changes every equation of one width at one
+    # term position, and lifting keeps term order.  Both the generator and
+    # the structural checks read the patched function.
     from pluckereqs.cli import main
 
     def mutated(params, j, k, m):
@@ -1002,15 +1026,15 @@ def test_verify_by_blocks_fails_where_verify_structure_does(monkeypatch, capsys,
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", mutated)
     monkeypatch.setattr(pluckereqs.structure, "raw_equation", mutated)
     params = GrassmannParams(7, 4)
-    by_blocks, per_label = verify_by_blocks(params), verify_structure(params)
-    assert not by_blocks.ok and not per_label.ok
-    assert by_blocks.decomposition_failures == per_label.decomposition_failures != []
-    assert by_blocks.combination_failures == per_label.combination_failures != []
-    assert by_blocks.first_failure == per_label.first_failure
-    assert by_blocks == per_label
+    report = verify_structure(params)
+    decomposition, combination = _per_label_failures(params)
+    assert not report.ok
+    assert report.decomposition_failures == decomposition != []
+    assert report.combination_failures == combination != []
+    assert report.multiplicity_failures == _per_label_multiplicity_failures(params)
     assert main(["verify", "--n", "7", "--p", "4"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
-    assert last == f"VERIFY (n=7, p=4): FAIL at {per_label.first_failure}"
+    assert last == f"VERIFY (n=7, p=4): FAIL at {report.first_failure}"
 
 
 @pytest.mark.parametrize("n, p", [(8, 4), (9, 4)])
@@ -1050,3 +1074,54 @@ def test_verify_reads_the_one_index_system_only_on_blocks(monkeypatch, capsys, n
         assert at_point == {2: two_index_labels + comb(n, p - 2), 1: (p + 2) * comb(n, p - 2)}
     else:
         assert at_point == {2: two_index_labels}
+
+
+def _drop_last_term_at(monkeypatch, block, label):
+    """Make the structural checks read ``label`` at ``block`` without its last term."""
+    def dropped(params, j, k, m):
+        eq = raw_equation(params, j, k, m)
+        if params == block and eq.label == label:
+            return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
+        return eq
+
+    monkeypatch.setattr(pluckereqs.structure, "raw_equation", dropped)
+
+
+# verify_structure checks each identity once per block label and reports a
+# failed one at exactly the (n, p) labels and families that strip to it, in
+# system order, and nowhere else.
+@pytest.mark.parametrize("n, p, decompositions, pairs", [(8, 4, 56, 280), (9, 4, 252, 1260)])
+def test_verify_structure_lifts_a_failed_two_index_block_label(
+    monkeypatch, n, p, decompositions, pairs
+):
+    # A two-index label of the r = 3 block, member 1 of its one family.
+    params = GrassmannParams(n, p)
+    _drop_last_term_at(monkeypatch, GrassmannParams(6, 3), ((1,), (2, 3, 4, 5, 6)))
+    report = verify_structure(params)
+    expected = [
+        eq.label
+        for eq in gen_plucker_like(params)
+        if strip(params, eq.label) == (3, (1,), (2, 3, 4, 5, 6))
+    ]
+    assert report.decomposition_failures == expected
+    assert len(expected) == decompositions
+    assert report.combination_failures == [
+        (family.q, family.l, 1, i2) for family in pair_families(params) for i2 in range(2, 7)
+    ]
+    assert len(report.combination_failures) == pairs
+    assert report.multiplicity_failures == [] and report.census.ok
+
+
+@pytest.mark.parametrize("n, p, three_term", [(8, 4, 420), (9, 4, 1260)])
+def test_verify_structure_lifts_a_failed_one_index_block_label(monkeypatch, n, p, three_term):
+    # A one-index label of the r = 2 block: every 3-term label decomposes
+    # through one of its lifts, and the block's form is no longer 4x one-index.
+    params = GrassmannParams(n, p)
+    _drop_last_term_at(monkeypatch, GrassmannParams(4, 2), ((1,), (2, 3, 4)))
+    report = verify_structure(params)
+    expected = [
+        eq.label for eq in gen_plucker_like(params) if classify(params, *eq.label).kind == "3-term"
+    ]
+    assert report.multiplicity_failures == report.decomposition_failures == expected
+    assert len(expected) == three_term
+    assert report.combination_failures == [] and report.census.ok
