@@ -604,6 +604,29 @@ def test_verify_report_first_failure_order(params63):
     assert not report.ok
 
 
+@pytest.mark.parametrize("n, p", [(6, 3), (7, 3), (7, 4), (8, 4)])
+def test_verify_structure_matches_per_label_checks(n, p):
+    # verify_structure's block-checked lists equal the public per-label
+    # checks run at every (n, p) label of the generated system.
+    params = GrassmannParams(n, p)
+    report = verify_structure(params)
+    labels = [eq.label for eq in gen_plucker_like(params)]
+    families = pair_families(params)
+    assert report.decompositions_checked == len(labels)
+    assert report.decomposition_failures == [
+        label for label in labels if not check_decomposition(params, *label)
+    ]
+    assert report.families_checked == len(families)
+    assert report.combinations_checked == 15 * len(families)
+    assert report.combination_failures == [
+        (family.q, family.l, i, i2)
+        for family in families
+        for i, i2 in combinations(range(1, 7), 2)
+        if not check_pair_combine(params, family, i, i2)
+    ]
+    assert report.ok
+
+
 def _per_label_failures(params):
     """The per-label reference of verify_structure's identity lists.
 
