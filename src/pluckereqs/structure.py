@@ -20,15 +20,16 @@ as one signed sum: every term of every raw equation in it goes, times its
 weight, into one map keyed by monomial (``equations.collect_weighted``),
 and the identity holds exactly when the map ends empty.  No intermediate
 equation is built.  The family, census-distinctness and multiplicity
-checks read canonical forms.  ``census`` reads the two-index equations
-one at a time, keeping only each label's stratum and canonical terms.
+checks read canonical forms.
 
-By the lemma in :func:`strip`, every raw equation at (n, p) is a raw
-equation of the q = 0 block of Gr(r, 2r), with its common part added back
-to both factors of every term.  ``verify_structure`` therefore reads the
-(n, p) system only for the census, the families and the "1x two-index"
-count, and checks each identity once per block label for r =
-2..min(p, n-p); ``stratum_probe`` reads only the block r = p - q.
+One data path.  By the lemma in :func:`strip` and its corollary, every
+raw equation at (n, p), and its canonical form, is the one of a q = 0
+label of the block Gr(r, 2r), with its common part added back to both
+factors of every term.  So every fact that reads an equation is a fact of
+a block: ``census`` and ``verify_structure`` read equations only at the
+q = 0 labels of the blocks r = 2..min(p, n-p), and count the (n, p)
+labels in one pass that keeps none of them; ``stratum_probe`` reads only
+the block r = p - q.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import _EXPORTS
 from .equations import (
     Label,
     QuadraticEquation,
     QuadTerm,
-    _raw_equations,
     canonicalize,
     collect_weighted,
     raw_equation,
@@ -196,88 +196,75 @@ class CensusReport:
         }
 
 
-def _predicted_family_count(params: GrassmannParams) -> int:
-    n, p = params.n, params.p
-    if not 3 <= p <= n - 3:
-        return 0
-    return multinomial(n, [6, p - 3, n - p - 3])
+def _labels(params: GrassmannParams) -> Iterator[Label]:
+    """The two-index labels ``(j, k)`` at (n, p), in system order; no equation is built."""
+    indices, p = params.indices, params.p
+    return ((j, k) for j in combinations(indices, p - 2) for k in combinations(indices, p + 2))
+
+
+def _block_labels(r: int, m: int) -> Iterator[Label]:
+    """The q = 0 labels ``(j, complement of j)`` moving ``m`` in ``GrassmannParams(2r, r)``."""
+    indices = tuple(range(1, 2 * r + 1))
+    return ((j, difference(indices, j)) for j in combinations(indices, r - m))
 
 
 def census(params: GrassmannParams) -> CensusReport:
-    """Count the two-index system per q stratum and compare to predictions."""
+    """Count the two-index system per q stratum and compare to predictions.
+
+    The counts are one pass over the labels in system order that keeps
+    none.  A family is counted at its one 10-term label whose element of
+    ``j \\ k`` is the smallest of ``j ^ k``.
+
+    What reads an equation is a block fact.  By :func:`strip` and its
+    corollary, the canonical forms of stratum q are the lifts of those of
+    the q = 0 labels of Gr(r, 2r), r = p - q, once per weight (a choice of
+    ``D = j intersect k`` and ``S = j ^ k``), so their term counts are the
+    block's.  The monomials ``{A, B}`` of a non-trivial form give ``D = A
+    intersect B`` and ``S = A ^ B``, and lifting is injective, so two such
+    forms are equal only as lifts of equal block forms at one weight: the
+    system is distinct exactly when each block is and at most one label
+    in all is trivial.
+    """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"census needs 2 <= p <= n-2, got p={p}, n={n}")
-    return _census(params, _raw_equations(params, 2))[0]
-
-
-def _label_stratum(
-    p: int, j: MultiIndex, k: MultiIndex
-) -> tuple[int, tuple[MultiIndex, MultiIndex] | None]:
-    """``|j intersect k|`` of a generated label, and its family key.
-
-    The key ``(q, j ^ k)`` is built only in the family stratum q = p-3 and
-    is None elsewhere.  A generated label is valid already, so unlike
-    :func:`classify` this validates nothing and builds no :class:`QClass`.
-    """
-    q_size = len(set(j).intersection(k))
-    if q_size != p - 3:
-        return q_size, None
-    return q_size, (intersection(j, k), symmetric_difference(j, k))
-
-
-def _census(
-    params: GrassmannParams, equations: Iterable[QuadraticEquation]
-) -> tuple[CensusReport, dict[Label, tuple[int, tuple[QuadTerm, ...]]]]:
-    """Census of the two-index equations, read one at a time.
-
-    Also returns ``label -> (|j intersect k|, canonical terms)`` in system
-    order, so a caller need not canonicalize or stratify again.  The counts
-    and the distinctness flag read every equation, not the map's keys: a
-    label generated twice, in place of another, fails the census.
-    """
-    n, p = params.n, params.p
-    canonical_terms: list[tuple[QuadTerm, ...]] = []
-    by_label: dict[Label, tuple[int, tuple[QuadTerm, ...]]] = {}
-    observed: Counter[int] = Counter()
-    term_counts: dict[int, set[int]] = {}
-    family_groups: set[tuple[MultiIndex, MultiIndex]] = set()
-    for eq in equations:
-        q_size, family_key = _label_stratum(p, *eq.label)
-        terms = canonicalize(eq).terms
-        canonical_terms.append(terms)
-        by_label[eq.label] = q_size, terms
-        observed[q_size] += 1
-        term_counts.setdefault(q_size, set()).add(len(terms))
-        if family_key is not None:
-            family_groups.add(family_key)
-    q_min = max(0, 2 * p - n)
-    classes = []
-    for q_size in range(p - 2, q_min - 1, -1):
-        expected_terms = 3 if q_size == p - 2 else comb(p + 2 - q_size, 2)
+    observed, families = [0] * (p - 1), 0
+    for j in combinations(params.indices, p - 2):
+        shared = set(j)
+        for k in combinations(params.indices, p + 2):
+            q_size = len(shared.intersection(k))
+            observed[q_size] += 1
+            if q_size == p - 3:
+                families += min(shared.symmetric_difference(k)) in shared
+    classes, trivial, distinct = [], 0, True
+    for q_size in range(p - 2, max(0, 2 * p - n) - 1, -1):
+        r = p - q_size
+        block = GrassmannParams(2 * r, r)
+        forms = [canonicalize(raw_equation(block, j, k, 2)).terms for j, k in _block_labels(r, 2)]
+        trivial += forms.count(()) * multinomial(n, [q_size, 2 * r, n - p - r])
+        distinct = distinct and len(set(forms)) == len(forms)
         classes.append(
             QClassCensus(
                 q_size=q_size,
                 kind=_stratum_kind(q_size, p),
-                observed=observed.get(q_size, 0),
+                observed=observed[q_size],
                 predicted=multinomial(
                     n, [q_size, p - 2 - q_size, p + 2 - q_size, n + q_size - 2 * p]
                 ),
-                expected_terms=expected_terms,
-                observed_terms=tuple(sorted(term_counts.get(q_size, ()))),
+                expected_terms=3 if q_size == p - 2 else comb(p + 2 - q_size, 2),
+                observed_terms=tuple(sorted({len(terms) for terms in forms})),
             )
         )
-    report = CensusReport(
+    return CensusReport(
         params=params,
-        total_observed=len(canonical_terms),
+        total_observed=sum(observed),
         total_predicted=comb(n, p - 2) * comb(n, p + 2),
         classes=classes,
-        families_observed=len(family_groups),
-        families_predicted=_predicted_family_count(params),
-        all_distinct=len(set(canonical_terms)) == len(canonical_terms),
-        all_nontrivial=all(canonical_terms),
+        families_observed=families,
+        families_predicted=multinomial(n, [6, p - 3, n - p - 3]) if 3 <= p <= n - 3 else 0,
+        all_distinct=distinct and trivial <= 1,
+        all_nontrivial=not trivial,
     )
-    return report, by_label
 
 
 def one_index_decomposition(
@@ -487,8 +474,8 @@ def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
     if admissible:
         r = p - q_size
         block, weights = GrassmannParams(2 * r, r), multinomial(n, [q_size, 2 * r, n - p - r])
-        for j in combinations(block.indices, r - 2):
-            terms = canonicalize(raw_equation(block, j, difference(block.indices, j), 2)).terms
+        for j, k in _block_labels(r, 2):
+            terms = canonicalize(raw_equation(block, j, k, 2)).terms
             supports[frozenset((t.left, t.right) for t in terms)] += 1
     groups = Counter(supports.values())
     return ProbeReport(
@@ -552,18 +539,6 @@ class VerifyReport:
         return None
 
 
-def _check_family_structure(
-    family: PairFamily, by_label: dict[Label, tuple[int, tuple[QuadTerm, ...]]]
-) -> bool:
-    canons = [by_label[label][1] for label in family.members if label in by_label]
-    if len(canons) != 6 or any(len(terms) != 10 for terms in canons):
-        return False
-    supports = {frozenset((t.left, t.right) for t in terms) for terms in canons}
-    if len(supports) != 1:
-        return False
-    return len(set(canons)) == 6
-
-
 def strip(
     params: GrassmannParams, label: Iterable[Iterable[int]]
 ) -> tuple[int, MultiIndex, MultiIndex]:
@@ -599,6 +574,15 @@ def strip(
     ``D`` and ``S``, and ``sign_i`` reads only ``S``.  So is the pair
     identity of a family ``(q, l)``, whose members, and each pair's
     target, have ``D = q`` and ``S = l``.
+
+    Corollary: the canonical form of ``(j, k)`` is the lift of the
+    canonical form of ``(j', k')``.  Lifting keeps coefficients and is
+    injective on monomials, so it commutes with collecting like terms, with
+    dropping zeros and with dividing out the gcd.  It keeps the order of
+    monomials, so the sorted terms and the sign of the first one are kept
+    too: a monomial is compared by its left factor and then its right, and
+    of two distinct factors the smaller holds the smallest element of their
+    symmetric difference, which lifting keeps, on the same side.
     """
     j, k = (params.multiindex(idx) for idx in label)
     if len(j) > params.p or len(j) + len(k) != 2 * params.p:
@@ -615,72 +599,73 @@ def strip(
 def verify_structure(params: GrassmannParams) -> VerifyReport:
     """Run every structural check at one (n, p) and collect failures.
 
-    The census, the family structure and partition, and the "1x two-index"
-    count read the (n, p) two-index equations one at a time; the census
-    keeps each label's stratum and canonical form, and the family and
-    multiplicity checks read that map.  By the lemma in :func:`strip`, the
-    identities are checked on the q = 0 blocks of Gr(r, 2r):
+    It runs :func:`census`, whose pass gives the label and family counts,
+    and reads equations only on the q = 0 blocks of Gr(r, 2r), by the
+    lemma in :func:`strip` and its corollary:
 
     * the decomposition identity at every two-index label of each block,
       for r = 2..min(p, n-p);
-    * the pair identity for the 15 pairs of the one r = 3 family, when
-      ``3 <= p <= n-3``: member ``i`` of every family strips to member
-      ``i`` of that one, and each pair's target to its target;
-    * the "4x one-index" count on the r = 2 block.  Equal non-trivial
-      canonical forms share their monomials, and so ``D`` and ``S``, and
-      the one-index labels of a 3-term label's ``D`` and ``S`` strip to
-      the four of that block.  (A trivial 3-term form fails the census.)
+    * when ``3 <= p <= n-3``, on the one r = 3 family: its structure (six
+      distinct 10-term forms on one support), that its members are the
+      block's 10-term labels, and the pair identity for its 15 pairs.
+      Member ``i`` of every family strips to member ``i`` of that one, and
+      each pair's target to its target;
+    * the 3-term multiplicities on the r = 2 block: the one-index labels
+      of a 3-term label's ``D`` and ``S`` strip to the four of that block,
+      and equal non-trivial forms share ``D`` and ``S``, so a non-trivial
+      3-term form is its label's alone (a trivial one fails).
 
-    A failed block label is reported at every (n, p) label or family that
-    strips to it, in system order; with no failure, no label is stripped.
+    A failed block check is reported at every (n, p) label or family that
+    strips to it, in system order; with no failure, no label is stripped
+    and :func:`pair_families` is not built at (n, p).
     """
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
-    census_report, by_label = _census(params, _raw_equations(params, 2))
-    report = VerifyReport(
-        params=params, census=census_report, decompositions_checked=len(by_label)
-    )
+    counts = census(params)
+    pairs = list(combinations(range(1, 7), 2))
+    report = VerifyReport(params=params, census=counts, decompositions_checked=counts.total_observed)
+    report.families_checked = counts.families_observed
+    report.combinations_checked = len(pairs) * counts.families_observed
 
-    failed_blocks = set()
-    for r in range(2, min(p, n - p) + 1):
-        block = GrassmannParams(2 * r, r)
-        for j in combinations(block.indices, r - 2):
-            k = difference(block.indices, j)
-            if not check_decomposition(block, j, k):
-                failed_blocks.add((r, j, k))
+    failed_blocks = {
+        (r, j, k)
+        for r in range(2, min(p, n - p) + 1)
+        for j, k in _block_labels(r, 2)
+        if not check_decomposition(GrassmannParams(2 * r, r), j, k)
+    }
     if failed_blocks:
         report.decomposition_failures = [
-            label for label in by_label if strip(params, label) in failed_blocks
+            label for label in _labels(params) if strip(params, label) in failed_blocks
         ]
 
-    families = pair_families(params)
-    pairs = list(combinations(range(1, 7), 2))
-    failed_pairs = []
-    if families:
+    if report.families_checked:
         block = GrassmannParams(6, 3)
-        (block_family,) = pair_families(block)
-        failed_pairs = [pair for pair in pairs if not check_pair_combine(block, block_family, *pair)]
-    family_stratum_labels = {label for label, (q_size, _) in by_label.items() if q_size == p - 3}
-    member_labels = {label for family in families for label in family.members}
-    for family in families:
-        report.families_checked += 1
-        if not _check_family_structure(family, by_label):
-            report.family_failures.append((family.q, family.l))
-        report.combinations_checked += len(pairs)
-        report.combination_failures.extend((family.q, family.l, i, i2) for i, i2 in failed_pairs)
-    if member_labels != family_stratum_labels:
-        report.family_failures.append(("partition", "mismatch"))
+        block_families = pair_families(block)
+        failed_pairs = [
+            pair for family in block_families for pair in pairs
+            if not check_pair_combine(block, family, *pair)
+        ]
+        structure_ok = True
+        for family in block_families:
+            forms = [canonicalize(raw_equation(block, *label, 2)).terms for label in family.members]
+            supports = {frozenset((t.left, t.right) for t in terms) for terms in forms}
+            structure_ok &= len(supports) == 1 and len(set(forms)) == 6
+            structure_ok &= {len(terms) for terms in forms} == {10}
+        if failed_pairs or not structure_ok:
+            for family in pair_families(params):
+                if not structure_ok:
+                    report.family_failures.append((family.q, family.l))
+                report.combination_failures.extend((family.q, family.l, i, i2) for i, i2 in failed_pairs)
+        members = sorted(label for family in block_families for label in family.members)
+        if members != list(_block_labels(3, 2)):
+            report.family_failures.append(("partition", "mismatch"))
 
     block = GrassmannParams(4, 2)
     three_term = canonicalize(raw_equation(block, (), block.indices, 2)).terms
-    one_count = sum(
-        canonicalize(raw_equation(block, (i,), difference(block.indices, (i,)), 1)).terms
-        == three_term
-        for i in block.indices
-    )
-    two_counts = Counter(terms for _, terms in by_label.values())
-    for label, (q_size, terms) in by_label.items():
-        if q_size == p - 2 and (one_count != 4 or two_counts[terms] != 1):
-            report.multiplicity_failures.append(label)
+    one_forms = [canonicalize(raw_equation(block, j, k, 1)).terms for j, k in _block_labels(2, 1)]
+    if one_forms.count(three_term) != 4 or not three_term:
+        report.multiplicity_failures = [
+            (j, k) for j, k in _labels(params) if len(set(j).intersection(k)) == p - 2
+        ]
     return report

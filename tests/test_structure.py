@@ -37,14 +37,6 @@ from pluckereqs.equations import _raw_equations
 from pluckereqs.multiindex import _INTERNED
 
 
-def _patch_streams(monkeypatch, change):
-    """Make ``structure`` read every generated equation through ``change``."""
-    def streams(params, m):
-        return map(change, _raw_equations(params, m))
-
-    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", streams)
-
-
 def _patch_raw_equation(monkeypatch, change):
     """Make the generator and the structural checks read every raw equation through ``change``."""
     def changed(params, j, k, m):
@@ -52,6 +44,64 @@ def _patch_raw_equation(monkeypatch, change):
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", changed)
     monkeypatch.setattr(pluckereqs.structure, "raw_equation", changed)
+
+
+def _corrupt_lifts(monkeypatch, corruptions):
+    """Corrupt a block label and every label that strips to it, at every (n, p).
+
+    ``corruptions`` maps ``(m, strip label)`` to a change of the raw
+    equation.  Lifting keeps term order, so a change by term position is
+    the same change at every lift, and the per-label reference, which
+    reads the patched generator, sees what the blocks see.
+    """
+    def corrupt(eq):
+        m = len(eq.label[1]) - eq.params.p
+        change = corruptions.get((m, strip(eq.params, eq.label)))
+        return change(eq) if change else eq
+
+    _patch_raw_equation(monkeypatch, corrupt)
+
+
+def _drop_last_term(eq):
+    return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
+
+
+def _flip_first_term(eq):
+    first = eq.terms[0]
+    terms = (QuadTerm(-first.coefficient, first.left, first.right),) + eq.terms[1:]
+    return QuadraticEquation(eq.params, eq.label, terms)
+
+
+class _RawReads:
+    """Every raw equation the structural checks generate, and those still alive.
+
+    Installed as ``structure.raw_equation``; the whole-system generator is
+    made to fail, so a check that reads a system is caught.
+    """
+
+    def __init__(self, monkeypatch):
+        self.calls = Counter()
+        self.live: dict[int, weakref.ref] = {}
+        self.peak = 0
+
+        def whole_system(params, m):
+            raise AssertionError(f"a structural check generated the whole m={m} system")
+
+        monkeypatch.setattr(pluckereqs.structure, "raw_equation", self)
+        monkeypatch.setattr(pluckereqs.equations, "_raw_equations", whole_system)
+
+    def __call__(self, params, j, k, m):
+        eq = raw_equation(params, j, k, m)
+        self.calls[params, eq.label, m] += 1
+        key = id(eq)
+        self.live[key] = weakref.ref(eq, lambda _ref, key=key: self.live.pop(key))
+        self.peak = max(self.peak, len(self.live))
+        return eq
+
+    def all_on_blocks(self, params):
+        """Every call is on a q = 0 label of some ``GrassmannParams(2r, r)``, r <= min(p, n-p)."""
+        blocks = {GrassmannParams(2 * r, r) for r in range(2, min(params.p, params.n - params.p) + 1)}
+        return all(at in blocks and not set(j) & set(k) for at, (j, k), _ in self.calls)
 
 
 def test_classify_cases(params63):
@@ -287,18 +337,12 @@ def test_stratum_probe_8_4():
 
 def test_stratum_probe_skips_one_index_system_without_groups(monkeypatch):
     # Every support group at (9,4) q=0 is a singleton: nothing to search,
-    # so the one-index system is never built.
-    builds = []
-
-    def counting(params, m):
-        builds.append((params, m))
-        return _raw_equations(params, m)
-
-    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", counting)
+    # so no one-index equation is generated, and no system is built.
+    reads = _RawReads(monkeypatch)
     report = stratum_probe(GrassmannParams(9, 4), 0)
     assert report.admissible
     assert report.combinations_tried == 0
-    assert builds == []
+    assert reads.calls and {m for _, _, m in reads.calls} == {2}
 
 
 def test_probe_overlap_matches_pairwise_brute_force():
@@ -361,7 +405,7 @@ def test_stratum_probe_equals_full_system_filter(monkeypatch):
     def whole_system(params, m):
         raise AssertionError(f"the probe generated the whole m={m} system")
 
-    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", whole_system)
+    monkeypatch.setattr(pluckereqs.equations, "_raw_equations", whole_system)
     for (n, p, q), report in expected.items():
         assert stratum_probe(GrassmannParams(n, p), q) == report, (n, p, q)
 
@@ -451,37 +495,17 @@ def test_verify_structure_7_4():
 
 
 def test_verify_structure_reads_each_system_once_and_holds_none(monkeypatch):
-    # verify_structure reads the two-index system once, as it is generated,
-    # and no one-index stream: the block checks generate what they read.  At
-    # (8,4) at most two raw equations are alive at once, and none is left at
-    # the end.
+    # verify_structure reads no system, at (n, p) or anywhere: every raw
+    # equation it generates is on a q = 0 label of a block Gr(r, 2r), and
+    # it reads both widths there.  At (8,4) at most two raw equations are
+    # alive at once, and none is left at the end.
     params = GrassmannParams(8, 4)
-    live: dict[int, weakref.ref] = {}
-    reads = []
-    peak = 0
-
-    def track(eq):
-        nonlocal peak
-        key = id(eq)
-        live[key] = weakref.ref(eq, lambda _ref, key=key: live.pop(key))
-        peak = max(peak, len(live))
-        return eq
-
-    def streams(params, m):
-        reads.append(m)
-        for eq in _raw_equations(params, m):
-            yield track(eq)
-
-    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", streams)
-    monkeypatch.setattr(
-        pluckereqs.structure,
-        "raw_equation",
-        lambda params, j, k, m: track(raw_equation(params, j, k, m)),
-    )
+    reads = _RawReads(monkeypatch)
     assert verify_structure(params).ok
-    assert reads == [2]
-    assert 1 <= peak <= 2
-    assert not live
+    assert reads.all_on_blocks(params)
+    assert {m for _, _, m in reads.calls} == {1, 2}
+    assert 1 <= reads.peak <= 2
+    assert not reads.live
 
 
 def test_per_label_checks_catch_flipped_one_index_sign(monkeypatch):
@@ -507,79 +531,139 @@ def test_per_label_checks_catch_flipped_one_index_sign(monkeypatch):
 
 
 def test_verify_structure_names_corrupted_family_and_three_term_class(monkeypatch, capsys):
-    # Drop a term of one 10-term family member and flip the sign of one term
-    # of a one-index equation in the 3-term class of ((1, 2), (1, 2, 3, 4, 5, 6)):
-    # verify_structure's census and family checks, which read the (n, p)
-    # stream, name the family, and verify says FAIL.  The identities and the
-    # "4x one-index" count are checked on the blocks, so at (n, p) the
-    # per-label reference names the corrupted labels and the 3-term class.
+    # Drop a term of member 1 of the r = 3 block's family and flip the sign
+    # of one term of a one-index label of the r = 2 block, and of every
+    # label at (7,4) that strips to either.  verify_structure, which reads
+    # only the blocks, names every family, every label that decomposes
+    # through a corrupted label, every pair with member 1 and the 3-term
+    # class, as the per-label reference at (7,4) does, and verify says FAIL.
     from pluckereqs.cli import main
 
     params = GrassmannParams(7, 4)
-    family = pair_families(params)[0]
-    dropped = family.members[0]
+    dropped = pair_families(params)[0].members[0]
     flipped = ((1, 2, 3), (1, 2, 4, 5, 6))
     three_term = ((1, 2), (1, 2, 3, 4, 5, 6))
-
-    def corrupt(eq):
-        if eq.label == dropped:
-            return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
-        if eq.label == flipped:
-            first = eq.terms[0]
-            terms = (QuadTerm(-first.coefficient, first.left, first.right),) + eq.terms[1:]
-            return QuadraticEquation(eq.params, eq.label, terms)
-        return eq
-
-    _patch_raw_equation(monkeypatch, corrupt)
+    assert strip(params, dropped) == (3, (1,), (2, 3, 4, 5, 6))
+    assert strip(params, flipped) == (2, (1,), (2, 3, 4))
+    _corrupt_lifts(monkeypatch, {
+        (2, (3, (1,), (2, 3, 4, 5, 6))): _drop_last_term,
+        (1, (2, (1,), (2, 3, 4))): _flip_first_term,
+    })
     report = verify_structure(params)
     assert not report.ok and not report.census.ok
-    assert report.family_failures == [(family.q, family.l)]
+    assert report.census.to_dict() == _reference_census_dict(params)
+    decomposition, combination = _per_label_failures(params)
+    assert report.decomposition_failures == decomposition
+    assert three_term in decomposition and dropped in decomposition
+    assert report.combination_failures == combination
+    assert combination == [
+        (family.q, family.l, 1, i2) for family in pair_families(params) for i2 in range(2, 7)
+    ]
+    assert report.family_failures == _per_label_family_failures(params) == [
+        (family.q, family.l) for family in pair_families(params)
+    ]
+    assert report.multiplicity_failures == _per_label_multiplicity_failures(params)
+    assert three_term in report.multiplicity_failures
     assert report.first_failure == "census counts or distinctness"
-    assert _per_label_failures(params) == (
-        [three_term, dropped],
-        [(family.q, family.l, 1, i2) for i2 in range(2, 7)],
-    )
-    assert _per_label_multiplicity_failures(params) == [three_term]
     assert main(["verify", "--n", "7", "--p", "4"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "VERIFY (n=7, p=4): FAIL at census counts or distinctness"
 
 
 def test_verify_structure_names_family_with_a_foreign_monomial(params63, monkeypatch):
-    # Swap one monomial of a family member for one outside the family's
-    # support: the member keeps 10 distinct terms and the census passes,
-    # so only the one-support check can name the family.
+    # Swap one monomial of the block family's member 1 for one outside the
+    # family's support: the member keeps 10 distinct terms and the census
+    # passes, so only the one-support check can name the family.  The
+    # identities that read the member fail with it.
     family = pair_families(params63)[0]
     swapped = family.members[0]
 
     def corrupt(eq):
-        if eq.label != swapped:
+        if eq.params != params63 or eq.label != swapped:
             return eq
         first = eq.terms[0]
         foreign = QuadTerm(first.coefficient, (1, 2, 3), (1, 2, 4))
         return QuadraticEquation(eq.params, eq.label, (foreign,) + eq.terms[1:])
 
-    _patch_streams(monkeypatch, corrupt)
+    _patch_raw_equation(monkeypatch, corrupt)
     report = verify_structure(params63)
     assert report.census.ok
-    assert report.family_failures == [(family.q, family.l)]
+    assert report.family_failures == [(family.q, family.l)] == _per_label_family_failures(params63)
+    assert report.decomposition_failures == [swapped]
+    assert report.combination_failures == [(family.q, family.l, 1, i2) for i2 in range(2, 7)]
+    assert report.multiplicity_ok
+
+
+def test_verify_structure_names_families_missing_a_shared_monomial(monkeypatch):
+    # Drop lam_123 lam_456 from every member of the r = 3 block's family, and
+    # its lift from every 10-term label: each member keeps one support and a
+    # form of its own, so only the 10-term count names the families.  The
+    # report equals the per-label reference.
+    def drop_shared(eq):
+        j, k = eq.label
+        if len(j) != eq.params.p - 2 or len(set(j) & set(k)) != eq.params.p - 3:
+            return eq
+        common, moved = sorted(set(j) & set(k)), sorted(set(j) ^ set(k))
+        shared = tuple(
+            tuple(sorted(common + [moved[x - 1] for x in half])) for half in ((1, 2, 3), (4, 5, 6))
+        )
+        return QuadraticEquation(
+            eq.params, eq.label, tuple(t for t in eq.terms if (t.left, t.right) != shared)
+        )
+
+    _patch_raw_equation(monkeypatch, drop_shared)
+    params = GrassmannParams(7, 4)
+    report = verify_structure(params)
+    assert report.census.ten_term.observed_terms == (9,)
+    assert report.census.to_dict() == _reference_census_dict(params)
+    assert report.family_failures == _per_label_family_failures(params) == [
+        (family.q, family.l) for family in pair_families(params)
+    ]
+    assert (report.decomposition_failures, report.combination_failures) == _per_label_failures(params)
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (6, 3), (7, 4)])
+def test_verify_structure_names_a_trivial_three_term_class(monkeypatch, n, p):
+    # Every label of the r = 2 block, and every lift, made trivial: the
+    # identities still hold, and the census and the multiplicities fail as
+    # the per-label reference does.  At (4,2) the one trivial form is the
+    # system's only one, so the forms stay distinct; elsewhere each of the
+    # multinomial(n, [p-2, 4, n-p-2]) weights lifts it.
+    def empty(eq):
+        return QuadraticEquation(eq.params, eq.label, ())
+
+    trivial = {(2, (2, (), (1, 2, 3, 4))): empty}
+    trivial.update({(1, (2, j, k)): empty for j, k in _q0_labels(2, 1)})
+    _corrupt_lifts(monkeypatch, trivial)
+    params = GrassmannParams(n, p)
+    report = verify_structure(params)
+    assert report.census.to_dict() == _reference_census_dict(params)
+    assert not report.census.all_nontrivial
+    assert report.census.all_distinct is ((n, p) == (4, 2))
+    assert (report.decomposition_failures, report.combination_failures) == ([], [])
+    assert report.multiplicity_failures == _per_label_multiplicity_failures(params) != []
 
 
 def test_verify_structure_catches_family_partition_mismatch(monkeypatch):
-    # A family missing from the enumeration at (7,4) leaves 10-term labels
-    # that no family covers; nothing else fails.  The r = 3 block, read
-    # through the same name, keeps its family.
-    params = GrassmannParams(7, 4)
-    monkeypatch.setattr(
-        pluckereqs.structure,
-        "pair_families",
-        lambda at: pair_families(at)[:-1] if at == params else pair_families(at),
-    )
+    # The r = 3 block's family missing from its enumeration leaves its
+    # 10-term labels uncovered: the partition fails at (7,4), and nothing
+    # else does.  pair_families is read at the block only, since no block
+    # check of a family failed.
+    params, block = GrassmannParams(7, 4), GrassmannParams(6, 3)
+    calls = []
+
+    def dropping(at):
+        calls.append(at)
+        return pair_families(at)[:-1] if at == block else pair_families(at)
+
+    monkeypatch.setattr(pluckereqs.structure, "pair_families", dropping)
     report = verify_structure(params)
     assert report.census.ok and not report.decomposition_failures
-    assert report.families_checked == 6
+    assert report.families_checked == 7 and report.combinations_checked == 7 * 15
     assert report.family_failures == [("partition", "mismatch")]
+    assert report.combination_failures == [] and report.multiplicity_ok
     assert report.first_failure == "family structure at ('partition', 'mismatch')"
+    assert calls == [block]
 
 
 def test_verify_report_first_failure_order(params63):
@@ -660,6 +744,27 @@ def _per_label_multiplicity_failures(params):
         if classify(params, *label).kind == "3-term"
         and (one_counts[terms] != 4 or two_counts[terms] != 1)
     ]
+
+
+def _per_label_family_failures(params):
+    """The reference of verify_structure's family failures, read off the generated system.
+
+    Each family whose members' canonical forms are not six distinct 10-term
+    forms on one support, then ``("partition", "mismatch")`` if the members
+    are not the 10-term labels.
+    """
+    forms = {eq.label: canonicalize(eq).terms for eq in gen_plucker_like(params)}
+    families = pair_families(params)
+    failures = []
+    for family in families:
+        canons = [forms[label] for label in family.members]
+        supports = {frozenset((t.left, t.right) for t in terms) for terms in canons}
+        if any(len(terms) != 10 for terms in canons) or len(supports) != 1 or len(set(canons)) != 6:
+            failures.append((family.q, family.l))
+    members = {label for family in families for label in family.members}
+    if members != {label for label in forms if classify(params, *label).kind == "10-term"}:
+        failures.append(("partition", "mismatch"))
+    return failures
 
 
 # The formulation the one-signed-sum checks replaced, kept as their oracle:
@@ -788,42 +893,20 @@ def test_verify_structure_identities_match_reference(monkeypatch, corruption):
     assert corrupted_points == expected_points[corruption]
 
 
-def test_census_stratum_matches_classify():
-    # For every label with n <= 9 the stratum and family key the census uses
-    # are what classify and symmetric_difference give.
-    label_stratum = pluckereqs.structure._label_stratum
-    labels = 0
-    for n in range(4, 10):
-        for p in range(2, n - 1):
-            params = GrassmannParams(n, p)
-            system = gen_plucker_like(params)
-            _, by_label = pluckereqs.structure._census(params, _raw_equations(params, 2))
-            for eq, (label, (census_q_size, terms)) in zip(system, by_label.items(), strict=True):
-                assert label == eq.label and terms == canonicalize(eq).terms
-                j, k = label
-                stratum = classify(params, j, k)
-                q_size, family_key = label_stratum(p, j, k)
-                assert q_size == census_q_size == stratum.q_size
-                if stratum.kind == "10-term":
-                    assert family_key == (stratum.q, symmetric_difference(j, k))
-                else:
-                    assert family_key is None
-                labels += 1
-    assert labels == sum(
-        comb(n, p - 2) * comb(n, p + 2) for n in range(4, 10) for p in range(2, n - 1)
-    )
-
-
 def test_census_counts_a_repeated_label(monkeypatch):
-    # One 3-term label generated twice, in place of the next label of its
-    # stratum: every count still matches the prediction, so only a census
-    # that counts each equation it reads, not the labels it keeps, sees the
-    # repeat.
-    params = GrassmannParams(7, 3)
-    first, second = ((1,), (1, 2, 3, 4, 5)), ((1,), (1, 2, 3, 4, 6))
-    assert classify(params, *first).kind == classify(params, *second).kind == "3-term"
-    repeated = raw_equation(params, *first, 2)
-    _patch_streams(monkeypatch, lambda eq: repeated if eq.label == second else eq)
+    # One r = 3 block equation returned in place of another of its stratum:
+    # every count still matches the prediction and every form keeps its 10
+    # terms, so only the block's distinctness sees the repeat, and at (7,3)
+    # each of the 7 weights lifts it.
+    params, block = GrassmannParams(7, 3), GrassmannParams(6, 3)
+    first, second = ((1,), (2, 3, 4, 5, 6)), ((2,), (1, 3, 4, 5, 6))
+    repeated = raw_equation(block, *first, 2)
+
+    def repeating(at, j, k, m):
+        eq = raw_equation(at, j, k, m)
+        return repeated if (at, eq.label, m) == (block, second, 2) else eq
+
+    monkeypatch.setattr(pluckereqs.structure, "raw_equation", repeating)
     report = census(params)
     assert report.total_observed == report.total_predicted
     assert all(entry.ok for entry in report.classes)
@@ -834,28 +917,40 @@ def test_census_counts_a_repeated_label(monkeypatch):
 
 
 def test_census_holds_no_raw_equation(monkeypatch):
-    # census reads the two-index equations as they are generated: at (8,4)
-    # at most two raw equations are alive at once, the one just read and the
-    # next one generated.
+    # census reads each q = 0 label of each block Gr(r, 2r) once, r = 2..4
+    # at (8,4), and no system: at most two raw equations are alive at once,
+    # and none is left at the end.  The labels are counted, not generated.
     params = GrassmannParams(8, 4)
-    live: dict[int, weakref.ref] = {}
-    seen = peak = 0
-
-    def tracked(params, m):
-        nonlocal seen, peak
-        for eq in _raw_equations(params, m):
-            key = id(eq)
-            live[key] = weakref.ref(eq, lambda _ref, key=key: live.pop(key))
-            seen += 1
-            peak = max(peak, len(live))
-            yield eq
-
-    monkeypatch.setattr(pluckereqs.structure, "_raw_equations", tracked)
+    reads = _RawReads(monkeypatch)
     report = census(params)
     assert report.ok
-    assert seen == report.total_observed == comb(8, 2) * comb(8, 6)
-    assert 1 <= peak <= 2
-    assert not live
+    assert report.total_observed == comb(8, 2) * comb(8, 6)
+    assert reads.all_on_blocks(params)
+    assert reads.calls == Counter(
+        {(GrassmannParams(2 * r, r), label, 2): 1 for r in (2, 3, 4) for label in _q0_labels(r, 2)}
+    )
+    assert 1 <= reads.peak <= 2
+    assert not reads.live
+
+
+def test_census_memory_is_bounded():
+    # census keeps no label and no (n, p) form: at (10,5), 14,400 labels,
+    # it allocates well under 1 MB at its peak.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert census(GrassmannParams(10, 5)).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def _q0_labels(r, m):
+    """The q = 0 labels ``(j, complement of j)`` moving ``m`` in Gr(r, 2r), in system order."""
+    indices = tuple(range(1, 2 * r + 1))
+    return [(j, tuple(x for x in indices if x not in j)) for j in combinations(indices, r - m)]
 
 
 def _reference_census_dict(params):
@@ -938,6 +1033,8 @@ def test_strip_lemma_every_label_up_to_n9():
     # D = j & k and the increasing relabeling of S = j ^ k gives the raw
     # equation at (n, p): the same terms, signs, left/right order and term
     # order, at every label with n <= 9 and every 1 <= m <= min(p, n-p).
+    # So does lifting the block's canonical form (strip's corollary), which
+    # the census's distinctness rests on.
     labels = 0
     for n in range(2, 10):
         for p in range(1, n):
@@ -956,6 +1053,9 @@ def test_strip_lemma_every_label_up_to_n9():
                     block = raw_equation(GrassmannParams(2 * r, r), j_block, k_block, m)
                     lifted = tuple((c, lift(left), lift(right)) for c, left, right in block.terms)
                     assert lifted == eq.terms, (n, p, m, eq.label)
+                    canonical = canonicalize(block).terms
+                    lifted = tuple((c, lift(left), lift(right)) for c, left, right in canonical)
+                    assert lifted == canonicalize(eq).terms, (n, p, m, eq.label)
                     labels += 1
     assert labels == sum(
         comb(n, p - m) * comb(n, p + m)
@@ -983,55 +1083,30 @@ def test_verify_by_blocks_matches_verify_structure(n, p):
 
 
 def test_verify_by_blocks_matches_verify_structure_on_a_corrupted_stream(monkeypatch):
-    # A 10-term equation corrupted in the generated two-index system but not
-    # in raw_equation: the census and the family checks read the stream and
-    # fail, and the identities, which read raw_equation, hold.
-    params = GrassmannParams(7, 4)
-    family = pair_families(params)[0]
-    dropped = family.members[0]
-
-    def corrupt(eq):
-        if eq.label != dropped:
-            return eq
-        return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
-
-    _patch_streams(monkeypatch, corrupt)
-    report = verify_structure(params)
-    assert not report.census.ok
-    assert report.family_failures == [(family.q, family.l)]
-    assert not report.decomposition_failures and not report.combination_failures
-
-
-def test_verify_counts_each_distinct_label_once_on_a_repeating_stream(monkeypatch):
-    # A stream that repeats a two-index label in place of the next one: the
-    # census fails, and each distinct label is checked, counted and reported
-    # once.
-    params = GrassmannParams(6, 3)
-    labels = [eq.label for eq in gen_plucker_like(params)]
-    previous = {}
-
-    def repeat(eq):
-        if eq.label == labels[1]:
-            return previous[labels[0]]
-        previous[eq.label] = eq
-        return eq
-
-    _patch_streams(monkeypatch, repeat)
-    report = verify_structure(params)
-    assert not report.census.ok
-    assert report.decompositions_checked == len(labels) - 1
+    # A two-index label of the r = 3 block without its last term, and every
+    # label that strips to it: verify_structure's report, census included,
+    # equals the per-label reference field by field at every point with a
+    # family stratum up to n = 8.
+    _corrupt_lifts(monkeypatch, {(2, (3, (1,), (2, 3, 4, 5, 6))): _drop_last_term})
+    for n, p in [(6, 3), (7, 3), (7, 4), (8, 3), (8, 4), (8, 5)]:
+        params = GrassmannParams(n, p)
+        report = verify_structure(params)
+        assert not report.census.ok
+        assert report.census.to_dict() == _reference_census_dict(params), (n, p)
+        decomposition, combination = _per_label_failures(params)
+        assert report.decomposition_failures == decomposition != [], (n, p)
+        assert report.combination_failures == combination != [], (n, p)
+        assert report.family_failures == _per_label_family_failures(params), (n, p)
+        assert len(report.family_failures) == len(pair_families(params)) == report.families_checked
+        assert report.multiplicity_failures == _per_label_multiplicity_failures(params) == []
 
 
 def _drop_last_one_index_term(eq, m):
-    return QuadraticEquation(eq.params, eq.label, eq.terms[:-1]) if m == 1 else eq
+    return _drop_last_term(eq) if m == 1 else eq
 
 
 def _flip_first_two_index_term(eq, m):
-    if m != 2:
-        return eq
-    first = eq.terms[0]
-    terms = (QuadTerm(-first.coefficient, first.left, first.right),) + eq.terms[1:]
-    return QuadraticEquation(eq.params, eq.label, terms)
+    return _flip_first_term(eq) if m == 2 else eq
 
 
 @pytest.mark.parametrize("mutant", [_drop_last_one_index_term, _flip_first_two_index_term])
@@ -1055,6 +1130,8 @@ def test_verify_by_blocks_fails_where_verify_structure_does(monkeypatch, capsys,
     assert report.decomposition_failures == decomposition != []
     assert report.combination_failures == combination != []
     assert report.multiplicity_failures == _per_label_multiplicity_failures(params)
+    assert report.family_failures == _per_label_family_failures(params)
+    assert report.census.to_dict() == _reference_census_dict(params)
     assert main(["verify", "--n", "7", "--p", "4"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"VERIFY (n=7, p=4): FAIL at {report.first_failure}"
@@ -1062,50 +1139,36 @@ def test_verify_by_blocks_fails_where_verify_structure_does(monkeypatch, capsys,
 
 @pytest.mark.parametrize("n, p", [(8, 4), (9, 4)])
 def test_verify_reads_the_one_index_system_only_on_blocks(monkeypatch, capsys, n, p):
-    # The command reads each two-index label of (n, p) once, for the census,
-    # and every other raw equation on a q = 0 label of a block Gr(r, 2r),
-    # 2 <= r <= min(p, n-p).  (8, 4) is itself the r = 4 block, so its
-    # calls on q = 0 labels include the block's.
+    # The command reads no system: every raw equation is on a q = 0 label of
+    # a block Gr(r, 2r), 2 <= r <= min(p, n-p), at most two are alive at
+    # once, and none is left at the end.  (8, 4) is itself the r = 4 block:
+    # the census reads each of its C(8, 2) two-index labels once, and the
+    # decomposition once more, with p+2 one-index equations for each.
+    # Nothing is read at (9, 4).
     from pluckereqs.cli import main
 
     params = GrassmannParams(n, p)
-    census_calls = Counter({(params, eq.label, 2): 1 for eq in gen_plucker_like(params)})
-    calls = Counter()
-
-    def counting(params, j, k, m):
-        eq = raw_equation(params, j, k, m)
-        calls[params, eq.label, m] += 1
-        return eq
-
-    monkeypatch.setattr(pluckereqs.equations, "raw_equation", counting)
-    monkeypatch.setattr(pluckereqs.structure, "raw_equation", counting)
+    reads = _RawReads(monkeypatch)
     assert main(["verify", "--n", str(n), "--p", str(p)]) == 0
     assert capsys.readouterr().out.endswith("PASS\n")
-    blocks = {GrassmannParams(2 * r, r) for r in range(2, min(p, n - p) + 1)}
-    block_calls = calls - census_calls
-    assert calls == census_calls + block_calls  # each (n, p) label is read for the census
-    for at, (j, k), m in block_calls:
-        assert at in blocks and not set(j) & set(k), (at, j, k, m)
+    assert reads.all_on_blocks(params)
     at_point = Counter()
-    for (at, _, m), count in calls.items():
+    for (at, _, m), count in reads.calls.items():
         if at == params:
             at_point[m] += count
-    two_index_labels = comb(n, p - 2) * comb(n, p + 2)
-    if params in blocks:
-        # The block's decomposition reads each of its C(2p, p-2) two-index
-        # labels once more, and p+2 one-index equations for each.
-        assert at_point == {2: two_index_labels + comb(n, p - 2), 1: (p + 2) * comb(n, p - 2)}
+    if n == 2 * p:
+        assert at_point == {2: 2 * comb(n, p - 2), 1: (p + 2) * comb(n, p - 2)}
     else:
-        assert at_point == {2: two_index_labels}
+        assert at_point == {}
+    assert 1 <= reads.peak <= 2
+    assert not reads.live
 
 
 def _drop_last_term_at(monkeypatch, block, label):
     """Make the structural checks read ``label`` at ``block`` without its last term."""
     def dropped(params, j, k, m):
         eq = raw_equation(params, j, k, m)
-        if params == block and eq.label == label:
-            return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
-        return eq
+        return _drop_last_term(eq) if params == block and eq.label == label else eq
 
     monkeypatch.setattr(pluckereqs.structure, "raw_equation", dropped)
 
@@ -1132,7 +1195,10 @@ def test_verify_structure_lifts_a_failed_two_index_block_label(
         (family.q, family.l, 1, i2) for family in pair_families(params) for i2 in range(2, 7)
     ]
     assert len(report.combination_failures) == pairs
-    assert report.multiplicity_failures == [] and report.census.ok
+    # The census and the family structure read the block label too.
+    assert not report.census.ok
+    assert report.family_failures == [(family.q, family.l) for family in pair_families(params)]
+    assert report.multiplicity_failures == []
 
 
 @pytest.mark.parametrize("n, p, three_term", [(8, 4, 420), (9, 4, 1260)])
