@@ -144,6 +144,16 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     the symmetric difference and ``< | >`` the inversion-pair count; the
     term's monomial is ``lam_{j + ii} * lam_{k - ii}``.
 
+    The collected terms are ``(-1) ** (m*p + m*(m-1)/2)`` times the e_k
+    coefficient of ``(iota_{e^j} h) ^ h``, where ``iota_{e^j} e_A = sgn(j ||
+    A \\ j) e_{A \\ j}``, ``e_C ^ e_B = sgn(C || B) e_k`` and ``sgn`` is the
+    sign that sorts the concatenation.  With ``D = j & k`` and ``K' = k \\
+    j``, the pairs of ``D`` with ``ii`` give ``|D| m`` inversions, those of
+    ``ii`` with ``K' \\ ii`` give ``m (|K'| - m)`` over both sides, and those
+    within ``ii`` give ``m(m-1)/2`` on the raw side only; ``|K'| = p + m -
+    |D|`` leaves ``m*p + m(m-1)/2``.  The test
+    ``test_raw_equation_is_the_contraction_coefficient`` asserts it exactly.
+
     The sign is read off bitmasks: the parity of the number of indices of
     ``j^k`` above a moved index ``i`` is bit ``i`` of the XOR of the
     parity-above masks of ``j`` and ``k``, since indices in both cancel in

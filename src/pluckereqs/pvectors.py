@@ -350,6 +350,8 @@ def evaluate(eq: QuadraticEquation, h: PVector) -> Scalar:
     """Exact (or float) value of one equation at ``h``."""
     if eq.params != h.params:
         raise ValueError(f"equation is for {eq.params}, p-vector for {h.params}")
+    if h.field == "f64":  # the residual's value, on h over a power of two: no product overflows
+        return next((value for _, value in _violations((eq,), h, 0.0)), 0.0)
     values = _term_values(eq.terms, h.coeffs)
     return sum(values[1:], values[0]) if values else _zero(h.field)
 

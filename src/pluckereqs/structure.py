@@ -18,18 +18,17 @@ Covers four mechanically checkable facts about the two-index system:
 Each decomposition and pair identity is checked on raw polynomials only,
 as one signed sum: every term of every raw equation in it goes, times its
 weight, into one map keyed by monomial (``equations.collect_weighted``),
-and the identity holds exactly when the map ends empty.  No intermediate
-equation is built.  The family, census-distinctness and multiplicity
-checks read canonical forms.
+and the identity holds exactly when the map ends empty.  The family,
+census-distinctness and multiplicity checks read canonical forms, all
+from one reader, ``_block_forms``.
 
 One data path.  By the lemma in :func:`strip` and its corollary, every
 raw equation at (n, p), and its canonical form, is the one of a q = 0
 label of the block Gr(r, 2r), with its common part added back to both
-factors of every term.  So every fact that reads an equation is a fact of
-a block: ``census`` and ``verify_structure`` read equations only at the
-q = 0 labels of the blocks r = 2..min(p, n-p), and count the (n, p)
-labels in one pass that keeps none of them; ``stratum_probe`` reads only
-the block r = p - q.
+factors of every term.  So ``census`` and ``verify_structure`` read
+equations only at the q = 0 labels of the blocks r = 2..min(p, n-p), and
+``stratum_probe`` only at the block r = p - q; one rule reports a failed
+block check at each (n, p) label that strips to it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Iterable, Iterator
 
@@ -102,13 +101,12 @@ def classify(params: GrassmannParams, j: Iterable[int], k: Iterable[int]) -> QCl
     j = params.multiindex(j, p - 2)
     k = params.multiindex(k, p + 2)
     shared = intersection(j, k)
-    q_size = len(shared)
     return QClass(
         q=shared,
         j_prime=difference(j, k),
         k_prime=difference(k, j),
-        q_size=q_size,
-        predicted_terms=comb(p + 2 - q_size, 2),
+        q_size=len(shared),
+        predicted_terms=comb(p + 2 - len(shared), 2),
     )
 
 
@@ -155,10 +153,7 @@ class CensusReport:
         return {c.q_size: c for c in self.classes if c.kind == "large"}
 
     def _by_kind(self, kind: str) -> QClassCensus | None:
-        for entry in self.classes:
-            if entry.kind == kind:
-                return entry
-        return None
+        return next((entry for entry in self.classes if entry.kind == kind), None)
 
     @property
     def ok(self) -> bool:
@@ -196,16 +191,16 @@ class CensusReport:
         }
 
 
-def _labels(params: GrassmannParams) -> Iterator[Label]:
-    """The two-index labels ``(j, k)`` at (n, p), in system order; no equation is built."""
-    indices, p = params.indices, params.p
-    return ((j, k) for j in combinations(indices, p - 2) for k in combinations(indices, p + 2))
-
-
 def _block_labels(r: int, m: int) -> Iterator[Label]:
     """The q = 0 labels ``(j, complement of j)`` moving ``m`` in ``GrassmannParams(2r, r)``."""
     indices = tuple(range(1, 2 * r + 1))
     return ((j, difference(indices, j)) for j in combinations(indices, r - m))
+
+
+def _block_forms(r: int, m: int) -> list[tuple[QuadTerm, ...]]:
+    """The canonical terms at each label of :func:`_block_labels`, in that order."""
+    block = GrassmannParams(2 * r, r)
+    return [canonicalize(raw_equation(block, j, k, m)).terms for j, k in _block_labels(r, m)]
 
 
 def census(params: GrassmannParams) -> CensusReport:
@@ -239,8 +234,7 @@ def census(params: GrassmannParams) -> CensusReport:
     classes, trivial, distinct = [], 0, True
     for q_size in range(p - 2, max(0, 2 * p - n) - 1, -1):
         r = p - q_size
-        block = GrassmannParams(2 * r, r)
-        forms = [canonicalize(raw_equation(block, j, k, 2)).terms for j, k in _block_labels(r, 2)]
+        forms = _block_forms(r, 2)
         trivial += forms.count(()) * multinomial(n, [q_size, 2 * r, n - p - r])
         distinct = distinct and len(set(forms)) == len(forms)
         classes.append(
@@ -280,11 +274,10 @@ def one_index_decomposition(
     j = params.multiindex(j, params.p - 2)
     k = params.multiindex(k, params.p + 2)
     sym = symmetric_difference(j, k)
-    expansion = []
-    for i in difference(k, j):
-        sign = -1 if inversion_pairs(sym, (i,)) & 1 else 1
-        expansion.append((sign, (ordered_union(j, (i,)), difference(k, (i,)))))
-    return expansion
+    return [
+        ((-1) ** inversion_pairs(sym, (i,)), (ordered_union(j, (i,)), difference(k, (i,))))
+        for i in difference(k, j)
+    ]
 
 
 def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[int]) -> bool:
@@ -473,10 +466,8 @@ def stratum_probe(params: GrassmannParams, q_size: int) -> ProbeReport:
     supports, weights = Counter(), 0
     if admissible:
         r = p - q_size
-        block, weights = GrassmannParams(2 * r, r), multinomial(n, [q_size, 2 * r, n - p - r])
-        for j, k in _block_labels(r, 2):
-            terms = canonicalize(raw_equation(block, j, k, 2)).terms
-            supports[frozenset((t.left, t.right) for t in terms)] += 1
+        weights = multinomial(n, [q_size, 2 * r, n - p - r])
+        supports.update(frozenset((t.left, t.right) for t in terms) for terms in _block_forms(r, 2))
     groups = Counter(supports.values())
     return ProbeReport(
         n=n, p=p, q_size=q_size, admissible=admissible,
@@ -587,12 +578,11 @@ def strip(
     j, k = (params.multiindex(idx) for idx in label)
     if len(j) > params.p or len(j) + len(k) != 2 * params.p:
         raise ValueError(f"label sizes must be (p-m, p+m) with m >= 0, got ({len(j)}, {len(k)})")
-    common = set(j).intersection(k)
     position = {x: at for at, x in enumerate(symmetric_difference(j, k), 1)}
     return (
         len(position) // 2,
-        tuple(position[x] for x in j if x not in common),
-        tuple(position[x] for x in k if x not in common),
+        tuple(position[x] for x in j if x in position),
+        tuple(position[x] for x in k if x in position),
     )
 
 
@@ -615,11 +605,13 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
       and equal non-trivial forms share ``D`` and ``S``, so a non-trivial
       3-term form is its label's alone (a trivial one fails).
 
-    A failed block check is reported at every (n, p) label or family that
-    strips to it, in system order; with no failure, no label is stripped
-    and :func:`pair_families` is not built at (n, p).
+    On a failed block check, one walk over the (n, p) labels in system
+    order files each that strips to a failed block label as a decomposition
+    failure and, if the r = 2 check failed, each that strips to ``(2, (),
+    (1, 2, 3, 4))`` (the 3-term labels) as a multiplicity failure.  A failed
+    family check is reported at every family of :func:`pair_families`.
     """
-    n, p = params.n, params.p
+    n, p, indices = params.n, params.p, params.indices
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
     counts = census(params)
@@ -634,10 +626,6 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
         for j, k in _block_labels(r, 2)
         if not check_decomposition(GrassmannParams(2 * r, r), j, k)
     }
-    if failed_blocks:
-        report.decomposition_failures = [
-            label for label in _labels(params) if strip(params, label) in failed_blocks
-        ]
 
     if report.families_checked:
         block = GrassmannParams(6, 3)
@@ -646,12 +634,9 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
             pair for family in block_families for pair in pairs
             if not check_pair_combine(block, family, *pair)
         ]
-        structure_ok = True
-        for family in block_families:
-            forms = [canonicalize(raw_equation(block, *label, 2)).terms for label in family.members]
-            supports = {frozenset((t.left, t.right) for t in terms) for terms in forms}
-            structure_ok &= len(supports) == 1 and len(set(forms)) == 6
-            structure_ok &= {len(terms) for terms in forms} == {10}
+        forms = _block_forms(3, 2)
+        supports = {frozenset((t.left, t.right) for t in terms) for terms in forms}
+        structure_ok = len(supports) == 1 and len(set(forms)) == 6 and set(map(len, forms)) == {10}
         if failed_pairs or not structure_ok:
             for family in pair_families(params):
                 if not structure_ok:
@@ -661,11 +646,13 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
         if members != list(_block_labels(3, 2)):
             report.family_failures.append(("partition", "mismatch"))
 
-    block = GrassmannParams(4, 2)
-    three_term = canonicalize(raw_equation(block, (), block.indices, 2)).terms
-    one_forms = [canonicalize(raw_equation(block, j, k, 1)).terms for j, k in _block_labels(2, 1)]
-    if one_forms.count(three_term) != 4 or not three_term:
-        report.multiplicity_failures = [
-            (j, k) for j, k in _labels(params) if len(set(j).intersection(k)) == p - 2
-        ]
+    [three_term] = _block_forms(2, 2)
+    three_term_failed = _block_forms(2, 1).count(three_term) != 4 or not three_term
+    if failed_blocks or three_term_failed:
+        for label in product(combinations(indices, p - 2), combinations(indices, p + 2)):
+            stripped = strip(params, label)
+            if stripped in failed_blocks:
+                report.decomposition_failures.append(label)
+            if three_term_failed and stripped == (2, (), (1, 2, 3, 4)):
+                report.multiplicity_failures.append(label)
     return report

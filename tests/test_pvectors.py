@@ -50,6 +50,28 @@ def test_gaussian_rational_arithmetic():
     assert a.norm_sq() == Fraction(5, 4)
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational(0)
+    # An int or Fraction operand is exact on either side; any other type is
+    # refused by each binary operator, so Python raises TypeError.
+    assert a - 1 == GaussianRational(Fraction(-1, 2), Fraction(1))
+    assert 1 - a == GaussianRational(Fraction(1, 2), Fraction(-1))
+    assert 2 / a == GaussianRational(Fraction(4, 5), Fraction(-8, 5))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        assert getattr(a, name)(1.5) is NotImplemented, name
+    with pytest.raises(TypeError):
+        a + 1.5
+    with pytest.raises(TypeError):
+        1.5 - a
+
+
+def test_zero_in_each_field(params63):
+    # An absent coefficient reads as the field's own zero, and scaling by 0
+    # gives the zero vector of the same field.
+    for field, zero in [("Q", Fraction(0)), ("Q_i", GaussianRational(0)), ("f64", 0.0)]:
+        h = pvector(params63, {(1, 2, 3): 1}, field)
+        value = h.coefficient((4, 5, 6))
+        assert value == zero and type(value) is type(zero), field
+        assert scaled(h, 0) == pvector(params63, {}, field), field
 
 
 def test_pvector_validation(params63):
@@ -154,6 +176,16 @@ def test_evaluate_monomial_pickout(params63, pluckerlike63, h_sum):
     assert evaluate(table4_6, h_sum) == 1
     trivial = canonicalize(gen_plucker(params63).equations[0])
     assert evaluate(trivial, h_sum) == 0
+
+
+def test_evaluate_f64_does_not_overflow():
+    # Every product is 1e400, past the float range: summed as is, each
+    # non-trivial equation would read inf - inf = nan.  evaluate scales h
+    # as the residual does and reads the exact 0.0 of a simple vector.
+    h = wedge([[1e100, 0, 1e100, 1e100], [0, 1e100, 1e100, 2e100]])
+    assert is_simple(h) and not residual(gen_plucker(h.params), h).violations
+    for system in (gen_plucker(h.params), gen_plucker_like(h.params)):
+        assert [evaluate(eq, h) for eq in system] == [0.0] * len(system)
 
 
 def test_evaluate_params_mismatch(h_sum):

@@ -180,6 +180,9 @@ def test_render_rejects_unknown_format(pluckerlike63):
         render(pluckerlike63, "yaml")
     with pytest.raises(ValueError, match="^csv rendering requires a full EquationSystem$"):
         render(pluckerlike63.equations[0], "csv")
+    # An unknown format is named as such for one equation too.
+    with pytest.raises(ValueError, match="^format must be one of .*, got 'nope'$"):
+        render(pluckerlike63.equations[0], "nope")
 
 
 def test_render_one_equation_is_its_line(pluckerlike63):

@@ -1214,3 +1214,35 @@ def test_verify_structure_lifts_a_failed_one_index_block_label(monkeypatch, n, p
     assert report.multiplicity_failures == report.decomposition_failures == expected
     assert len(expected) == three_term
     assert report.combination_failures == [] and report.census.ok
+
+
+def test_census_without_a_family_stratum_has_no_ten_term_class():
+    report = census(GrassmannParams(4, 2))
+    assert report.ten_term is None and report.larger_strata == {}
+    assert report.three_term.observed == 1 and report.ok
+
+
+def test_a_label_strips_to_the_three_term_block_label_exactly_at_q_equal_p_minus_2():
+    # verify_structure files a failed 3-term multiplicity under each label
+    # that strips to (2, (), (1, 2, 3, 4)); these are exactly the labels of
+    # the 3-term stratum, at every two-index label with n <= 9.
+    for n in range(4, 10):
+        for p in range(2, n - 1):
+            params = GrassmannParams(n, p)
+            for j in combinations(params.indices, p - 2):
+                for k in combinations(params.indices, p + 2):
+                    three_term = len(set(j).intersection(k)) == p - 2
+                    assert (strip(params, (j, k)) == (2, (), (1, 2, 3, 4))) is three_term, (j, k)
+
+
+@pytest.mark.slow
+def test_verify_structure_matches_per_label_oracle_at_10_5():
+    # The block-checked report equals the per-label oracle, which reads
+    # every (n, p) equation, field by field at (10,5).
+    params = GrassmannParams(10, 5)
+    report = verify_structure(params)
+    assert report.census.to_dict() == _reference_census_dict(params)
+    assert (report.decomposition_failures, report.combination_failures) == _per_label_failures(params)
+    assert report.family_failures == _per_label_family_failures(params) == []
+    assert report.multiplicity_failures == _per_label_multiplicity_failures(params) == []
+    assert report.ok
