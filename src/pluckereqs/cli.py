@@ -82,7 +82,7 @@ def _add_params(parser: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .equations import _first_occurrences, _raw_equations, canonicalize
+    from .equations import _canonical_equations, _raw_equations
     from .multiindex import GrassmannParams
     from .render import _system_pieces
 
@@ -92,11 +92,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.m >= 3 and not args.experimental:
         raise ValueError("m >= 3 has no structural guarantees; pass --experimental to proceed")
     # One equation at a time from generation to output: no system is held.
-    equations = _raw_equations(params, args.m)
-    if args.dedupe:
-        equations = _first_occurrences(equations)
-    elif not args.raw:
-        equations = map(canonicalize, equations)
+    if args.raw:
+        equations = _raw_equations(params, args.m)
+    else:
+        equations = _canonical_equations(params, args.m, first_only=args.dedupe)
     pieces = _system_pieces(params, args.m, equations, args.format, with_labels=not args.dedupe)
     _write_output(pieces, args.out)
     return EXIT_OK

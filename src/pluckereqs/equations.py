@@ -21,7 +21,8 @@ module.  Each term's ``left`` and ``right`` come from the intern table of
 equation the process generates or reads, and every p-vector key, shares
 one tuple per distinct multi-index.  A system is generated one equation at
 a time; the command line renders each one as it comes and holds no whole
-system.
+system.  Canonical forms are lifted from the blocks Gr(r, 2r), each
+canonicalized once per call (``_canonical_equations``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _EXPORTS
-from .multiindex import _INTERNED, GrassmannParams, MultiIndex
+from .multiindex import _INTERNED, GrassmannParams, MultiIndex, difference
 
 Label = tuple[MultiIndex, MultiIndex]
 
@@ -184,18 +185,69 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
 
 
 def _raw_equations(params: GrassmannParams, m: int) -> Iterator[QuadraticEquation]:
-    """The raw equations of the system moving ``m`` indices, one at a time, in system order.
+    """The raw equations moving ``m``, in system order; a bad ``m`` raises here, not when read."""
+    j_list, k_list = _label_lists(params, m)
+    return (raw_equation(params, j, k, m) for j in j_list for k in k_list)
 
-    ``m`` is checked and the labels are validated and interned before the
-    iterator is returned, so a bad width raises here and not at the first
-    equation.
-    """
+
+def _label_lists(params: GrassmannParams, m: int) -> tuple[list[MultiIndex], ...]:
+    """Check ``m``; the interned j's and k's of the system, in order."""
     check_width(params, m)
-    j_list, k_list = (
+    return tuple(
         [params.multiindex(idx, size) for idx in combinations(params.indices, size)]
         for size in (params.p - m, params.p + m)
     )
-    return (raw_equation(params, j, k, m) for j in j_list for k in k_list)
+
+
+def _block_labels(r: int, m: int) -> Iterator[Label]:
+    """The q = 0 labels ``(j, complement of j)`` moving ``m`` in ``GrassmannParams(2r, r)``."""
+    indices = tuple(range(1, 2 * r + 1))
+    return ((j, difference(indices, j)) for j in combinations(indices, r - m))
+
+
+def _canonical_equations(
+    params: GrassmannParams, m: int, first_only: bool = False
+) -> Iterator[QuadraticEquation]:
+    """The canonical equations moving ``m``, in order; with ``first_only``, ``dedupe``'s.
+
+    By ``structure.strip``'s corollary, the form at ``(j, k)`` is its block
+    form with each factor ``X`` lifted to ``D + S[X]``, ``D = j & k``, ``S =
+    j ^ k``; a term's factors split ``S``.  Equal non-trivial forms share
+    ``D`` and ``S``, and lifting keeps label order, so a first occurrence is
+    a block's first.  Block forms are built here, once per call.
+    """
+    j_list, k_list = _label_lists(params, m)
+    templates = {}
+    for r in range(m, min(params.p, params.n - params.p) + 1):
+        block, seen = GrassmannParams(2 * r, r), set()
+        for j, k in _block_labels(r, m):
+            terms = canonicalize(raw_equation(block, j, k, m)).terms
+            first = bool(terms) and terms not in seen
+            seen.add(terms)
+            key = tuple(x in j for x in range(1, 2 * r + 1))  # which places of S lie in j
+            templates[key] = first, [(c, tuple(x - 1 for x in left)) for c, left, _ in terms]
+    bits = [1 << i for i in params.indices]
+    table, new_term = _MULTIINDEX_BY_MASK, tuple.__new__
+
+    def lifted() -> Iterator[QuadraticEquation]:
+        for j in j_list:
+            j_mask = _MASKS[j][0]
+            for k in k_list:
+                k_mask = _MASKS[k][0]
+                common, union = j_mask & k_mask, j_mask | k_mask
+                spread = [bit for bit in bits if (union ^ common) & bit]
+                first, template = templates[tuple([j_mask & bit > 0 for bit in spread])]
+                if first_only and not first:
+                    continue
+                terms = []
+                for c, left in template:
+                    lift = 0
+                    for at in left:
+                        lift |= spread[at]
+                    terms.append(new_term(QuadTerm, (c, table[common | lift], table[union ^ lift])))
+                yield QuadraticEquation(params, (j, k), tuple(terms))
+
+    return lifted()
 
 
 def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationSystem:
@@ -299,28 +351,6 @@ def linear_combination(
     return QuadraticEquation(params, ((), ()), tuple(terms))
 
 
-def _first_occurrences(
-    equations: Iterable[QuadraticEquation],
-    multiplicity: dict[tuple[QuadTerm, ...], list[Label]] | None = None,
-) -> Iterator[QuadraticEquation]:
-    """The canonical form of each equation that is non-trivial and not seen before.
-
-    Equations are read and yielded one at a time, so only the distinct
-    canonical term tuples are kept.  With ``multiplicity``, every label is
-    also appended to the list of its canonical terms there (the empty tuple
-    collects the trivial labels).
-    """
-    seen: set[tuple[QuadTerm, ...]] = set()
-    for eq in equations:
-        canonical = canonicalize(eq)
-        terms = canonical.terms
-        if multiplicity is not None:
-            multiplicity.setdefault(terms, []).append(eq.label)
-        if terms and terms not in seen:
-            seen.add(terms)
-            yield canonical
-
-
 def dedupe(
     system: EquationSystem,
 ) -> tuple[list[QuadraticEquation], dict[tuple[QuadTerm, ...], list[Label]]]:
@@ -330,8 +360,14 @@ def dedupe(
     order, plus a multiplicity map from canonical term tuple to every source
     label producing it (the empty tuple collects the trivial labels).
     """
+    reduced: list[QuadraticEquation] = []
     multiplicity: dict[tuple[QuadTerm, ...], list[Label]] = {}
-    reduced = list(_first_occurrences(system.equations, multiplicity))
+    for eq in system.equations:
+        canonical = canonicalize(eq)
+        labels = multiplicity.setdefault(canonical.terms, [])
+        if canonical.terms and not labels:
+            reduced.append(canonical)
+        labels.append(eq.label)
     return reduced, multiplicity
 
 

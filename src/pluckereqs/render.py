@@ -72,16 +72,11 @@ def _equation_body(terms: tuple[QuadTerm, ...], names: _Memo, latex: bool) -> st
     """The equation ``... = 0`` with signs between the terms, as text or LaTeX."""
     if not terms:
         return "0 = 0"
-    if latex:
-        template, scale = "{{\\lambda}}_{{{}}} {{\\lambda}}_{{{}}}", "{} {}"
-    else:
-        template, scale = "λ_{{{}}}λ_{{{}}}", "{}{}"
+    lam, gap = ("{\\lambda}", " ") if latex else ("λ", "")
     pieces = []
-    for coefficient, left, right in terms:
-        body = template.format(names[left], names[right])
-        if coefficient != 1 and coefficient != -1:
-            body = scale.format(abs(coefficient), body)
-        pieces.append(("- " if coefficient < 0 else "+ ") + body)
+    for c, left, right in terms:
+        sign = "+ " if c == 1 else "- " if c == -1 else f"{'-' if c < 0 else '+'} {abs(c)}{gap}"
+        pieces.append(f"{sign}{lam}_{{{names[left]}}}{gap}{lam}_{{{names[right]}}}")
     text = " ".join(pieces)
     # The first term has no "+ " and a bare "-".
     return ("-" + text[2:] if text[0] == "-" else text[2:]) + " = 0"

@@ -38,13 +38,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import _EXPORTS
 from .equations import (
     Label,
     QuadraticEquation,
     QuadTerm,
+    _block_labels,
     canonicalize,
     collect_weighted,
     raw_equation,
@@ -189,12 +190,6 @@ class CensusReport:
             "all_nontrivial": self.all_nontrivial,
             "ok": self.ok,
         }
-
-
-def _block_labels(r: int, m: int) -> Iterator[Label]:
-    """The q = 0 labels ``(j, complement of j)`` moving ``m`` in ``GrassmannParams(2r, r)``."""
-    indices = tuple(range(1, 2 * r + 1))
-    return ((j, difference(indices, j)) for j in combinations(indices, r - m))
 
 
 def _block_forms(r: int, m: int) -> list[tuple[QuadTerm, ...]]:

@@ -22,7 +22,7 @@ from pluckereqs import (
     raw_equation,
     size_ratio,
 )
-from pluckereqs.equations import collect_weighted
+from pluckereqs.equations import _canonical_equations, _raw_equations, collect_weighted
 from pluckereqs.multiindex import _INTERNED
 from pluckereqs.multiindex import (
     difference,
@@ -253,6 +253,56 @@ def test_dedupe_first_occurrence_order(plucker63):
             expected.append(canon.terms)
     assert [eq.terms for eq in reduced] == expected
     assert len(by_terms) == len(reduced)
+
+
+def _check_canonical_stream(sizes):
+    # The lifted block forms against canonicalize on each raw equation, and
+    # the first_only stream against dedupe, at every p and m for each n.
+    labels = expected = 0
+    for n in sizes:
+        for p in range(1, n):
+            params = GrassmannParams(n, p)
+            for m in range(1, min(p, n - p) + 1):
+                canonical = [canonicalize(eq) for eq in _raw_equations(params, m)]
+                assert list(_canonical_equations(params, m)) == canonical, (n, p, m)
+                reduced, _ = dedupe(gen_generalized(params, m))
+                assert list(_canonical_equations(params, m, first_only=True)) == reduced, (n, p, m)
+                labels += len(canonical)
+                expected += comb(n, p - m) * comb(n, p + m)
+    assert labels == expected
+
+
+def test_canonical_stream_is_canonicalize_and_dedupe_up_to_n9():
+    _check_canonical_stream(range(2, 10))
+
+
+@pytest.mark.slow
+def test_canonical_stream_is_canonicalize_and_dedupe_at_n10():
+    _check_canonical_stream([10])
+
+
+def test_canonical_stream_reads_raw_equation_on_each_call(monkeypatch):
+    # A block form is built per call, from the raw_equation of that moment:
+    # with the last raw term dropped, the second call's forms follow it.
+    import pluckereqs.equations
+
+    params = GrassmannParams(7, 3)
+    before = list(_canonical_equations(params, 2))
+    raw = pluckereqs.equations.raw_equation
+
+    def dropped(params, j, k, m):
+        eq = raw(params, j, k, m)
+        return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
+
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", dropped)
+    after = list(_canonical_equations(params, 2))
+    assert after != before
+    assert after == [canonicalize(eq) for eq in _raw_equations(params, 2)]
+
+
+def test_canonical_stream_checks_its_width_when_called():
+    with pytest.raises(ValueError, match="m must satisfy"):
+        _canonical_equations(GrassmannParams(6, 3), 4)
 
 
 def test_gen_generalized_matches_named_generators(params63):
