@@ -38,10 +38,9 @@ _EXPORTS = {
         "system_from_json", "system_to_dict",
     ),
     "structure": (
-        "CensusReport", "PairFamily", "ProbeReport", "QClass", "QClassCensus", "VerifyReport",
-        "census", "check_decomposition", "check_pair_combine", "classify",
-        "one_index_decomposition", "pair_combine", "pair_families", "stratum_probe", "strip",
-        "verify_structure",
+        "CensusReport", "PairFamily", "ProbeReport", "QClassCensus", "VerifyReport", "census",
+        "check_decomposition", "check_pair_combine", "one_index_decomposition", "pair_combine",
+        "pair_families", "stratum_probe", "strip", "verify_structure",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -205,6 +205,12 @@ def _block_labels(r: int, m: int) -> Iterator[Label]:
     return ((j, difference(indices, j)) for j in combinations(indices, r - m))
 
 
+def _block_forms(r: int, m: int) -> list[tuple[QuadTerm, ...]]:
+    """The canonical terms at each label of :func:`_block_labels`, in that order."""
+    block = GrassmannParams(2 * r, r)
+    return [canonicalize(raw_equation(block, j, k, m)).terms for j, k in _block_labels(r, m)]
+
+
 def _canonical_equations(
     params: GrassmannParams, m: int, first_only: bool = False
 ) -> Iterator[QuadraticEquation]:
@@ -214,14 +220,13 @@ def _canonical_equations(
     form with each factor ``X`` lifted to ``D + S[X]``, ``D = j & k``, ``S =
     j ^ k``; a term's factors split ``S``.  Equal non-trivial forms share
     ``D`` and ``S``, and lifting keeps label order, so a first occurrence is
-    a block's first.  Block forms are built here, once per call.
+    a block's first.  Block forms are read by :func:`_block_forms`, once per call.
     """
     j_list, k_list = _label_lists(params, m)
     templates = {}
     for r in range(m, min(params.p, params.n - params.p) + 1):
-        block, seen = GrassmannParams(2 * r, r), set()
-        for j, k in _block_labels(r, m):
-            terms = canonicalize(raw_equation(block, j, k, m)).terms
+        seen = set()
+        for (j, _), terms in zip(_block_labels(r, m), _block_forms(r, m)):
             first = bool(terms) and terms not in seen
             seen.add(terms)
             key = tuple(x in j for x in range(1, 2 * r + 1))  # which places of S lie in j

@@ -20,7 +20,8 @@ as one signed sum: every term of every raw equation in it goes, times its
 weight, into one map keyed by monomial (``equations.collect_weighted``),
 and the identity holds exactly when the map ends empty.  The family,
 census-distinctness and multiplicity checks read canonical forms, all
-from one reader, ``_block_forms``.
+from one reader, ``equations._block_forms``, which ``generate`` lifts
+its forms from too.
 
 One data path.  By the lemma in :func:`strip` and its corollary, every
 raw equation at (n, p), and its canonical form, is the one of a q = 0
@@ -45,7 +46,9 @@ from .equations import (
     Label,
     QuadraticEquation,
     QuadTerm,
+    _block_forms,
     _block_labels,
+    _label_lists,
     canonicalize,
     collect_weighted,
     raw_equation,
@@ -54,7 +57,6 @@ from .multiindex import (
     GrassmannParams,
     MultiIndex,
     difference,
-    intersection,
     inversion_pairs,
     multinomial,
     ordered_union,
@@ -66,26 +68,6 @@ PROBE_NOTE = "exploratory - no claim"
 __all__ = _EXPORTS["structure"]
 
 
-@dataclass(frozen=True)
-class QClass:
-    """Stratum data of a two-index label: shared indices and the remainders.
-
-    ``predicted_terms`` is the raw unordered-pair term count C(p+2-q, 2);
-    the canonical count is smaller only in the top stratum q = p-2, where
-    the six raw terms collapse to three.
-    """
-
-    q: MultiIndex
-    j_prime: MultiIndex
-    k_prime: MultiIndex
-    q_size: int
-    predicted_terms: int
-
-    @property
-    def kind(self) -> str:
-        return _stratum_kind(self.q_size, len(self.j_prime) + 2 + self.q_size)
-
-
 def _stratum_kind(q_size: int, p: int) -> str:
     """"3-term" (q = p-2, raw pairs collapse), "10-term" (q = p-3,
     family stratum) or "large" (q <= p-4)."""
@@ -94,21 +76,6 @@ def _stratum_kind(q_size: int, p: int) -> str:
     if q_size == p - 3:
         return "10-term"
     return "large"
-
-
-def classify(params: GrassmannParams, j: Iterable[int], k: Iterable[int]) -> QClass:
-    """Split a two-index label into shared part ``q`` and remainders."""
-    p = params.p
-    j = params.multiindex(j, p - 2)
-    k = params.multiindex(k, p + 2)
-    shared = intersection(j, k)
-    return QClass(
-        q=shared,
-        j_prime=difference(j, k),
-        k_prime=difference(k, j),
-        q_size=len(shared),
-        predicted_terms=comb(p + 2 - len(shared), 2),
-    )
 
 
 @dataclass(frozen=True)
@@ -192,12 +159,6 @@ class CensusReport:
         }
 
 
-def _block_forms(r: int, m: int) -> list[tuple[QuadTerm, ...]]:
-    """The canonical terms at each label of :func:`_block_labels`, in that order."""
-    block = GrassmannParams(2 * r, r)
-    return [canonicalize(raw_equation(block, j, k, m)).terms for j, k in _block_labels(r, m)]
-
-
 def census(params: GrassmannParams) -> CensusReport:
     """Count the two-index system per q stratum and compare to predictions.
 
@@ -219,9 +180,10 @@ def census(params: GrassmannParams) -> CensusReport:
     if not 2 <= p <= n - 2:
         raise ValueError(f"census needs 2 <= p <= n-2, got p={p}, n={n}")
     observed, families = [0] * (p - 1), 0
-    for j in combinations(params.indices, p - 2):
+    j_list, k_list = _label_lists(params, 2)
+    for j in j_list:
         shared = set(j)
-        for k in combinations(params.indices, p + 2):
+        for k in k_list:
             q_size = len(shared.intersection(k))
             observed[q_size] += 1
             if q_size == p - 3:
@@ -606,7 +568,7 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     (1, 2, 3, 4))`` (the 3-term labels) as a multiplicity failure.  A failed
     family check is reported at every family of :func:`pair_families`.
     """
-    n, p, indices = params.n, params.p, params.indices
+    n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"verification needs 2 <= p <= n-2, got p={p}, n={n}")
     counts = census(params)
@@ -644,7 +606,7 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     [three_term] = _block_forms(2, 2)
     three_term_failed = _block_forms(2, 1).count(three_term) != 4 or not three_term
     if failed_blocks or three_term_failed:
-        for label in product(combinations(indices, p - 2), combinations(indices, p + 2)):
+        for label in product(*_label_lists(params, 2)):
             stripped = strip(params, label)
             if stripped in failed_blocks:
                 report.decomposition_failures.append(label)

@@ -591,8 +591,8 @@ intersection inversion_pairs multinomial ordered_union subsets_of_size symmetric
 GaussianRational PVector Residual evaluate is_simple pvector pvector_from_dict
 pvector_from_json pvector_to_dict pvector_to_json random_pvector random_simple residual
 scaled wedge equation_latex equation_text render system_from_dict system_from_json
-system_to_dict CensusReport PairFamily ProbeReport QClass VerifyReport stratum_probe census
-check_pair_combine check_decomposition classify pair_combine pair_families
+system_to_dict CensusReport PairFamily ProbeReport VerifyReport stratum_probe census
+check_pair_combine check_decomposition pair_combine pair_families
 one_index_decomposition verify_structure __version__
 """.split()
 
@@ -995,6 +995,31 @@ def test_dot_style_output_digests_10_2(tmp_path, capsys):
             assert code == 0
             digests["export-csv-" + name.rsplit("-", 1)[1]] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == DOT_STYLE_DIGESTS
+
+
+def _pins():
+    """argv -> sha256 of its stdout, from ``tests/data/pins.json``.
+
+    A value that is a key of ``perfbench/digests.json`` stands for that
+    file's digest, which is read and never written here.
+    """
+    digests = json.loads((DATA_DIR.parent.parent / "perfbench" / "digests.json").read_text())
+    pins = json.loads((DATA_DIR / "pins.json").read_text())
+    return {argv: digests.get(pin, pin) for argv, pin in pins.items()}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "argv, digest", [pytest.param(*pin, id=pin[0]) for pin in sorted(_pins().items())]
+)
+def test_pinned_output_bytes(argv, digest):
+    # Each pinned command, launched as a process, prints the pinned bytes.
+    result = subprocess.run(
+        [sys.executable, "-m", "pluckereqs.cli", *argv.split()],
+        capture_output=True, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 _SRC = str(Path(__file__).parent.parent / "src")

@@ -19,7 +19,6 @@ from pluckereqs import (
     census,
     check_pair_combine,
     check_decomposition,
-    classify,
     collect_terms,
     gen_plucker,
     gen_plucker_like,
@@ -33,7 +32,7 @@ from pluckereqs import (
     symmetric_difference,
     verify_structure,
 )
-from pluckereqs.equations import _raw_equations
+from pluckereqs.equations import _canonical_equations, _raw_equations
 from pluckereqs.multiindex import _INTERNED
 
 
@@ -75,8 +74,9 @@ def _flip_first_term(eq):
 class _RawReads:
     """Every raw equation the structural checks generate, and those still alive.
 
-    Installed as ``structure.raw_equation``; the whole-system generator is
-    made to fail, so a check that reads a system is caught.
+    Installed as ``raw_equation`` in ``equations``, where the block reader
+    ``_block_forms`` reads it, and in ``structure``; the whole-system
+    generator is made to fail, so a check that reads a system is caught.
     """
 
     def __init__(self, monkeypatch):
@@ -87,6 +87,7 @@ class _RawReads:
         def whole_system(params, m):
             raise AssertionError(f"a structural check generated the whole m={m} system")
 
+        monkeypatch.setattr(pluckereqs.equations, "raw_equation", self)
         monkeypatch.setattr(pluckereqs.structure, "raw_equation", self)
         monkeypatch.setattr(pluckereqs.equations, "_raw_equations", whole_system)
 
@@ -104,33 +105,6 @@ class _RawReads:
         return all(at in blocks and not set(j) & set(k) for at, (j, k), _ in self.calls)
 
 
-def test_classify_cases(params63):
-    top = classify(params63, (1,), (1, 2, 3, 4, 5))
-    assert top.q == (1,)
-    assert top.q_size == 1
-    assert top.kind == "3-term"
-    assert top.j_prime == ()
-    assert top.k_prime == (2, 3, 4, 5)
-    assert top.predicted_terms == 6
-
-    ten = classify(params63, (1,), (2, 3, 4, 5, 6))
-    assert ten.q == ()
-    assert ten.kind == "10-term"
-    assert ten.predicted_terms == 10
-
-    big = classify(GrassmannParams(8, 4), (1, 2), (3, 4, 5, 6, 7, 8))
-    assert big.kind == "large"
-    assert big.q_size == 0
-    assert big.predicted_terms == 15
-
-
-def test_classify_validates_sizes(params63):
-    with pytest.raises(ValueError):
-        classify(params63, (1, 2), (1, 2, 3, 4, 5))
-    with pytest.raises(ValueError, match="1..6"):
-        classify(params63, [7], [1, 2, 3, 4, 8])
-
-
 def test_one_index_decomposition_validates_labels(params63):
     with pytest.raises(ValueError):
         one_index_decomposition(params63, (1, 2), (1, 2, 3, 4, 5))
@@ -139,7 +113,7 @@ def test_one_index_decomposition_validates_labels(params63):
 
 
 def test_structure_reads_hit_the_generated_tuples():
-    # Once both systems are generated, every label that classify and the
+    # Once both systems are generated, every label that strip and the
     # decomposition read is found in the intern table: nothing new is kept.
     params = GrassmannParams(7, 3)
     one_labels = {eq.label for eq in gen_plucker(params)}
@@ -147,7 +121,7 @@ def test_structure_reads_hit_the_generated_tuples():
     recorded = len(_INTERNED)
     for eq in two:
         j, k = list(eq.label[0]), list(eq.label[1])
-        assert classify(params, j, k).q_size == len(set(j) & set(k))
+        assert strip(params, (j, k))[0] == params.p - len(set(j) & set(k))
         assert {label for _, label in one_index_decomposition(params, j, k)} <= one_labels
         assert check_decomposition(params, j, k)
     assert len(_INTERNED) == recorded
@@ -173,7 +147,7 @@ def test_census_top_stratum_equals_three_term_reduced_subset(
     top_stratum_terms = set()
     for eq in pluckerlike63:
         j, k = eq.label
-        if classify(params63, j, k).kind == "3-term":
+        if len(set(j) & set(k)) == params63.p - 2:
             top_stratum_terms.add(canonicalize(eq).terms)
     assert top_stratum_terms == three_term
     assert len(top_stratum_terms) == 30
@@ -419,6 +393,7 @@ def test_stratum_probe_reads_one_weight_block(monkeypatch):
         calls.append(params)
         return raw_equation(params, j, k, m)
 
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", recording)
     monkeypatch.setattr(pluckereqs.structure, "raw_equation", recording)
     report = stratum_probe(GrassmannParams(12, 6), 1)
     assert calls == [GrassmannParams(10, 5)] * comb(10, 3)  # 120 calls
@@ -741,7 +716,7 @@ def _per_label_multiplicity_failures(params):
     return [
         label
         for label, terms in two_forms.items()
-        if classify(params, *label).kind == "3-term"
+        if len(set(label[0]) & set(label[1])) == params.p - 2
         and (one_counts[terms] != 4 or two_counts[terms] != 1)
     ]
 
@@ -762,7 +737,8 @@ def _per_label_family_failures(params):
         if any(len(terms) != 10 for terms in canons) or len(supports) != 1 or len(set(canons)) != 6:
             failures.append((family.q, family.l))
     members = {label for family in families for label in family.members}
-    if members != {label for label in forms if classify(params, *label).kind == "10-term"}:
+    ten_term = {(j, k) for j, k in forms if len(set(j) & set(k)) == params.p - 3}
+    if members != ten_term:
         failures.append(("partition", "mismatch"))
     return failures
 
@@ -906,6 +882,7 @@ def test_census_counts_a_repeated_label(monkeypatch):
         eq = raw_equation(at, j, k, m)
         return repeated if (at, eq.label, m) == (block, second, 2) else eq
 
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", repeating)
     monkeypatch.setattr(pluckereqs.structure, "raw_equation", repeating)
     report = census(params)
     assert report.total_observed == report.total_predicted
@@ -954,20 +931,20 @@ def _q0_labels(r, m):
 
 
 def _reference_census_dict(params):
-    # The census as it was computed with a QClass per label from classify.
+    # The census as it was computed with a stratum per label, read by |j & k|.
     n, p = params.n, params.p
     system = gen_plucker_like(params)
     canonical = []
     observed, term_counts, families = Counter(), {}, set()
     for eq in system:
         j, k = eq.label
-        stratum = classify(params, j, k)
+        q_size = len(set(j) & set(k))
         terms = canonicalize(eq).terms
         canonical.append(terms)
-        observed[stratum.q_size] += 1
-        term_counts.setdefault(stratum.q_size, set()).add(len(terms))
-        if stratum.kind == "10-term":
-            families.add((stratum.q, symmetric_difference(j, k)))
+        observed[q_size] += 1
+        term_counts.setdefault(q_size, set()).add(len(terms))
+        if q_size == p - 3:
+            families.add((tuple(sorted(set(j) & set(k))), symmetric_difference(j, k)))
     classes, classes_ok = [], []
     for q_size in range(p - 2, max(0, 2 * p - n) - 1, -1):
         kind = "3-term" if q_size == p - 2 else "10-term" if q_size == p - 3 else "large"
@@ -1170,6 +1147,7 @@ def _drop_last_term_at(monkeypatch, block, label):
         eq = raw_equation(params, j, k, m)
         return _drop_last_term(eq) if params == block and eq.label == label else eq
 
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", dropped)
     monkeypatch.setattr(pluckereqs.structure, "raw_equation", dropped)
 
 
@@ -1209,11 +1187,30 @@ def test_verify_structure_lifts_a_failed_one_index_block_label(monkeypatch, n, p
     _drop_last_term_at(monkeypatch, GrassmannParams(4, 2), ((1,), (2, 3, 4)))
     report = verify_structure(params)
     expected = [
-        eq.label for eq in gen_plucker_like(params) if classify(params, *eq.label).kind == "3-term"
+        (j, k) for j, k in (eq.label for eq in gen_plucker_like(params))
+        if len(set(j) & set(k)) == p - 2
     ]
     assert report.multiplicity_failures == report.decomposition_failures == expected
     assert len(expected) == three_term
     assert report.combination_failures == [] and report.census.ok
+
+
+def test_one_patch_point_reaches_every_block_read(monkeypatch):
+    # generate, census and verify read block forms through one reader,
+    # equations._block_forms, so patching raw_equation in equations alone
+    # reaches all three: an r = 3 block label without its last term changes
+    # the canonical stream and fails the census and the family structure.
+    params, block, label = GrassmannParams(7, 3), GrassmannParams(6, 3), ((1,), (2, 3, 4, 5, 6))
+    clean = list(_canonical_equations(params, 2))
+
+    def dropped(at, j, k, m):
+        eq = raw_equation(at, j, k, m)
+        return _drop_last_term(eq) if (at, eq.label, m) == (block, label, 2) else eq
+
+    monkeypatch.setattr(pluckereqs.equations, "raw_equation", dropped)
+    assert list(_canonical_equations(params, 2)) != clean
+    assert not census(params).ok
+    assert verify_structure(params).family_failures
 
 
 def test_census_without_a_family_stratum_has_no_ten_term_class():
