@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -29,10 +30,12 @@ from pluckereqs import (
     render,
     wedge,
 )
-from pluckereqs.cli import main
+from pluckereqs.cli import build_parser, main
 from pluckereqs.multiindex import GrassmannParams
 
-DATA_DIR = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA_DIR = ROOT / "tests" / "data"
+_SRC = str(ROOT / "src")
 
 
 def run(capsys, *argv):
@@ -404,13 +407,13 @@ def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
     assert out.startswith("not simple: ")
     assert len(out.splitlines()) == 1 + int(out.split()[2])
     assert builds == [int(m)] * {"1": 225, "2": 36}[m]
-    # A simple vector is decided in the affine chart: nothing is builds.
+    # A simple vector is decided in the affine chart: nothing is built.
     builds.clear()
     simple = wedge([[1.0, 0, 0, 0.5, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3]])
     path.write_text(pvector_to_json(simple))
     code, out, _ = run(capsys, "check", str(path), "--m", m)
     assert (code, out, builds) == (0, "simple\n", [])
-    # p outside 2..n-2: every vector is simple, nothing is builds.
+    # p outside 2..n-2: every vector is simple, nothing is built.
     path.write_text(pvector_to_json(pvector(GrassmannParams(6, 1), {(1,): 1.0}, "f64")))
     code, out, _ = run(capsys, "check", str(path), "--m", "2")
     assert (code, out, builds) == (0, "simple\n", [])
@@ -962,67 +965,122 @@ def test_mutated_documents_exit_0_or_2(document):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-# SHA-256 of stdout at (10,2), where n >= 10 selects dot-separated indices.
-# Recorded before the renderers were memoized; the benchmark's own digests
-# cover the concatenated style only.
-DOT_STYLE_DIGESTS = {
-    "generate-text": "4a7130811cfa40c2645f897a7c860f43c8a409d74128e1f1f116374120fdcd3f",
-    "generate-dedupe-latex": "b3ec6b8e46e873a3bd0bd45ca7a9206f026d1a48f1bc46dc071fd543e67567f2",
-    "generate-raw-json-m1": "b0fff5eb19ff3f1adb59b2ee763964289d74e9901885073da50c3de7b5362fd9",
-    "generate-raw-json-m2": "4296d50c6eae786be9d30263ca6adc884ca515b3d0998393838d71729870c0f9",
-    "export-csv-m1": "0ce3d7882901a951d6eb94a1750e44e9f7358ca007874da2890875b9ed7feba0",
-    "export-csv-m2": "24eadb14a94b3b15391df870e7b75034baf93f8609b33213b6892230ac818f65",
-}
+# The pin table: one row per launched command, with the exit code and the
+# stdout it must print.  A row's command is "argv" and at most one of
+# "before" (run first), "pipe" (its stdout piped into argv) or "stdin"
+# (text); "{tmp}" stands for a fresh directory.  Its stdout is pinned by
+# one of "sha256", "digest" (a key of perfbench/digests.json, read only),
+# "golden" (a file in tests/data), "stdout" (its lines), "unpinned" (the
+# reason; only a non-empty stdout is checked), or "stderr": a refusal,
+# which exits 2 with an empty stdout and one stderr line that the pattern
+# matches.  "exit" defaults to 0.
+PINS = json.loads((DATA_DIR / "pins.json").read_text())
+_DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+_EXPECTED = {"sha256", "digest", "golden", "stdout", "unpinned", "stderr"}
+_INPUTS = {"before": " && ", "pipe": " | ", "stdin": " | "}
+
+
+def _command(row) -> str:
+    """The row's command as a shell would read it."""
+    for key, joint in _INPUTS.items():
+        if key in row:
+            return row[key] + joint + row["argv"]
+    return row["argv"]
 
 
 def test_dot_style_output_digests_10_2(tmp_path, capsys):
-    np_ = ("--n", "10", "--p", "2")
-    outputs = {
-        "generate-text": ("generate", *np_),
-        "generate-dedupe-latex": ("generate", *np_, "--dedupe", "--format", "latex"),
-        "generate-raw-json-m1": ("generate", *np_, "--raw", "--format", "json"),
-        "generate-raw-json-m2": ("generate", *np_, "--m", "2", "--raw", "--format", "json"),
-    }
-    digests = {}
-    for name, argv in outputs.items():
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        digests[name] = hashlib.sha256(out.encode()).hexdigest()
-        if name.startswith("generate-raw-json-"):
-            path = tmp_path / f"{name}.json"
+    # The (10,2) rows of the pin table, run in-process: n >= 10 selects
+    # dot-separated indices, which the benchmark's digests do not cover.
+    pins = {_command(row): row["sha256"] for row in PINS if "sha256" in row}
+    path = tmp_path / "system.json"
+    np_ = "--n 10 --p 2"
+    for argv in (
+        f"generate {np_}",
+        f"generate {np_} --dedupe --format latex",
+        f"generate {np_} --raw --format json",
+        f"generate {np_} --m 2 --raw --format json",
+    ):
+        code, out, _ = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, pins[argv])
+        if "--raw" in argv:
             path.write_text(out, encoding="utf-8")
             code, out, _ = run(capsys, "export", "--in", str(path), "--format", "csv")
-            assert code == 0
-            digests["export-csv-" + name.rsplit("-", 1)[1]] = hashlib.sha256(out.encode()).hexdigest()
-    assert digests == DOT_STYLE_DIGESTS
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest) == (0, pins[f"{argv} | export --format csv"])
 
 
-def _pins():
-    """argv -> sha256 of its stdout, from ``tests/data/pins.json``.
+def _parses(argv: str) -> bool:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            build_parser().parse_args(argv.split())
+        except SystemExit as exc:
+            return exc.code == 0  # --help
+    return True
 
-    A value that is a key of ``perfbench/digests.json`` stands for that
-    file's digest, which is read and never written here.
-    """
-    digests = json.loads((DATA_DIR.parent.parent / "perfbench" / "digests.json").read_text())
-    pins = json.loads((DATA_DIR / "pins.json").read_text())
-    return {argv: digests.get(pin, pin) for argv, pin in pins.items()}
+
+def test_pin_table_is_well_formed():
+    # A typo in the table fails here, without launching anything.
+    commands = [_command(row) for row in PINS]
+    assert len(set(commands)) == len(commands)
+    for row in PINS:
+        assert row.keys() <= {"argv", "exit", *_INPUTS, *_EXPECTED}, row
+        assert len(row.keys() & _EXPECTED) == 1 and len(row.keys() & _INPUTS.keys()) <= 1, row
+        for key in ("before", "pipe", "argv"):
+            if key in row:
+                assert _parses(row[key]), row[key]
+                paths = [token for token in row[key].split() if token.startswith("tests/")]
+                assert all((ROOT / path).is_file() for path in paths), row[key]
+        if "sha256" in row:
+            assert re.fullmatch("[0-9a-f]{64}", row["sha256"]), row
+        if "digest" in row:
+            assert row["digest"] in _DIGESTS, row
+        if "golden" in row:
+            assert (DATA_DIR / row["golden"]).is_file(), row
+        if "stderr" in row:
+            assert "exit" not in row, row
+            re.compile(row["stderr"])
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "argv, digest", [pytest.param(*pin, id=pin[0]) for pin in sorted(_pins().items())]
-)
-def test_pinned_output_bytes(argv, digest):
-    # Each pinned command, launched as a process, prints the pinned bytes.
-    result = subprocess.run(
-        [sys.executable, "-m", "pluckereqs.cli", *argv.split()],
-        capture_output=True, env={**os.environ, "PYTHONPATH": _SRC},
-    )
-    assert result.returncode == 0, result.stderr
-    assert hashlib.sha256(result.stdout).hexdigest() == digest
+@pytest.mark.parametrize("row", PINS, ids=_command)
+def test_pinned_output_bytes(tmp_path, row):
+    # Each row's command, launched from the repository root, exits with the
+    # pinned code and prints the pinned bytes.
+    def launch(key, **kwargs):
+        argv = row[key].replace("{tmp}", str(tmp_path)).split()
+        return subprocess.Popen(
+            [sys.executable, "-m", "pluckereqs.cli", *argv],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": _SRC},
+            **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs},
+        )
 
-
-_SRC = str(Path(__file__).parent.parent / "src")
+    if "before" in row:
+        with launch("before") as before:
+            assert before.communicate() == (b"", b"") and before.returncode == 0
+    if "pipe" in row:
+        # A real pipe between two processes, as a shell makes it.
+        with launch("pipe", stderr=None) as pipe, launch("argv", stdin=pipe.stdout) as proc:
+            pipe.stdout.close()
+            out, err = proc.communicate()
+        assert pipe.returncode == 0
+    else:
+        with launch("argv", stdin=subprocess.PIPE) as proc:
+            out, err = proc.communicate(row.get("stdin", "").encode())
+    assert proc.returncode == row.get("exit", 2 if "stderr" in row else 0), err.decode()
+    if "stderr" in row:
+        lines = err.decode().splitlines()
+        assert out == b"" and len(lines) == 1 and re.search(row["stderr"], lines[0]), lines
+        return
+    assert err == b""
+    if "unpinned" in row:
+        assert out
+    elif "golden" in row:
+        assert out == (DATA_DIR / row["golden"]).read_bytes()
+    elif "stdout" in row:
+        assert out.decode() == "".join(f"{line}\n" for line in row["stdout"])
+    else:
+        expected = row["sha256"] if "sha256" in row else _DIGESTS[row["digest"]]
+        assert hashlib.sha256(out).hexdigest() == expected
 
 
 @pytest.mark.parametrize("batch", [None, 7], ids=["default_batch", "7_char_batches"])
