@@ -108,7 +108,7 @@ def _run_selftest(args: argparse.Namespace) -> int:
         raise ValueError("--selftest requires --seed")
     if args.selftest < 1:
         raise ValueError(f"--selftest needs N >= 1, got {args.selftest}")
-    from .equations import _raw_equations
+    from .equations import _by_mask, _raw_rows
     from .multiindex import GrassmannParams
     from .pvectors import _violations, checked_tolerance, is_simple, random_pvector, random_simple
 
@@ -123,13 +123,14 @@ def _run_selftest(args: argparse.Namespace) -> int:
             failures += 1
             print(f"simple vector at seed {args.seed + offset} flagged as non-simple")
     # The chart verdict against each system that exists at (n, p), read
-    # equation by equation up to the first violated one.
+    # row by row up to the first violated one.
     widths = range(1, min(2, params.p, params.n - params.p) + 1)
     agreements = 0
     for offset in range(count):
         h = random_pvector(params, args.seed + offset)
         verdict = is_simple(h, "plucker")
-        violated = (next(_violations(_raw_equations(params, m), h, tol), None) for m in widths)
+        coeffs = _by_mask(h.coeffs)
+        violated = (next(_violations(_raw_rows(params, m), coeffs, h.field, tol), None) for m in widths)
         agreements += all(verdict == (first is None) for first in violated)
     wedges = f"{count} wedge vectors clean"
     if failures:
@@ -166,16 +167,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     if is_simple(h, choice, args.tolerance):
         print("simple (zero vector)" if h.is_zero else "simple")
         return EXIT_OK
-    from .equations import _raw_equations
+    from .equations import _by_mask, _raw_rows
     from .pvectors import _violations, checked_tolerance
     from .render import _label_formatter
 
-    # Each equation is evaluated as it is generated, so no system is held;
-    # the violations are kept because the header line counts them first.
-    violations = list(_violations(_raw_equations(params, m), h, checked_tolerance(args.tolerance)))
+    # Each row is evaluated on masks as it is generated, so no system is
+    # held, and each violation is formatted as it is found.  Only the output
+    # text is kept, joined in batches, because the header line counts the
+    # violations first: one line each.
+    tol = checked_tolerance(args.tolerance)
     label_text = _label_formatter(params.n)
-    lines = (f"  {label_text(label)} = {value}\n" for label, value in violations)
-    _write_output(chain([f"not simple: {len(violations)} violated equations\n"], lines), None)
+    violated = _violations(_raw_rows(params, m), _by_mask(h.coeffs), h.field, tol)
+    batches = list(_batches(f"  {label_text(label)} = {value}\n" for label, value in violated))
+    count = sum(batch.count("\n") for batch in batches)
+    _write_output(chain([f"not simple: {count} violated equations\n"], batches), None)
     return EXIT_NEGATIVE
 
 

@@ -15,8 +15,12 @@ positive.  An empty term list is the trivial equation ``0 = 0``.
 Generation works on int bitmasks (bit ``i`` set for index ``i``), the
 basis-blade encoding of Dorst, Fontijne & Mann, *Geometric Algebra for
 Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
-``& ~`` and an inversion count is a popcount.  Masks never leave this
-module.  Each term's ``left`` and ``right`` come from the intern table of
+``& ~`` and an inversion count is a popcount.  One function,
+``_raw_terms``, holds the sign rule; it gives one label's terms on masks.
+Masks leave this module in two places only: the rows of ``_raw_rows``,
+which ``check`` evaluates without building any equation, and the keys
+that ``_by_mask`` gives a p-vector's coefficients to match them.  Each
+equation term's ``left`` and ``right`` come from the intern table of
 ``GrassmannParams.multiindex``, the one multi-index reader, so every
 equation the process generates or reads, and every p-vector key, shares
 one tuple per distinct multi-index.  A system is generated one equation at
@@ -32,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import _EXPORTS
 from .multiindex import _INTERNED, GrassmannParams, MultiIndex, difference
@@ -120,8 +124,9 @@ class _MaskTable(dict):
     """Multi-index -> (bitmask, parity-above mask); a missing multi-index is computed once.
 
     Bit ``i`` of the parity-above mask is the parity of the number of
-    entries above ``i``.  Only :func:`raw_equation` asks for masks: a mask
-    has as many bits as the largest entry, so no reader builds one.
+    entries above ``i``.  Only the generator and :func:`_by_mask` ask for
+    masks: a mask has as many bits as the largest entry, so no reader builds
+    one.
     """
 
     def __missing__(self, idx: MultiIndex) -> tuple[int, int]:
@@ -135,6 +140,49 @@ class _MaskTable(dict):
 
 _MULTIINDEX_BY_MASK = _InternTable()
 _MASKS = _MaskTable()
+
+
+def _raw_terms(j_mask: int, k: MultiIndex, k_mask: int, parity: int, m: int) -> list[tuple[int, int, int]]:
+    """The raw terms of one label as ``(sign, left mask, right mask)``: the sign rule.
+
+    ``parity`` is the XOR of the parity-above masks of ``j`` and ``k``.  One
+    term per size-``m`` subset ``ii`` of ``k \\ j``, in lexicographic order;
+    the parity of the number of indices of ``j^k`` above a moved index ``i``
+    is bit ``i`` of ``parity``, since indices in both cancel in pairs.
+    """
+    # (bit, parity of the inversion count) for each moved index, ascending.
+    moved = [(1 << i, parity >> i & 1) for i in k if not j_mask >> i & 1]
+    terms = []
+    for ii in combinations(moved, m):
+        ii_mask = odd = 0
+        for bit, bit_parity in ii:
+            ii_mask |= bit
+            odd ^= bit_parity
+        terms.append((-1 if odd else 1, j_mask | ii_mask, k_mask ^ ii_mask))  # ii lies inside k
+    return terms
+
+
+def _raw_rows(params: GrassmannParams, m: int) -> Iterator[tuple[Label, list[tuple[int, int, int]]]]:
+    """Each label of the system moving ``m`` with its :func:`_raw_terms`, in system order.
+
+    The label holds the interned tuples and the terms hold masks, the keys
+    of :func:`_by_mask`.  A bad ``m`` raises here, not when read.
+    """
+    j_list, k_list = _label_lists(params, m)
+    k_masks = [(k, *_MASKS[k]) for k in k_list]
+
+    def rows() -> Iterator[tuple[Label, list[tuple[int, int, int]]]]:
+        for j in j_list:
+            j_mask, j_parity = _MASKS[j]
+            for k, k_mask, k_parity in k_masks:
+                yield (j, k), _raw_terms(j_mask, k, k_mask, j_parity ^ k_parity, m)
+
+    return rows()
+
+
+def _by_mask(coeffs: Mapping[MultiIndex, object]) -> dict[int, object]:
+    """``coeffs`` keyed by the masks of their multi-indices, the keys of :func:`_raw_rows`'s terms."""
+    return {_MASKS[idx][0]: value for idx, value in coeffs.items()}
 
 
 def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m: int) -> QuadraticEquation:
@@ -155,37 +203,31 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     |D|`` leaves ``m*p + m(m-1)/2``.  The test
     ``test_raw_equation_is_the_contraction_coefficient`` asserts it exactly.
 
-    The sign is read off bitmasks: the parity of the number of indices of
-    ``j^k`` above a moved index ``i`` is bit ``i`` of the XOR of the
-    parity-above masks of ``j`` and ``k``, since indices in both cancel in
-    pairs.  The label is returned with the interned tuples.
+    The label is validated, its terms are read off bitmasks by
+    :func:`_raw_terms`, and each mask is mapped to its interned tuple, the
+    smaller of a term's two on the left.
     """
     j = params.multiindex(j, params.p - m)
     k = params.multiindex(k, params.p + m)
     j_mask, j_parity = _MASKS[j]
     k_mask, k_parity = _MASKS[k]
-    parity = j_parity ^ k_parity
     table = _MULTIINDEX_BY_MASK
     # QuadTerm's own __new__ is a Python-level call; this is the tuple
     # constructor it wraps, at less than half the cost per term.
     new_term = tuple.__new__
     terms = []
-    # (bit, parity of the inversion count) for each moved index, ascending.
-    moved = [(1 << i, parity >> i & 1) for i in k if not j_mask >> i & 1]
-    for ii in combinations(moved, m):
-        ii_mask = odd = 0
-        for bit, bit_parity in ii:
-            ii_mask |= bit
-            odd ^= bit_parity
-        left = table[j_mask | ii_mask]
-        right = table[k_mask ^ ii_mask]  # ii lies inside k
-        sign = -1 if odd else 1
+    for sign, left, right in _raw_terms(j_mask, k, k_mask, j_parity ^ k_parity, m):
+        left, right = table[left], table[right]
         terms.append(new_term(QuadTerm, (sign, left, right) if left <= right else (sign, right, left)))
     return QuadraticEquation(params, (j, k), tuple(terms))
 
 
 def _raw_equations(params: GrassmannParams, m: int) -> Iterator[QuadraticEquation]:
-    """The raw equations moving ``m``, in system order; a bad ``m`` raises here, not when read."""
+    """The raw equations moving ``m``, in system order; a bad ``m`` raises here, not when read.
+
+    Each is built by :func:`raw_equation`, the one function every raw
+    equation of the package passes through.
+    """
     j_list, k_list = _label_lists(params, m)
     return (raw_equation(params, j, k, m) for j in j_list for k in k_list)
 

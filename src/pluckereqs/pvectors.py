@@ -23,11 +23,15 @@ division.  For f64, ``tol`` bounds the deviation of that wedge from
 ``h / lam_max``, where ``lam_max`` is the largest coefficient and the
 pivot; :func:`residual` keeps the per-equation relative bound above.
 
-:func:`residual` evaluates the exact fields on plain integers: the
-coefficients are multiplied by the lcm of their denominators, and a Q_i
-equation is summed as two integers, its real and imaginary parts.  A
-violation becomes a ``Fraction`` or :class:`GaussianRational` only when it
-is reported.
+One loop, ``_violations``, evaluates terms.  It reads rows ``(label,
+terms)`` and a coefficient map keyed the way the terms are:
+:func:`residual` and :func:`evaluate` pass equations on multi-index keys,
+and ``check`` passes the raw rows of ``equations._raw_rows`` on bitmask
+keys, so it builds no equation.  The exact fields are evaluated on plain
+integers: the coefficients are multiplied by the lcm of their
+denominators, and a Q_i row is summed as two integers, its real and
+imaginary parts.  A violation becomes a ``Fraction`` or
+:class:`GaussianRational` only when it is reported.
 
 The identities evaluated here relate basis coefficients only; no inner
 product on the underlying space is involved, so no orthonormality
@@ -47,7 +51,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import _EXPORTS
 from .documents import JsonText, json_int, read_document
-from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
+from .equations import EquationSystem, Label, QuadraticEquation, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 FIELDS = ("Q", "Q_i", "f64")
@@ -333,11 +337,11 @@ def wedge(vectors: Sequence[Sequence]) -> PVector:
     return PVector(params, {idx: _uncleared(v, denominator) for idx, v in blades.items()}, field)
 
 
-def _term_values(terms: Iterable[QuadTerm], coeffs: Mapping[MultiIndex, object]) -> list:
-    """The non-zero products ``coefficient * lam_left * lam_right`` of one equation.
+def _term_values(terms: Iterable[tuple[int, object, object]], coeffs: Mapping) -> list:
+    """The non-zero products ``coefficient * lam_left * lam_right`` of one row's terms.
 
-    It runs on field scalars and, in :func:`_violations`, on cleared Q
-    integers; a cleared Q_i equation is summed there as two integers.
+    :func:`_violations` runs it on scaled floats and on cleared Q integers;
+    a cleared Q_i row is summed there as two integers.
     """
     return [
         coefficient * a * b
@@ -350,10 +354,14 @@ def evaluate(eq: QuadraticEquation, h: PVector) -> Scalar:
     """Exact (or float) value of one equation at ``h``."""
     if eq.params != h.params:
         raise ValueError(f"equation is for {eq.params}, p-vector for {h.params}")
-    if h.field == "f64":  # the residual's value, on h over a power of two: no product overflows
-        return next((value for _, value in _violations((eq,), h, 0.0)), 0.0)
-    values = _term_values(eq.terms, h.coeffs)
-    return sum(values[1:], values[0]) if values else _zero(h.field)
+    # With tolerance 0 every non-zero value is reported.  An exact field
+    # clears only the coefficients the equation reads; f64 is summed on all
+    # of h over one power of two, as in the residual, so no product overflows.
+    coeffs = h.coeffs
+    if h.field != "f64":
+        coeffs = {key: coeffs[key] for _, left, right in eq.terms for key in (left, right) if key in coeffs}
+    violated = _violations([(eq.label, eq.terms)], coeffs, h.field, 0.0)
+    return next((value for _, value in violated), _zero(h.field))
 
 
 class Residual(NamedTuple):
@@ -383,43 +391,52 @@ def checked_tolerance(tolerance: float | None) -> float:
 
 
 def _violations(
-    equations: Iterable[QuadraticEquation], h: PVector, tol: float
+    rows: Iterable[tuple[Label, Iterable[tuple[int, object, object]]]],
+    coeffs: Mapping,
+    field: str,
+    tol: float,
 ) -> Iterator[tuple[Label, Scalar]]:
-    """Each equation of ``equations`` that ``h`` violates, with its value, as it is read.
+    """Each row ``(label, terms)`` that ``coeffs`` violates, with its value, as it is read.
 
-    Exact fields run on the cleared coefficients: a Q equation is one
-    integer sum, a Q_i equation two (its real and imaginary parts), and a
-    non-zero value becomes one field scalar.  The float field applies the
-    relative tolerance ``tol``, which the caller has checked.
+    A term is ``(coefficient, left, right)``; ``coeffs`` holds the field
+    scalars of a p-vector keyed the way the terms are: by multi-index for
+    an equation's terms, by mask (``equations._by_mask``) for the raw rows
+    of ``equations._raw_rows``.  This is the package's one loop that
+    evaluates terms.
+
+    Exact fields run on the cleared coefficients: a Q row is one integer
+    sum, a Q_i row two (its real and imaginary parts), and a non-zero value
+    becomes one field scalar.  The float field applies the relative
+    tolerance ``tol``, which the caller has checked.
     """
-    if h.field == "f64":
-        # h / scale, a power of two near its largest coefficient: exact, and
-        # no product overflows or underflows.
-        scale = ldexp(1.0, frexp(max(map(abs, h.coeffs.values()), default=1.0))[1] - 1)
-        coeffs = {key: value / scale for key, value in h.coeffs.items()}
-        for eq in equations:
-            values = _term_values(eq.terms, coeffs)
+    if field == "f64":
+        # coeffs / scale, a power of two near the largest coefficient: exact,
+        # and no product overflows or underflows.
+        scale = ldexp(1.0, frexp(max(map(abs, coeffs.values()), default=1.0))[1] - 1)
+        scaled_coeffs = {key: value / scale for key, value in coeffs.items()}
+        for label, terms in rows:
+            values = _term_values(terms, scaled_coeffs)
             value = 0.0
             for term_value in values:  # left to right, as the tolerance bound assumes
                 value += term_value
             if abs(value) > tol * max(map(abs, values), default=0.0):
-                yield eq.label, value * scale * scale  # inf or 0.0 outside float range
+                yield label, value * scale * scale  # inf or 0.0 outside float range
         return
-    coeffs, denominator = _cleared(h.coeffs, h.field)
+    cleared, denominator = _cleared(coeffs, field)
     square = denominator * denominator
-    if h.field == "Q":
-        for eq in equations:
-            if value := sum(_term_values(eq.terms, coeffs)):
-                yield eq.label, Fraction(value, square)
+    if field == "Q":
+        for label, terms in rows:
+            if value := sum(_term_values(terms, cleared)):
+                yield label, Fraction(value, square)
         return
-    for eq in equations:
+    for label, terms in rows:
         re = im = 0
-        for c, left, right in eq.terms:
-            if (a := coeffs.get(left)) is not None and (b := coeffs.get(right)) is not None:
+        for c, left, right in terms:
+            if (a := cleared.get(left)) is not None and (b := cleared.get(right)) is not None:
                 re += c * (a.re * b.re - a.im * b.im)
                 im += c * (a.re * b.im + a.im * b.re)
         if re or im:
-            yield eq.label, GaussianRational(Fraction(re, square), Fraction(im, square))
+            yield label, GaussianRational(Fraction(re, square), Fraction(im, square))
 
 
 def residual(system: EquationSystem, h: PVector, tolerance: float | None = None) -> Residual:
@@ -432,7 +449,8 @@ def residual(system: EquationSystem, h: PVector, tolerance: float | None = None)
     if system.params != h.params:
         raise ValueError(f"system is for {system.params}, p-vector for {h.params}")
     tol = checked_tolerance(tolerance)
-    violations = list(_violations(system.equations, h, tol))
+    rows = ((eq.label, eq.terms) for eq in system.equations)
+    violations = list(_violations(rows, h.coeffs, h.field, tol))
     size = GaussianRational.norm_sq if h.field == "Q_i" else abs
     zero = 0.0 if h.field == "f64" else Fraction(0)
     return Residual(max((size(value) for _, value in violations), default=zero), violations)

@@ -9,6 +9,7 @@ import sys
 import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -27,7 +28,9 @@ from pluckereqs import (
     pvector,
     pvector_to_json,
     random_pvector,
+    random_simple,
     render,
+    residual,
     wedge,
 )
 from pluckereqs.cli import build_parser, main
@@ -386,19 +389,31 @@ def test_check_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     assert "tolerance" in err
 
 
+def _refuse_equations(monkeypatch):
+    """Make building a ``QuadraticEquation`` in the generator fail the test."""
+    import pluckereqs.equations
+
+    def refused(*args):
+        raise AssertionError("a QuadraticEquation was built")
+
+    monkeypatch.setattr(pluckereqs.equations, "QuadraticEquation", refused)
+
+
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
     import pluckereqs.equations
-    from pluckereqs.equations import raw_equation
+    from pluckereqs.equations import _raw_rows
 
-    builds = []
+    rows = []
 
-    def counting(params, j, k, m):
-        builds.append(m)
-        return raw_equation(params, j, k, m)
+    def counting(params, m):
+        for label, terms in _raw_rows(params, m):
+            rows.append((m, label))
+            yield label, terms
 
-    # Every system is generated through raw_equation, whichever module asks.
-    monkeypatch.setattr(pluckereqs.equations, "raw_equation", counting)
+    # check reads every system as raw rows, and builds no equation from them.
+    monkeypatch.setattr(pluckereqs.equations, "_raw_rows", counting)
+    _refuse_equations(monkeypatch)
     params = GrassmannParams(6, 3)
     path = tmp_path / "h.json"
     path.write_text(pvector_to_json(pvector(params, {(1, 2, 3): 1.0, (4, 5, 6): 1.0}, "f64")))
@@ -406,27 +421,51 @@ def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
     assert code == 1
     assert out.startswith("not simple: ")
     assert len(out.splitlines()) == 1 + int(out.split()[2])
-    assert builds == [int(m)] * {"1": 225, "2": 36}[m]
+    # One row per label, each read once.
+    assert [width for width, _ in rows] == [int(m)] * {"1": 225, "2": 36}[m]
+    assert len({label for _, label in rows}) == len(rows)
     # A simple vector is decided in the affine chart: nothing is built.
-    builds.clear()
+    rows.clear()
     simple = wedge([[1.0, 0, 0, 0.5, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3]])
     path.write_text(pvector_to_json(simple))
     code, out, _ = run(capsys, "check", str(path), "--m", m)
-    assert (code, out, builds) == (0, "simple\n", [])
+    assert (code, out, rows) == (0, "simple\n", [])
     # p outside 2..n-2: every vector is simple, nothing is built.
     path.write_text(pvector_to_json(pvector(GrassmannParams(6, 1), {(1,): 1.0}, "f64")))
     code, out, _ = run(capsys, "check", str(path), "--m", "2")
-    assert (code, out, builds) == (0, "simple\n", [])
+    assert (code, out, rows) == (0, "simple\n", [])
+
+
+def test_selftest_builds_no_equation(capsys, monkeypatch):
+    # The selftest reads both systems as raw rows, up to the first violation.
+    import pluckereqs.equations
+    from pluckereqs.equations import _raw_rows
+
+    widths = []
+
+    def counting(params, m):
+        widths.append(m)
+        return _raw_rows(params, m)
+
+    monkeypatch.setattr(pluckereqs.equations, "_raw_rows", counting)
+    _refuse_equations(monkeypatch)
+    code, out, _ = run(capsys, "check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3")
+    assert (code, out) == (0, "selftest: 3 wedge vectors clean, 3/3 verdicts agree\n")
+    assert widths == [1, 2] * 3
+
+
+class _Terms(list):
+    """A row's terms in a list that, unlike a plain list, can be weakly referenced."""
 
 
 @pytest.mark.parametrize("field", ["Q", "Q_i"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_check_holds_no_raw_equation(tmp_path, capsys, monkeypatch, field, m):
-    # A non-simple check evaluates each equation as it is generated: at (8,4)
-    # at most two raw equations are alive at once, the one just read and the
-    # next one generated, and every equation of the system is read.
+    # A non-simple check evaluates each raw row as it is generated and
+    # builds no equation: at (8,4) at most two rows are alive at once, the
+    # one just read and the next one generated, and every label is read.
     import pluckereqs.equations
-    from pluckereqs.equations import _raw_equations
+    from pluckereqs.equations import _raw_rows
 
     params = GrassmannParams(8, 4)
     live: dict[int, weakref.ref] = {}
@@ -434,14 +473,16 @@ def test_check_holds_no_raw_equation(tmp_path, capsys, monkeypatch, field, m):
 
     def tracked(params, m):
         nonlocal seen, peak
-        for eq in _raw_equations(params, m):
-            key = id(eq)
-            live[key] = weakref.ref(eq, lambda _ref, key=key: live.pop(key))
+        for label, terms in _raw_rows(params, m):
+            terms = _Terms(terms)
+            key = id(terms)
+            live[key] = weakref.ref(terms, lambda _ref, key=key: live.pop(key))
             seen += 1
             peak = max(peak, len(live))
-            yield eq
+            yield label, terms
 
-    monkeypatch.setattr(pluckereqs.equations, "_raw_equations", tracked)
+    monkeypatch.setattr(pluckereqs.equations, "_raw_rows", tracked)
+    _refuse_equations(monkeypatch)
     h = random_pvector(params, 5)
     if field == "Q_i":
         h = pvector(params, {idx: GaussianRational(v, -v / 3) for idx, v in h.coeffs.items()}, field)
@@ -453,6 +494,46 @@ def test_check_holds_no_raw_equation(tmp_path, capsys, monkeypatch, field, m):
     assert seen == comb(8, 4 - m) * comb(8, 4 + m)
     assert 1 <= peak <= 2
     assert not live
+
+
+def _check_inputs(params, field):
+    """A seeded random p-vector and a sum of two wedges, in ``field``."""
+    random_h = random_pvector(params, 3).coeffs
+    first, second = random_simple(params, 5).coeffs, random_simple(params, 6).coeffs
+    if field == "Q_i":  # a random imaginary part, and a Gaussian multiple of one wedge
+        im = random_pvector(params, 4).coeffs
+        random_h = {idx: GaussianRational(v, im.get(idx, 0)) for idx, v in random_h.items()}
+        second = {idx: GaussianRational(1, Fraction(-1, 3)) * v for idx, v in second.items()}
+    summed = {idx: first.get(idx, 0) + second.get(idx, 0) for idx in first.keys() | second.keys()}
+    cast = float if field == "f64" else (lambda value: value)
+    return [pvector(params, {idx: cast(v) for idx, v in c.items()}, field) for c in (random_h, summed)]
+
+
+@pytest.mark.parametrize("field", ["Q", "Q_i", "f64"])
+def test_check_lines_are_the_residual_on_tuple_keys(tmp_path, capsys, field):
+    # check evaluates raw rows on mask keys; residual evaluates the generated
+    # system's equations on tuple keys.  Both give the same violations, with
+    # the same values, in the same order, for both systems at every
+    # 2 <= p <= n-2 with n <= 8.
+    from pluckereqs.render import _label_formatter
+
+    path = tmp_path / "h.json"
+    points = 0
+    for n in range(4, 9):
+        for p in range(2, n - 1):
+            params = GrassmannParams(n, p)
+            label_text = _label_formatter(n)
+            for h in _check_inputs(params, field):
+                path.write_text(pvector_to_json(h))
+                for m in range(1, min(2, p, n - p) + 1):
+                    violations = residual(gen_generalized(params, m), h).violations
+                    assert violations, (n, p, m)
+                    expected = [f"not simple: {len(violations)} violated equations\n"]
+                    expected += [f"  {label_text(label)} = {value}\n" for label, value in violations]
+                    code, out, _ = run(capsys, "check", str(path), "--m", str(m))
+                    assert (code, out) == (1, "".join(expected)), (n, p, m)
+                    points += 1
+    assert points == 2 * sum(min(2, p, n - p) for n in range(4, 9) for p in range(2, n - 1))
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-200])

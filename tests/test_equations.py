@@ -22,7 +22,7 @@ from pluckereqs import (
     raw_equation,
     size_ratio,
 )
-from pluckereqs.equations import _canonical_equations, _raw_equations, collect_weighted
+from pluckereqs.equations import _canonical_equations, _raw_equations, _raw_rows, collect_weighted
 from pluckereqs.multiindex import _INTERNED
 from pluckereqs.multiindex import (
     difference,
@@ -424,6 +424,33 @@ def test_bitmask_kernel_matches_tuple_reference():
         for m in range(1, min(p, n - p) + 1)
     )
 
+
+
+def test_raw_rows_are_raw_equation_on_masks():
+    # Each row of _raw_rows, its masks read back as sorted index tuples and
+    # each monomial put in left <= right order, is raw_equation at its
+    # label: the same labels in system order, signs, monomials and term order.
+    def indices(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    labels = 0
+    for n in range(2, 10):
+        for p in range(1, n):
+            params = GrassmannParams(n, p)
+            for m in range(1, min(p, n - p) + 1):
+                expected = iter(_raw_equations(params, m))
+                for label, terms in _raw_rows(params, m):
+                    eq = next(expected)
+                    mapped = tuple(
+                        (sign, *sorted((indices(left), indices(right)))) for sign, left, right in terms
+                    )
+                    assert (label, mapped) == (eq.label, eq.terms), (n, p, m, label)
+                    labels += 1
+                assert next(expected, None) is None
+    assert labels == sum(
+        comb(n, p - m) * comb(n, p + m)
+        for n in range(2, 10) for p in range(1, n) for m in range(1, min(p, n - p) + 1)
+    )
 
 def _permutation_sign(seq):
     """The sign of the permutation that sorts ``seq``: (-1) ** inversions."""

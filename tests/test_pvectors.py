@@ -551,19 +551,32 @@ def sparse_exact_pvectors(draw):
 def test_chart_verdict_matches_equation_oracle(h):
     # Two independent oracles: the affine-chart wedge test inside is_simple,
     # and "no equation of the system is violated".  The cleared residual is
-    # itself pinned against evaluate() on the field's own scalars.
+    # itself pinned against each equation summed in the field's own scalars.
     for system in _systems(h.params.n, h.params.p):
         report = residual(system, h)
         assert report.violations == [
-            (eq.label, value) for eq in system if (value := evaluate(eq, h))
+            (eq.label, value) for eq in system if (value := _field_value(eq, h))
         ]
         choice = "plucker" if system.m == 1 else "plucker_like"
         assert is_simple(h, choice) == (not report.violations)
 
 
+def _field_value(eq, h):
+    """The value of ``eq`` at exact ``h``, summed term by term in the field's own scalars.
+
+    An oracle apart from the package's evaluation, which runs on cleared
+    integers.
+    """
+    zero = Fraction(0) if h.field == "Q" else GaussianRational(0)
+    total = zero
+    for c, left, right in eq.terms:
+        total = total + c * h.coeffs.get(left, zero) * h.coeffs.get(right, zero)
+    return total
+
+
 def _reference_residual(system, h):
-    """``residual`` for an exact field, one ``evaluate`` per equation in field arithmetic."""
-    violations = [(eq.label, value) for eq in system if (value := evaluate(eq, h))]
+    """``residual`` for an exact field, one equation at a time in field arithmetic."""
+    violations = [(eq.label, value) for eq in system if (value := _field_value(eq, h))]
     size = abs if h.field == "Q" else GaussianRational.norm_sq
     return max((size(value) for _, value in violations), default=Fraction(0)), violations
 
@@ -581,6 +594,7 @@ def _assert_residual_matches_reference(system, h):
 def test_residual_matches_field_reference(h):
     for system in _systems(h.params.n, h.params.p):
         _assert_residual_matches_reference(system, h)
+        assert [evaluate(eq, h) for eq in system] == [_field_value(eq, h) for eq in system]
 
 
 def _hand_built_system(params):
