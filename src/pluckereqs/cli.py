@@ -82,7 +82,7 @@ def _add_params(parser: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .equations import _canonical_equations, _raw_equations
+    from .equations import _canonical_rows, _raw_rows, _tuple_terms
     from .multiindex import GrassmannParams
     from .render import _system_pieces
 
@@ -91,12 +91,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params = GrassmannParams(args.n, args.p)
     if args.m >= 3 and not args.experimental:
         raise ValueError("m >= 3 has no structural guarantees; pass --experimental to proceed")
-    # One equation at a time from generation to output: no system is held.
+    # One row (label, terms) at a time from generation to output: no
+    # equation is built and no system is held.
     if args.raw:
-        equations = _raw_equations(params, args.m)
+        rows = ((label, _tuple_terms(terms)) for label, terms in _raw_rows(params, args.m))
     else:
-        equations = _canonical_equations(params, args.m, first_only=args.dedupe)
-    pieces = _system_pieces(params, args.m, equations, args.format, with_labels=not args.dedupe)
+        rows = _canonical_rows(params, args.m, first_only=args.dedupe)
+    pieces = _system_pieces(params, args.m, rows, args.format, with_labels=not args.dedupe)
     _write_output(pieces, args.out)
     return EXIT_OK
 

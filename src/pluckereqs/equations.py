@@ -19,14 +19,17 @@ Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
 ``_raw_terms``, holds the sign rule; it gives one label's terms on masks.
 Masks leave this module in two places only: the rows of ``_raw_rows``,
 which ``check`` evaluates without building any equation, and the keys
-that ``_by_mask`` gives a p-vector's coefficients to match them.  Each
-equation term's ``left`` and ``right`` come from the intern table of
-``GrassmannParams.multiindex``, the one multi-index reader, so every
-equation the process generates or reads, and every p-vector key, shares
-one tuple per distinct multi-index.  A system is generated one equation at
-a time; the command line renders each one as it comes and holds no whole
-system.  Canonical forms are lifted from the blocks Gr(r, 2r), each
-canonicalized once per call (``_canonical_equations``).
+that ``_by_mask`` gives a p-vector's coefficients to match them.  Every
+other reader gets tuples: ``_tuple_terms`` maps a row's masks to tuples,
+the smaller factor on the left, for ``raw_equation`` and for ``generate
+--raw``, which reads ``_raw_rows`` through it.  Each term's ``left`` and
+``right`` come from the intern table of ``GrassmannParams.multiindex``,
+the one multi-index reader, so every equation the process generates or
+reads, and every p-vector key, shares one tuple per distinct multi-index.
+``generate`` builds no equation: it passes rows ``(label, terms)`` of
+plain tuples to the writer one at a time and holds no whole system.
+Canonical forms are lifted from the blocks Gr(r, 2r), each canonicalized
+once per call (``_canonical_rows``).
 """
 
 from __future__ import annotations
@@ -204,29 +207,36 @@ def raw_equation(params: GrassmannParams, j: Iterable[int], k: Iterable[int], m:
     ``test_raw_equation_is_the_contraction_coefficient`` asserts it exactly.
 
     The label is validated, its terms are read off bitmasks by
-    :func:`_raw_terms`, and each mask is mapped to its interned tuple, the
-    smaller of a term's two on the left.
+    :func:`_raw_terms`, and :func:`_tuple_terms` maps each mask to its
+    interned tuple, the smaller of a term's two on the left.
     """
     j = params.multiindex(j, params.p - m)
     k = params.multiindex(k, params.p + m)
     j_mask, j_parity = _MASKS[j]
     k_mask, k_parity = _MASKS[k]
-    table = _MULTIINDEX_BY_MASK
     # QuadTerm's own __new__ is a Python-level call; this is the tuple
     # constructor it wraps, at less than half the cost per term.
     new_term = tuple.__new__
-    terms = []
-    for sign, left, right in _raw_terms(j_mask, k, k_mask, j_parity ^ k_parity, m):
+    terms = _tuple_terms(_raw_terms(j_mask, k, k_mask, j_parity ^ k_parity, m))
+    return QuadraticEquation(params, (j, k), tuple([new_term(QuadTerm, term) for term in terms]))
+
+
+def _tuple_terms(terms: list[tuple[int, int, int]]) -> list[tuple[int, MultiIndex, MultiIndex]]:
+    """:func:`_raw_terms`' terms on the interned tuples of their masks, the smaller factor on the left."""
+    table = _MULTIINDEX_BY_MASK
+    ordered = []
+    for sign, left, right in terms:
         left, right = table[left], table[right]
-        terms.append(new_term(QuadTerm, (sign, left, right) if left <= right else (sign, right, left)))
-    return QuadraticEquation(params, (j, k), tuple(terms))
+        ordered.append((sign, left, right) if left <= right else (sign, right, left))
+    return ordered
 
 
 def _raw_equations(params: GrassmannParams, m: int) -> Iterator[QuadraticEquation]:
     """The raw equations moving ``m``, in system order; a bad ``m`` raises here, not when read.
 
     Each is built by :func:`raw_equation`, the one function every raw
-    equation of the package passes through.
+    equation the library builds passes through; ``generate --raw`` builds
+    none and prints the rows of :func:`_raw_rows` through :func:`_tuple_terms`.
     """
     j_list, k_list = _label_lists(params, m)
     return (raw_equation(params, j, k, m) for j in j_list for k in k_list)
@@ -253,12 +263,14 @@ def _block_forms(r: int, m: int) -> list[tuple[QuadTerm, ...]]:
     return [canonicalize(raw_equation(block, j, k, m)).terms for j, k in _block_labels(r, m)]
 
 
-def _canonical_equations(
+def _canonical_rows(
     params: GrassmannParams, m: int, first_only: bool = False
-) -> Iterator[QuadraticEquation]:
-    """The canonical equations moving ``m``, in order; with ``first_only``, ``dedupe``'s.
+) -> Iterator[tuple[Label, list[tuple[int, MultiIndex, MultiIndex]]]]:
+    """Each label moving ``m`` with its canonical terms, in order; with ``first_only``, ``dedupe``'s.
 
-    By ``structure.strip``'s corollary, the form at ``(j, k)`` is its block
+    The terms are plain ``(c, left, right)`` tuples of interned factors:
+    the rows a writer of ``render`` reads, with no equation built.  By
+    ``structure.strip``'s corollary, the form at ``(j, k)`` is its block
     form with each factor ``X`` lifted to ``D + S[X]``, ``D = j & k``, ``S =
     j ^ k``; a term's factors split ``S``.  Equal non-trivial forms share
     ``D`` and ``S``, and lifting keeps label order, so a first occurrence is
@@ -274,13 +286,13 @@ def _canonical_equations(
             key = tuple(x in j for x in range(1, 2 * r + 1))  # which places of S lie in j
             templates[key] = first, [(c, tuple(x - 1 for x in left)) for c, left, _ in terms]
     bits = [1 << i for i in params.indices]
-    table, new_term = _MULTIINDEX_BY_MASK, tuple.__new__
+    k_masks = [(k, _MASKS[k][0]) for k in k_list]
+    table = _MULTIINDEX_BY_MASK
 
-    def lifted() -> Iterator[QuadraticEquation]:
+    def rows() -> Iterator[tuple[Label, list[tuple[int, MultiIndex, MultiIndex]]]]:
         for j in j_list:
             j_mask = _MASKS[j][0]
-            for k in k_list:
-                k_mask = _MASKS[k][0]
+            for k, k_mask in k_masks:
                 common, union = j_mask & k_mask, j_mask | k_mask
                 spread = [bit for bit in bits if (union ^ common) & bit]
                 first, template = templates[tuple([j_mask & bit > 0 for bit in spread])]
@@ -291,10 +303,10 @@ def _canonical_equations(
                     lift = 0
                     for at in left:
                         lift |= spread[at]
-                    terms.append(new_term(QuadTerm, (c, table[common | lift], table[union ^ lift])))
-                yield QuadraticEquation(params, (j, k), tuple(terms))
+                    terms.append((c, table[common | lift], table[union ^ lift]))
+                yield (j, k), terms
 
-    return lifted()
+    return rows()
 
 
 def gen_generalized(params: GrassmannParams, m: int, jobs: int = 1) -> EquationSystem:

@@ -354,12 +354,13 @@ def evaluate(eq: QuadraticEquation, h: PVector) -> Scalar:
     """Exact (or float) value of one equation at ``h``."""
     if eq.params != h.params:
         raise ValueError(f"equation is for {eq.params}, p-vector for {h.params}")
-    # With tolerance 0 every non-zero value is reported.  An exact field
-    # clears only the coefficients the equation reads; f64 is summed on all
-    # of h over one power of two, as in the residual, so no product overflows.
-    coeffs = h.coeffs
-    if h.field != "f64":
-        coeffs = {key: coeffs[key] for _, left, right in eq.terms for key in (left, right) if key in coeffs}
+    # With tolerance 0 every non-zero value is reported.  Only the
+    # coefficients the equation reads are cleared or scaled; on f64, h's
+    # largest magnitude goes in under a key no term reads, so the sum runs
+    # over the residual's power of two and no product overflows.
+    coeffs = {key: h.coeffs[key] for _, left, right in eq.terms for key in (left, right) if key in h.coeffs}
+    if h.field == "f64" and h.coeffs:
+        coeffs[None] = max(map(abs, h.coeffs.values()))
     violated = _violations([(eq.label, eq.terms)], coeffs, h.field, 0.0)
     return next((value for _, value in violated), _zero(h.field))
 

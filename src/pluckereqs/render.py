@@ -5,19 +5,21 @@ prints as ``123``) and dot-separated for n >= 10 (``1.2.10``), since plain
 concatenation is ambiguous there.  JSON always stores explicit integer
 arrays and round-trips losslessly.
 
-Each format has one writer, a generator that reads the equations from any
-iterable and yields the output one equation (one line or block) at a time;
-``render`` joins its pieces.  The command line feeds a writer equations as
-they are generated and writes its pieces out in batches, so a large system
-is held neither as equations nor as one string.  A system has far fewer
-distinct multi-indices than terms (252 against 158,760 at (n,p) = (10,5),
-m = 1), so each writer
-formats every distinct multi-index once, in a memo table keyed by the
-index tuple, and one function builds the equation bodies of text, LaTeX
-and the single-equation forms.  JSON output is
-``json.dumps(system_to_dict(system), indent=2)`` byte for byte, written
-from templates without building the nested dicts; ``system_to_dict`` stays
-public and is the oracle the tests compare with.
+Each format has one writer, a generator that reads rows ``(label, terms)``,
+each term a plain ``(c, left, right)`` tuple, from any iterable and yields
+the output one row (one line or block) at a time.  A writer holds no
+equation: ``render`` passes it each equation's label and terms and joins
+its pieces, and ``generate`` passes it the rows of
+``equations._canonical_rows`` or ``equations._raw_rows`` as they are made
+and writes its pieces out in batches, so a large system is held neither as
+equations nor as one string.  A system has far fewer distinct multi-indices
+than terms (252 against 158,760 at (n,p) = (10,5), m = 1), so each writer
+formats every distinct multi-index once, in a memo table keyed by the index
+tuple, and one function builds the equation bodies of text, LaTeX and the
+single-equation forms.  JSON output is ``json.dumps(system_to_dict(system),
+indent=2)`` byte for byte, written from templates without building the
+nested dicts; ``system_to_dict`` stays public and is the oracle the tests
+compare with.
 
 Reading a system back walks the document's top-level object by hand and
 decodes one member, and one element of ``"equations"``, at a time from a
@@ -32,14 +34,18 @@ per distinct multi-index, the tuples generated equations hold.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import _EXPORTS, FORMATS
 from .documents import JsonText, json_int, read_document
-from .equations import EquationSystem, QuadraticEquation, QuadTerm, check_width
+from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
 from .multiindex import GrassmannParams, MultiIndex
 
 __all__ = _EXPORTS["render"]
+
+# One equation as a writer reads it: its label and its ``(c, left, right)`` terms.
+_Terms = Sequence[tuple[int, MultiIndex, MultiIndex]]
+_Row = tuple[Label, _Terms]
 
 
 class _Memo(dict):
@@ -68,7 +74,7 @@ def _names(n: int) -> _Memo:
     return _Memo(lambda idx: sep.join(str(i) for i in idx))
 
 
-def _equation_body(terms: tuple[QuadTerm, ...], names: _Memo, latex: bool) -> str:
+def _equation_body(terms: _Terms, names: _Memo, latex: bool) -> str:
     """The equation ``... = 0`` with signs between the terms, as text or LaTeX."""
     if not terms:
         return "0 = 0"
@@ -97,14 +103,14 @@ def _label_formatter(n: int):
     return lambda label: _label_text(label, names)
 
 
-def _text_line(eq: QuadraticEquation, names: _Memo, with_label: bool) -> str:
-    body = _equation_body(eq.terms, names, latex=False)
-    return f"{_label_text(eq.label, names)}: {body}" if with_label else body
+def _text_line(label: Label, terms: _Terms, names: _Memo, with_label: bool) -> str:
+    body = _equation_body(terms, names, latex=False)
+    return f"{_label_text(label, names)}: {body}" if with_label else body
 
 
 def equation_text(eq: QuadraticEquation, *, with_label: bool = True) -> str:
     """One-line text form, e.g. ``(1,12345): λ_{123}λ_{145} - ... = 0``."""
-    return _text_line(eq, _names(eq.params.n), with_label)
+    return _text_line(eq.label, eq.terms, _names(eq.params.n), with_label)
 
 
 def equation_latex(eq: QuadraticEquation) -> str:
@@ -119,21 +125,17 @@ def _system_caption(params: GrassmannParams, m: int) -> str:
     return f"{name} for (n,p) = ({params.n},{params.p})"
 
 
-def _text_pieces(
-    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
-) -> Iterator[str]:
+def _text_pieces(params: GrassmannParams, m: int, rows: Iterable[_Row], with_labels: bool) -> Iterator[str]:
     names = _names(params.n)
     empty = True
-    for eq in equations:
+    for label, terms in rows:
         empty = False
-        yield _text_line(eq, names, with_labels) + "\n"
+        yield _text_line(label, terms, names, with_labels) + "\n"
     if empty:
         yield "\n"
 
 
-def _latex_pieces(
-    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
-) -> Iterator[str]:
+def _latex_pieces(params: GrassmannParams, m: int, rows: Iterable[_Row], with_labels: bool) -> Iterator[str]:
     names = _names(params.n)
     if with_labels:
         yield (
@@ -147,10 +149,10 @@ def _latex_pieces(
             f"\\caption{{{_system_caption(params, m)}, reduced}} \\\\\n"
             "\\# & Equation \\\\\n\\hline\n"
         )
-    for ordinal, eq in enumerate(equations, 1):
-        body = _equation_body(eq.terms, names, True)
+    for ordinal, (label, terms) in enumerate(rows, 1):
+        body = _equation_body(terms, names, True)
         if with_labels:
-            yield f"{ordinal} & {_label_text(eq.label, names)} & ${body}$ \\\\\n"
+            yield f"{ordinal} & {_label_text(label, names)} & ${body}$ \\\\\n"
         else:
             yield f"{ordinal} & ${body}$ \\\\\n"
     yield "\\end{longtable}\n"
@@ -275,9 +277,7 @@ def _json_array(idx: MultiIndex, indent: int) -> str:
     return "[\n" + ",\n".join(pad + str(i) for i in idx) + "\n" + " " * indent + "]"
 
 
-def _json_pieces(
-    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
-) -> Iterator[str]:
+def _json_pieces(params: GrassmannParams, m: int, rows: Iterable[_Row], with_labels: bool) -> Iterator[str]:
     """``json.dumps(system_to_dict(system), indent=2) + "\\n"``, one equation at a time.
 
     The encoder's indented mode runs in pure Python and first needs the
@@ -289,33 +289,30 @@ def _json_pieces(
     term_arrays = _Memo(lambda idx: _json_array(idx, 10))
     yield f'{{\n  "n": {params.n},\n  "p": {params.p},\n  "m": {m},\n  "equations": '
     opener = "[\n"
-    for eq in equations:
-        j, k = eq.label
-        terms = "[]"
-        if eq.terms:
-            terms = "[\n" + ",\n".join(
+    for (j, k), terms in rows:
+        body = "[]"
+        if terms:
+            body = "[\n" + ",\n".join(
                 f'        {{\n          "c": {c},\n'
                 f'          "left": {term_arrays[left]},\n'
                 f'          "right": {term_arrays[right]}\n        }}'
-                for c, left, right in eq.terms
+                for c, left, right in terms
             ) + "\n      ]"
         yield (
             f'{opener}    {{\n      "j": {label_arrays[j]},\n      "k": {label_arrays[k]},\n'
-            f'      "terms": {terms}\n    }}'
+            f'      "terms": {body}\n    }}'
         )
         opener = ",\n"
     yield "[]\n}\n" if opener == "[\n" else "\n  ]\n}\n"
 
 
-def _csv_pieces(
-    params: GrassmannParams, m: int, equations: Iterable[QuadraticEquation], with_labels: bool
-) -> Iterator[str]:
+def _csv_pieces(params: GrassmannParams, m: int, rows: Iterable[_Row], with_labels: bool) -> Iterator[str]:
     # Index names hold only digits and dots, so no field needs CSV quoting.
     names = _names(params.n)
     yield "ordinal,j,k,coefficient,left,right\n"
-    for ordinal, eq in enumerate(equations, 1):
-        label = f"{ordinal},{names[eq.label[0]]},{names[eq.label[1]]},"
-        yield "".join(f"{label}{c},{names[left]},{names[right]}\n" for c, left, right in eq.terms)
+    for ordinal, ((j, k), terms) in enumerate(rows, 1):
+        label = f"{ordinal},{names[j]},{names[k]},"
+        yield "".join(f"{label}{c},{names[left]},{names[right]}\n" for c, left, right in terms)
 
 
 _WRITERS = {"text": _text_pieces, "latex": _latex_pieces, "json": _json_pieces, "csv": _csv_pieces}
@@ -324,21 +321,22 @@ _WRITERS = {"text": _text_pieces, "latex": _latex_pieces, "json": _json_pieces, 
 def _system_pieces(
     params: GrassmannParams,
     m: int,
-    equations: Iterable[QuadraticEquation],
+    rows: Iterable[_Row],
     fmt: str,
     *,
     with_labels: bool = True,
 ) -> Iterator[str]:
-    """The rendered system ``(params, m, equations)`` in pieces of one equation each.
+    """The rendered system ``(params, m, rows)`` in pieces of one equation each.
 
-    ``equations`` is read once, one equation per piece, so it may be a
+    Each row is one equation's ``(label, terms)``, each term ``(c, left,
+    right)``.  ``rows`` is read once, one row per piece, so it may be a
     generator: the system is never held whole.  The format is checked here,
     before the first piece is asked for, so a caller writing the pieces out
     learns of a bad format before any byte is written.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    return _WRITERS[fmt](params, m, equations, with_labels)
+    return _WRITERS[fmt](params, m, rows, with_labels)
 
 
 def _render_pieces(
@@ -346,7 +344,8 @@ def _render_pieces(
 ) -> Iterator[str]:
     """The text of ``render(obj, fmt)`` in pieces of one equation (one line or block) each."""
     if not isinstance(obj, QuadraticEquation):
-        return _system_pieces(obj.params, obj.m, obj.equations, fmt, with_labels=with_labels)
+        rows = ((eq.label, eq.terms) for eq in obj.equations)
+        return _system_pieces(obj.params, obj.m, rows, fmt, with_labels=with_labels)
     if fmt == "text":
         return iter((equation_text(obj, with_label=with_labels) + "\n",))
     if fmt == "latex":

@@ -399,6 +399,33 @@ def _refuse_equations(monkeypatch):
     monkeypatch.setattr(pluckereqs.equations, "QuadraticEquation", refused)
 
 
+def test_generate_builds_equations_only_to_read_blocks(tmp_path, capsys, monkeypatch):
+    # At (10,5) the canonical stream builds a raw and a canonical equation
+    # at each label of the blocks Gr(r, 2r), r = 1..5, and none per printed
+    # line (44,100 labels); --raw builds none.
+    from pluckereqs.equations import QuadraticEquation
+
+    built = []
+    init = QuadraticEquation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadraticEquation, "__init__", counting)
+    target = str(tmp_path / "out")
+    block_labels = sum(comb(2 * r, r - 1) for r in range(1, 6))
+    assert block_labels == 286
+    for argv in (["--m", "1"], ["--m", "1", "--dedupe", "--format", "latex"]):
+        built.clear()
+        assert main(["generate", "--n", "10", "--p", "5", *argv, "--out", target]) == 0
+        assert 0 < len(built) <= 2 * block_labels, argv
+    built.clear()
+    assert main(["generate", "--n", "10", "--p", "5", "--m", "2", "--raw", "--format", "json", "--out", target]) == 0
+    assert built == []
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_check_f64_builds_system_once(tmp_path, capsys, monkeypatch, m):
     import pluckereqs.equations

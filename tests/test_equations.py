@@ -22,7 +22,7 @@ from pluckereqs import (
     raw_equation,
     size_ratio,
 )
-from pluckereqs.equations import _canonical_equations, _raw_equations, _raw_rows, collect_weighted
+from pluckereqs.equations import _canonical_rows, _raw_equations, _raw_rows, collect_weighted
 from pluckereqs.multiindex import _INTERNED
 from pluckereqs.multiindex import (
     difference,
@@ -255,6 +255,11 @@ def test_dedupe_first_occurrence_order(plucker63):
     assert len(by_terms) == len(reduced)
 
 
+def _rows(equations):
+    """Each equation as the row ``(label, terms)`` that ``_canonical_rows`` yields."""
+    return [(eq.label, list(eq.terms)) for eq in equations]
+
+
 def _check_canonical_stream(sizes):
     # The lifted block forms against canonicalize on each raw equation, and
     # the first_only stream against dedupe, at every p and m for each n.
@@ -264,9 +269,9 @@ def _check_canonical_stream(sizes):
             params = GrassmannParams(n, p)
             for m in range(1, min(p, n - p) + 1):
                 canonical = [canonicalize(eq) for eq in _raw_equations(params, m)]
-                assert list(_canonical_equations(params, m)) == canonical, (n, p, m)
+                assert list(_canonical_rows(params, m)) == _rows(canonical), (n, p, m)
                 reduced, _ = dedupe(gen_generalized(params, m))
-                assert list(_canonical_equations(params, m, first_only=True)) == reduced, (n, p, m)
+                assert list(_canonical_rows(params, m, first_only=True)) == _rows(reduced), (n, p, m)
                 labels += len(canonical)
                 expected += comb(n, p - m) * comb(n, p + m)
     assert labels == expected
@@ -287,7 +292,7 @@ def test_canonical_stream_reads_raw_equation_on_each_call(monkeypatch):
     import pluckereqs.equations
 
     params = GrassmannParams(7, 3)
-    before = list(_canonical_equations(params, 2))
+    before = list(_canonical_rows(params, 2))
     raw = pluckereqs.equations.raw_equation
 
     def dropped(params, j, k, m):
@@ -295,14 +300,14 @@ def test_canonical_stream_reads_raw_equation_on_each_call(monkeypatch):
         return QuadraticEquation(eq.params, eq.label, eq.terms[:-1])
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", dropped)
-    after = list(_canonical_equations(params, 2))
+    after = list(_canonical_rows(params, 2))
     assert after != before
-    assert after == [canonicalize(eq) for eq in _raw_equations(params, 2)]
+    assert after == _rows(canonicalize(eq) for eq in _raw_equations(params, 2))
 
 
 def test_canonical_stream_checks_its_width_when_called():
     with pytest.raises(ValueError, match="m must satisfy"):
-        _canonical_equations(GrassmannParams(6, 3), 4)
+        _canonical_rows(GrassmannParams(6, 3), 4)
 
 
 def test_gen_generalized_matches_named_generators(params63):

@@ -188,6 +188,24 @@ def test_evaluate_f64_does_not_overflow():
         assert [evaluate(eq, h) for eq in system] == [0.0] * len(system)
 
 
+def test_evaluate_f64_uses_the_residual_scale_of_all_of_h():
+    # Scaled by h's largest coefficient, the others read 2**-1000 times less
+    # and their products vanish; scaled by its own coefficients, an equation
+    # that does not read lam_12 would give about 1e-300.  evaluate gives
+    # residual's value, repr for repr.
+    params = GrassmannParams(5, 2)
+    rng = random.Random(7)
+    coeffs = {idx: rng.uniform(1, 2) * 1e-150 for idx in combinations(params.indices, 2)}
+    h = pvector(params, {**coeffs, (1, 2): 1e300}, "f64")
+    for system in (gen_plucker(params), gen_plucker_like(params)):
+        report = dict(residual(system, h, 0.0).violations)
+        assert [repr(evaluate(eq, h)) for eq in system] == [
+            repr(report.get(eq.label, 0.0)) for eq in system
+        ]
+    unread = [eq for eq in gen_plucker(params) if all(1 not in left + right for _, left, right in eq.terms)]
+    assert unread and [evaluate(eq, h) for eq in unread] == [0.0] * len(unread)
+
+
 def test_evaluate_params_mismatch(h_sum):
     other = gen_plucker(GrassmannParams(7, 3))
     with pytest.raises(ValueError):

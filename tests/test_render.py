@@ -155,6 +155,35 @@ def test_unknown_format_raises_before_any_piece(tmp_path, pluckerlike63):
         assert not target.exists()
 
 
+def test_writers_read_generate_rows_as_render_reads_the_library_system():
+    # Each stream generate writes, fed as rows to the one writer per format,
+    # gives render() of the system the library builds for it: _raw_rows
+    # through _tuple_terms against _raw_equations, _canonical_rows against
+    # canonicalize, and first_only against dedupe without labels.
+    from pluckereqs.equations import _canonical_rows, _raw_equations, _raw_rows, _tuple_terms
+    from pluckereqs.render import _system_pieces
+
+    systems = 0
+    for n in range(4, 9):
+        for p in range(2, n - 1):
+            params = GrassmannParams(n, p)
+            for m in (1, 2):
+                raw = EquationSystem(params, m, tuple(_raw_equations(params, m)))
+                canonical = EquationSystem(params, m, tuple(canonicalize(eq) for eq in raw))
+                reduced = EquationSystem(params, m, tuple(dedupe(raw)[0]))
+                streams = [
+                    (lambda: ((label, _tuple_terms(terms)) for label, terms in _raw_rows(params, m)), raw, True),
+                    (lambda: _canonical_rows(params, m), canonical, True),
+                    (lambda: _canonical_rows(params, m, first_only=True), reduced, False),
+                ]
+                for rows, system, with_labels in streams:
+                    for fmt in ("text", "latex", "json", "csv"):
+                        pieces = _system_pieces(params, m, rows(), fmt, with_labels=with_labels)
+                        assert "".join(pieces) == render(system, fmt, with_labels=with_labels), (n, p, m, fmt)
+                systems += 1
+    assert systems == 2 * sum(n - 3 for n in range(4, 9))
+
+
 def test_system_from_dict_rejects_equal_tuple_of_bools():
     term = {"c": 1, "left": (1, 2, 3), "right": (1, 4, 5)}
     twin = {**term, "left": (True, 2, 3)}

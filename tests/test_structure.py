@@ -32,7 +32,7 @@ from pluckereqs import (
     symmetric_difference,
     verify_structure,
 )
-from pluckereqs.equations import _canonical_equations, _raw_equations
+from pluckereqs.equations import _canonical_rows, _raw_equations
 from pluckereqs.multiindex import _INTERNED
 
 
@@ -1201,14 +1201,14 @@ def test_one_patch_point_reaches_every_block_read(monkeypatch):
     # reaches all three: an r = 3 block label without its last term changes
     # the canonical stream and fails the census and the family structure.
     params, block, label = GrassmannParams(7, 3), GrassmannParams(6, 3), ((1,), (2, 3, 4, 5, 6))
-    clean = list(_canonical_equations(params, 2))
+    clean = list(_canonical_rows(params, 2))
 
     def dropped(at, j, k, m):
         eq = raw_equation(at, j, k, m)
         return _drop_last_term(eq) if (at, eq.label, m) == (block, label, 2) else eq
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", dropped)
-    assert list(_canonical_equations(params, 2)) != clean
+    assert list(_canonical_rows(params, 2)) != clean
     assert not census(params).ok
     assert verify_structure(params).family_failures
 
