@@ -249,13 +249,15 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    from .render import _load_system, _render_pieces
+    from .render import _load_rows, _system_pieces, _terms
 
     if args.no_labels and args.format in ("json", "csv"):
         raise ValueError(f"--no-labels applies to text and latex only, not {args.format}")
+    # Every row is read before the first byte is written: a malformed document writes nothing.
     with _open_input(args.infile) as handle:
-        system = _load_system(handle)
-    _write_output(_render_pieces(system, args.format, with_labels=not args.no_labels), args.out)
+        params, m, rows = _load_rows(handle)
+    rows = ((label, _terms(flat)) for label, flat in rows)
+    _write_output(_system_pieces(params, m, rows, args.format, with_labels=not args.no_labels), args.out)
     return EXIT_OK
 
 

@@ -23,13 +23,14 @@ compare with.
 
 Reading a system back walks the document's top-level object by hand and
 decodes one member, and one element of ``"equations"``, at a time from a
-file read in chunks of about 1 MiB (``documents.JsonText``).  Each element
-becomes an equation as soon as ``n``, ``p`` and ``m`` are known, so neither
-the document's text nor its decoded tree is ever held whole; the system is
-still built in full before anything is written, so a malformed document
-writes nothing.  Every label and term index goes through
-``GrassmannParams.multiindex``, so the system holds the process's one tuple
-per distinct multi-index, the tuples generated equations hold.
+file read in chunks of about 1 MiB (``documents.JsonText``), so neither its
+text nor its decoded tree is held whole.  Each element becomes a row
+``(label, (c1, left1, right1, c2, ...))`` once ``n``, ``p`` and ``m`` are
+known.  Labels go through ``GrassmannParams.multiindex``, and each distinct
+term factor through it once per document, by a memo; rows hold the
+process's one tuple per multi-index.  Every row is read before anything is
+written, so a malformed document writes nothing.  ``export`` writes the rows
+and builds no equation; the library readers build an ``EquationSystem``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from . import _EXPORTS, FORMATS
 from .documents import JsonText, json_int, read_document
 from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
-from .multiindex import GrassmannParams, MultiIndex
+from .multiindex import _INT_ONLY, GrassmannParams, MultiIndex
 
 __all__ = _EXPORTS["render"]
 
@@ -177,26 +178,42 @@ def system_to_dict(system: EquationSystem) -> dict:
     }
 
 
-def _equation_from_dict(params: GrassmannParams, m: int, entry: dict) -> QuadraticEquation:
+def _factor(params: GrassmannParams, values, factors: dict) -> MultiIndex:
+    """``params.multiindex(values, params.p)`` through ``factors``, one document's memo."""
+    key = tuple(values)
+    # 1.0 and True equal 1 as keys, so only exactly-int factors are looked up.
+    idx = factors.get(key) if _INT_ONLY.issuperset(map(type, key)) else None
+    return idx or factors.setdefault(key, params.multiindex(key, params.p))
+
+
+def _row_from_dict(params: GrassmannParams, m: int, entry: dict, factors: dict) -> tuple[Label, tuple]:
+    """One equation of a document as ``(label, (c1, left1, right1, c2, ...))``."""
     j, k = entry["j"], entry["k"]
     # linear_combination gives its results the empty label ((), ()).
     sizes = (params.p - m, params.p + m) if j or k else (0, 0)
     label = (params.multiindex(j, sizes[0]), params.multiindex(k, sizes[1]))
-    p = params.p
-    # The loop runs once per term of the document.  It builds each term with
-    # the tuple constructor that QuadTerm's own Python-level __new__ wraps.
-    new_term = tuple.__new__
-    terms = []
+    flat: list = []
     for t in entry["terms"]:
         coefficient = t["c"]
         if coefficient.__class__ is not int or not coefficient:
             json_int(coefficient, "term coefficient")
             raise ValueError("term coefficient must be non-zero")
-        left, right = params.multiindex(t["left"], p), params.multiindex(t["right"], p)
+        left, right = _factor(params, t["left"], factors), _factor(params, t["right"], factors)
         if right < left:
             raise ValueError("terms must be stored with left <= right")
-        terms.append(new_term(QuadTerm, (coefficient, left, right)))
-    return QuadraticEquation(params, label, tuple(terms))
+        flat += (coefficient, left, right)
+    return label, tuple(flat)
+
+
+def _terms(flat: tuple) -> list[tuple[int, MultiIndex, MultiIndex]]:
+    it = iter(flat)  # (c1, left1, right1, c2, ...), in threes
+    return list(zip(it, it, it))
+
+
+def _system(params: GrassmannParams, m: int, rows: list) -> EquationSystem:
+    for i, (label, flat) in enumerate(rows):  # in place: each row is freed once it is built
+        rows[i] = QuadraticEquation(params, label, tuple(map(QuadTerm._make, _terms(flat))))
+    return EquationSystem(params, m, tuple(rows))
 
 
 def _header(data: dict) -> tuple[GrassmannParams, int]:
@@ -204,10 +221,10 @@ def _header(data: dict) -> tuple[GrassmannParams, int]:
     return params, check_width(params, json_int(data["m"], "m"))
 
 
-def _system_from_document(data: dict) -> EquationSystem:
+def _system_from_document(data: dict) -> tuple[GrassmannParams, int, list]:
     params, m = _header(data)
-    equations = tuple(_equation_from_dict(params, m, entry) for entry in data["equations"])
-    return EquationSystem(params, m, equations)
+    factors: dict = {}
+    return params, m, [_row_from_dict(params, m, entry, factors) for entry in data["equations"]]
 
 
 def system_from_dict(data: dict) -> EquationSystem:
@@ -219,50 +236,51 @@ def system_from_dict(data: dict) -> EquationSystem:
     has ``p-m`` and ``p+m`` entries in 1..n, or is the empty label
     ``((), ())`` that ``equations.linear_combination`` gives.
     """
-    return read_document(_system_from_document, data, "equation-system")
+    return _system(*read_document(_system_from_document, data, "equation-system"))
 
 
-def _system_from_text(text: JsonText) -> EquationSystem:
-    """Read a system document member by member, and its equations one at a time.
+def _system_from_text(text: JsonText) -> tuple[GrassmannParams, int, list]:
+    """Read a system document member by member into ``(params, m, rows)``.
 
-    Each element of ``"equations"`` is decoded alone and built into an
-    equation as soon as ``n``, ``p`` and ``m`` are known; elements that come
-    before those keys wait, decoded, in the list.  A top-level key may
-    appear only once.  A document that is not an object is decoded whole
-    and refused by :func:`_system_from_document`.
+    Each element of ``"equations"`` is decoded alone and read into a row,
+    through this read's one factor memo, once ``n``, ``p`` and ``m`` are
+    known; elements before those keys wait, decoded.  A top-level key may
+    appear only once.  A non-object is refused by :func:`_system_from_document`.
     """
     if text.peek() != "{":
         data = text.decode()
         text.end()
         return _system_from_document(data)
     values: dict = {}
-    equations: list = []  # equations, or decoded elements waiting for n, p and m
+    rows: list = []  # rows, or decoded elements waiting for n, p and m
     header = None
+    factors: dict = {}
     for key in text.members():
         if key != "equations":
             values[key] = text.decode()
         elif text.peek() != "[":
             raise TypeError("equations must be a JSON array")
         else:
-            values[key] = equations
+            values[key] = rows
             for _ in text.elements("]"):
                 entry = text.decode()
-                equations.append(entry if header is None else _equation_from_dict(*header, entry))
+                rows.append(entry if header is None else _row_from_dict(*header, entry, factors))
         if header is None and all(name in values for name in ("n", "p", "m")):
             header = _header(values)
-            equations[:] = [_equation_from_dict(*header, entry) for entry in equations]
+            rows[:] = [_row_from_dict(*header, entry, factors) for entry in rows]
     text.end()
     params, m = header or _header(values)
-    return EquationSystem(params, m, tuple(values["equations"]))
+    return params, m, values["equations"]
+
+
+def _load_rows(source: str | TextIO) -> tuple[GrassmannParams, int, list]:
+    """``(params, m, rows)`` of a system document: a JSON string, or an open file read in chunks."""
+    return read_document(_system_from_text, JsonText(source), "equation-system")
 
 
 def _load_system(source: str | TextIO) -> EquationSystem:
-    """``system_from_json`` for a JSON string or an open text file.
-
-    A file is read in chunks (:class:`documents.JsonText`), so neither its
-    whole text nor its whole decoded tree is ever held.
-    """
-    return read_document(_system_from_text, JsonText(source), "equation-system")
+    """``system_from_json`` for a JSON string or an open text file."""
+    return _system(*_load_rows(source))
 
 
 def system_from_json(text: str) -> EquationSystem:

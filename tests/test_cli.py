@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluckereqs import (
+    FORMATS,
     EquationSystem,
     GaussianRational,
     canonicalize,
@@ -422,6 +423,26 @@ def test_generate_builds_equations_only_to_read_blocks(tmp_path, capsys, monkeyp
         assert 0 < len(built) <= 2 * block_labels, argv
     built.clear()
     assert main(["generate", "--n", "10", "--p", "5", "--m", "2", "--raw", "--format", "json", "--out", target]) == 0
+    assert built == []
+    assert capsys.readouterr() == ("", "")
+
+
+def test_export_builds_no_equation(tmp_path, capsys, monkeypatch):
+    # export reads the (10,5) m = 2 document (14,400 equations) into flat
+    # rows and writes them: no equation is built.
+    from pluckereqs.equations import QuadraticEquation
+
+    source = str(tmp_path / "system.json")
+    assert main(["generate", "--n", "10", "--p", "5", "--m", "2", "--raw", "--format", "json", "--out", source]) == 0
+    built = []
+    init = QuadraticEquation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadraticEquation, "__init__", counting)
+    assert main(["export", "--in", source, "--format", "csv", "--out", str(tmp_path / "out.csv")]) == 0
     assert built == []
     assert capsys.readouterr() == ("", "")
 
@@ -935,6 +956,45 @@ def test_export_malformed_system_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"left": [True, 2, 3]}, "multi-index entries must be integers, got True"),
+        ({"left": [1.0, 2, 3]}, "multi-index entries must be integers, got 1.0"),
+        ({"left": [[1], 2, 3]}, "multi-index entries must be integers, got [1]"),
+        ({"left": [1, 2]}, "multi-index (1, 2) must have 3 entries"),
+        ({"left": [1, 2, 7]}, "multi-index entries must lie in 1..6, got (1, 2, 7)"),
+        ({"left": [1, 3, 2]}, "multi-index must be strictly increasing, got (1, 3, 2)"),
+        ({"left": [4, 5, 6], "right": [1, 2, 3]}, "terms must be stored with left <= right"),
+        ({"c": 0}, "term coefficient must be non-zero"),
+        ({"left": [1, 2, 7], "right": 5}, "multi-index entries must lie in 1..6, got (1, 2, 7)"),
+    ],
+    ids=["bool", "float", "unhashable", "short", "above_n", "not_increasing", "right_below_left", "zero_c",
+         "left_before_non_list_right"],
+)
+def test_export_refuses_a_repeated_factor_in_a_bad_form(tmp_path, capsys, bad, message):
+    # Term 1 reads the factor [1, 2, 3]; term 2 repeats it in a bad form.  A
+    # factor seen once must not let its bad twin through, and each refusal
+    # says what the reader of a first sighting says.
+    first = {"c": 1, "left": [1, 2, 3], "right": [4, 5, 6]}
+    entry = {"j": [1, 2], "k": [1, 2, 3, 4], "terms": [first, {**first, **bad}]}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"n": 6, "p": 3, "m": 1, "equations": [entry]}))
+    for fmt in FORMATS:
+        assert run(capsys, "export", "--in", str(path), "--format", fmt) == (2, "", f"error: {message}\n")
+
+
+def test_export_checks_a_label_equal_to_a_factor_read_before(tmp_path, capsys):
+    # The label j = [1, 2, 3] equals a term factor of the first equation,
+    # but at m = 1 a label j has p - 1 = 2 entries.
+    first = {"j": [1, 2], "k": [1, 2, 3, 4], "terms": [{"c": 1, "left": [1, 2, 3], "right": [4, 5, 6]}]}
+    second = {**first, "j": [1, 2, 3]}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"n": 6, "p": 3, "m": 1, "equations": [first, second]}))
+    message = "error: multi-index (1, 2, 3) must have 2 entries\n"
+    assert run(capsys, "export", "--in", str(path), "--format", "csv") == (2, "", message)
+
+
+@pytest.mark.parametrize(
     "outcome, code",
     [(0, 0), (1, 1), (ValueError("bad input"), 2), (OSError("disk"), 3)],
     ids=["ok", "negative", "value_error", "os_error"],
@@ -1252,9 +1312,10 @@ def test_generate_and_export_peak_rss_per_document_byte(tmp_path):
     # Building the 38.7 MB document as one string peaked at 3.45 times its
     # size above a --help launch; reading it back at 3.27 times.  Streamed
     # one equation at a time, and read back in chunks, they peak at about
-    # 0.14 and 0.58 times its size.
+    # 0.14 and 0.58 times its size; read back into flat rows of interned
+    # factors, with no equation built, at about 0.35 times.
     assert generate_peak - help_peak < 0.25 * size
-    assert export_peak - help_peak < size
+    assert export_peak - help_peak < 0.45 * size
 
 
 # (8,4) is one 231 KB batch, and the violations of a random (9,4) vector
