@@ -11,8 +11,9 @@ import argparse
 import contextlib
 import gc
 import sys
+from collections.abc import Iterable, Iterator
+from io import TextIOBase
 from itertools import chain
-from typing import Iterable, Iterator, TextIO
 
 # Each subcommand imports the submodules it runs, so a launch loads only
 # those: ``--help`` loads none, ``generate`` and ``export`` never load the
@@ -38,8 +39,11 @@ def _batches(pieces: Iterable[str]) -> Iterator[str]:
         batch.append(piece)
         size += len(piece)
         if size >= _BATCH:
-            yield "".join(batch)
-            batch, size = [], 0
+            # The pieces are freed before the joined text is encoded, and the
+            # generator keeps no reference to it: two copies of a batch at most.
+            batch = ["".join(batch)]
+            yield batch.pop()
+            size = 0
     if batch:
         yield "".join(batch)
 
@@ -70,7 +74,7 @@ def _write_output(pieces: Iterable[str], out: str | None) -> None:
     binary.flush()
 
 
-def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIOBase]:
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdin)
     return open(path, "r", encoding="utf-8")
@@ -357,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     # The cyclic collector is paused for the command and the caller's state
     # restored after it.  Every object the package builds is acyclic (tuples,
-    # QuadTerm named tuples, frozen dataclasses, and dicts and lists of
+    # QuadTerm named tuples, slotted record classes, and dicts and lists of
     # those), so reference counting frees all of it; a collection after any
     # subcommand finds only argparse's few hundred objects, whatever the
     # size of the run.  Left on, the collector repeatedly traverses the

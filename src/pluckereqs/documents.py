@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Callable, Iterator, TextIO, TypeVar
-
-T = TypeVar("T")
+from collections.abc import Callable, Iterator
+from io import TextIOBase
 
 __all__ = ["json_int", "read_document", "JsonText"]
 
@@ -35,7 +34,7 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def read_document(build: Callable[[Any], T], data, what: str) -> T:
+def read_document(build: Callable[[object], object], data, what: str) -> object:
     """``build(data)`` for a ``what`` document; malformed input raises ``ValueError``.
 
     ``data`` is the decoded document, or a :class:`JsonText` that ``build``
@@ -61,7 +60,7 @@ class JsonText:
     without reading the rest of the input.
     """
 
-    def __init__(self, source: str | TextIO) -> None:
+    def __init__(self, source: str | TextIOBase) -> None:
         # ``source`` is None once the input is exhausted.
         self.buf, self.source = (source, None) if isinstance(source, str) else ("", source)
         self.pos = 0  # the next unread character of buf
@@ -155,7 +154,7 @@ class JsonText:
             self.expect(":", "Expecting ':' delimiter")
             yield key
 
-    def decode(self) -> Any:
+    def decode(self) -> object:
         """Decode the next value."""
         self.peek()
         while True:

@@ -34,31 +34,26 @@ once per call (``_canonical_rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import combinations
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import _EXPORTS
-from .multiindex import _INTERNED, GrassmannParams, MultiIndex, difference
+from .multiindex import _INTERNED, GrassmannParams, MultiIndex, _Record, difference
 
 Label = tuple[MultiIndex, MultiIndex]
 
 __all__ = _EXPORTS["equations"]
 
 
-class QuadTerm(NamedTuple):
-    """One signed monomial ``coefficient * lam_left * lam_right``.
+QuadTerm = namedtuple("QuadTerm", ("coefficient", "left", "right"))
+QuadTerm.__doc__ = """One signed monomial ``coefficient * lam_left * lam_right``.
 
-    Storage is normalized so ``left <= right`` lexicographically; the
-    monomial itself is an unordered pair.
-    """
-
-    coefficient: int
-    left: MultiIndex
-    right: MultiIndex
+Storage is normalized so ``left <= right`` lexicographically; the monomial
+itself is an unordered pair.
+"""
 
 
 def make_term(coefficient: int, a: MultiIndex, b: MultiIndex) -> QuadTerm:
@@ -70,34 +65,29 @@ def make_term(coefficient: int, a: MultiIndex, b: MultiIndex) -> QuadTerm:
     return QuadTerm(coefficient, a, b)
 
 
-@dataclass(frozen=True)
-class QuadraticEquation:
+class QuadraticEquation(_Record):
     """A signed list of quadratic terms with its generating label ``(j, k)``.
 
-    The terms are either as generated (raw) or normalized by
-    ``canonicalize``; ``eq.terms == canonicalize(eq).terms`` tells which.
+    The terms, a tuple of :class:`QuadTerm`, are either as generated (raw)
+    or normalized by ``canonicalize``; ``eq.terms == canonicalize(eq).terms``
+    tells which.
     """
 
-    params: GrassmannParams
-    label: Label
-    terms: tuple[QuadTerm, ...]
+    __slots__ = ("params", "label", "terms")
 
     @property
     def is_trivial(self) -> bool:
         return not canonicalize(self).terms
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(_Record):
     """An ordered collection of equations for fixed (n, p) and half-width m.
 
     Generated systems are ordered row-major lexicographically over (j, k):
     j ranges over size p-m multi-indices (outer), k over size p+m (inner).
     """
 
-    params: GrassmannParams
-    m: int
-    equations: tuple[QuadraticEquation, ...]
+    __slots__ = ("params", "m", "equations")
 
     def __len__(self) -> int:
         return len(self.equations)
@@ -435,6 +425,8 @@ def size_ratio(params: GrassmannParams) -> Fraction:
 
     Equals ``(p+2)(n-p+2) / ((p-1)(n-p-1))`` for ``2 <= p <= n-2``.
     """
+    from fractions import Fraction  # only ``census`` needs it
+
     n, p = params.n, params.p
     if not 2 <= p <= n - 2:
         raise ValueError(f"ratio defined for 2 <= p <= n-2, got p={p}, n={n}")

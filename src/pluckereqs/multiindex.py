@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
 
 from . import _EXPORTS
 
@@ -51,18 +51,74 @@ def as_multiindex(values: Iterable[int]) -> MultiIndex:
     return idx
 
 
-@dataclass(frozen=True)
-class GrassmannParams:
+class _Record:
+    """A value record whose fields are its ``__slots__``, two or more.
+
+    It compares, hashes, pickles and copies as the tuple of its field
+    values and prints as a dataclass does.  A subclass names its fields in
+    ``__slots__`` and their defaults in ``_defaults``; a list default is
+    copied for each instance.  Instances are frozen unless the class is
+    declared with ``frozen=False``, which also makes them unhashable.
+    """
+
+    __slots__ = ("__weakref__",)
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._values = property(attrgetter(*cls.__slots__))
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+                value = value.copy() if value.__class__ is list else value
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected argument {[*kwargs][0]!r}")
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class GrassmannParams(_Record):
     """Ambient dimension ``n`` and subspace dimension ``p``, with 1 <= p <= n."""
 
-    n: int
-    p: int
+    __slots__ = ("n", "p")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not 1 <= self.p <= self.n:
-            raise ValueError(f"p must satisfy 1 <= p <= n, got p={self.p}, n={self.n}")
+    def __init__(self, n: int, p: int) -> None:
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
+        if not 1 <= p <= n:
+            raise ValueError(f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
+        super().__init__(n, p)
 
     @property
     def indices(self) -> range:

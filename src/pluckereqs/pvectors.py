@@ -43,34 +43,30 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import frexp, isfinite, lcm, ldexp, prod
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import _EXPORTS
 from .documents import JsonText, json_int, read_document
 from .equations import EquationSystem, Label, QuadraticEquation, check_width
-from .multiindex import GrassmannParams, MultiIndex
+from .multiindex import GrassmannParams, MultiIndex, _Record
 
 FIELDS = ("Q", "Q_i", "f64")
 
 __all__ = _EXPORTS["pvectors"]
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(_Record):
     """Exact complex scalar ``re + im*i`` with rational parts."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", Fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re, im=Fraction(0)) -> None:
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     @staticmethod
     def _coerce(value) -> "GaussianRational | None":
@@ -178,16 +174,14 @@ class _GaussInt:
         return isinstance(other, _GaussInt) and self.re == other.re and self.im == other.im
 
 
-Scalar = Union[Fraction, GaussianRational, float]
+Scalar = Fraction | GaussianRational | float
 
 
-@dataclass(frozen=True, eq=True)
-class PVector:
-    """Sparse coefficients of a p-vector; absent multi-indices are zero."""
+class PVector(_Record):
+    """Sparse coefficients of a p-vector, ``{multi-index: Scalar}``; absent ones are zero."""
 
-    params: GrassmannParams
-    coeffs: Mapping[MultiIndex, Scalar]
-    field: str = "Q"
+    __slots__ = ("params", "coeffs", "field")
+    _defaults = {"field": "Q"}
 
     @property
     def is_zero(self) -> bool:
@@ -365,15 +359,12 @@ def evaluate(eq: QuadraticEquation, h: PVector) -> Scalar:
     return next((value for _, value in violated), _zero(h.field))
 
 
-class Residual(NamedTuple):
-    """Largest violation magnitude plus every violated label with its value.
+Residual = namedtuple("Residual", ("max_violation", "violations"))
+Residual.__doc__ = """Largest violation magnitude plus every violated label with its value.
 
-    The magnitude is ``abs(value)`` for rational and float fields and the
-    exact squared modulus for Gaussian rationals.
-    """
-
-    max_violation: Scalar
-    violations: list[tuple[Label, Scalar]]
+The magnitude is ``abs(value)`` for rational and float fields and the exact
+squared modulus for Gaussian rationals.
+"""
 
 
 def checked_tolerance(tolerance: float | None) -> float:

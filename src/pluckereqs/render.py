@@ -35,7 +35,8 @@ and builds no equation; the library readers build an ``EquationSystem``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, TextIO
+from collections.abc import Iterable, Iterator, Sequence
+from io import TextIOBase
 
 from . import _EXPORTS, FORMATS
 from .documents import JsonText, json_int, read_document
@@ -273,12 +274,12 @@ def _system_from_text(text: JsonText) -> tuple[GrassmannParams, int, list]:
     return params, m, values["equations"]
 
 
-def _load_rows(source: str | TextIO) -> tuple[GrassmannParams, int, list]:
+def _load_rows(source: str | TextIOBase) -> tuple[GrassmannParams, int, list]:
     """``(params, m, rows)`` of a system document: a JSON string, or an open file read in chunks."""
     return read_document(_system_from_text, JsonText(source), "equation-system")
 
 
-def _load_system(source: str | TextIO) -> EquationSystem:
+def _load_system(source: str | TextIOBase) -> EquationSystem:
     """``system_from_json`` for a JSON string or an open text file."""
     return _system(*_load_rows(source))
 

@@ -34,12 +34,10 @@ block check at each (n, p) label that strips to it.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import combinations, product
 from math import comb
-from typing import Iterable
 
 from . import _EXPORTS
 from .equations import (
@@ -56,6 +54,7 @@ from .equations import (
 from .multiindex import (
     GrassmannParams,
     MultiIndex,
+    _Record,
     difference,
     inversion_pairs,
     multinomial,
@@ -78,16 +77,10 @@ def _stratum_kind(q_size: int, p: int) -> str:
     return "large"
 
 
-@dataclass(frozen=True)
-class QClassCensus:
+class QClassCensus(_Record):
     """Observed vs predicted equation count for one q stratum."""
 
-    q_size: int
-    kind: str
-    observed: int
-    predicted: int
-    expected_terms: int
-    observed_terms: tuple[int, ...]
+    __slots__ = ("q_size", "kind", "observed", "predicted", "expected_terms", "observed_terms")
 
     @property
     def ok(self) -> bool:
@@ -95,18 +88,13 @@ class QClassCensus:
         return self.observed == self.predicted and terms_ok
 
 
-@dataclass
-class CensusReport:
+class CensusReport(_Record, frozen=False):
     """Per-stratum counts of the two-index system against predictions."""
 
-    params: GrassmannParams
-    total_observed: int
-    total_predicted: int
-    classes: list[QClassCensus]
-    families_observed: int
-    families_predicted: int
-    all_distinct: bool
-    all_nontrivial: bool
+    __slots__ = (
+        "params", "total_observed", "total_predicted", "classes", "families_observed",
+        "families_predicted", "all_distinct", "all_nontrivial",
+    )
 
     @property
     def three_term(self) -> QClassCensus | None:
@@ -249,17 +237,14 @@ def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[i
     return not collect_weighted(weighted)
 
 
-@dataclass(frozen=True)
-class PairFamily:
+class PairFamily(_Record):
     """Six two-index labels sharing one 10-monomial set.
 
     Member ``i`` (1-based, ascending over ``l``) has ``j = q + l[i]`` and
     ``k = q + (l - l[i])``.
     """
 
-    q: MultiIndex
-    l: MultiIndex
-    members: tuple[Label, ...]
+    __slots__ = ("q", "l", "members")
 
 
 def pair_families(params: GrassmannParams) -> list[PairFamily]:
@@ -326,8 +311,7 @@ def check_pair_combine(params: GrassmannParams, family: PairFamily, i: int, i2: 
     return not collect_weighted(weighted)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(_Record):
     """Support statistics of one large stratum (q <= p-4).
 
     Purely observational: no structural claim is attached.  The search
@@ -339,13 +323,10 @@ class ProbeReport:
     data replace them.
     """
 
-    n: int
-    p: int
-    q_size: int
-    admissible: bool
-    equation_count: int
-    support_group_sizes: tuple[tuple[int, int], ...]
-    max_support_overlap: int
+    __slots__ = (
+        "n", "p", "q_size", "admissible", "equation_count", "support_group_sizes",
+        "max_support_overlap",
+    )
     coefficient_bound = 2
     combination_sizes = (2, 3)
     combinations_tried = 0
@@ -369,6 +350,8 @@ class ProbeReport:
         }
 
     def to_json(self) -> str:
+        import json  # only here, so that ``verify`` and text ``census`` never load it
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
@@ -450,19 +433,19 @@ def _max_overlap(supports: Iterable[frozenset]) -> int:
     return max(shared.values(), default=0)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Record, frozen=False):
     """Aggregate pass/fail data for the structural checks at one (n, p)."""
 
-    params: GrassmannParams
-    census: CensusReport
-    decompositions_checked: int = 0
-    decomposition_failures: list[Label] = field(default_factory=list)
-    families_checked: int = 0
-    family_failures: list[tuple] = field(default_factory=list)
-    combinations_checked: int = 0
-    combination_failures: list[tuple] = field(default_factory=list)
-    multiplicity_failures: list[Label] = field(default_factory=list)
+    __slots__ = (
+        "params", "census", "decompositions_checked", "decomposition_failures",
+        "families_checked", "family_failures", "combinations_checked", "combination_failures",
+        "multiplicity_failures",
+    )
+    _defaults = {
+        "decompositions_checked": 0, "decomposition_failures": [], "families_checked": 0,
+        "family_failures": [], "combinations_checked": 0, "combination_failures": [],
+        "multiplicity_failures": [],
+    }
 
     @property
     def multiplicity_ok(self) -> bool:

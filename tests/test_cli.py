@@ -735,28 +735,39 @@ DECIDE = SYSTEM | {"pluckereqs.pvectors"}
 STRUCTURE = PACKAGE | {"pluckereqs.equations", "pluckereqs.multiindex", "pluckereqs.structure"}
 
 
-# Each subcommand loads only the submodules it runs: the launch of a
-# command pays for no other part of the package.
+# Standard modules no launch loads: ``dataclasses`` alone imports
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``, and ``typing`` is not
+# loaded by a bare interpreter.
+HEAVY = {"dataclasses", "inspect", "typing"}
+
+
+# Each subcommand loads only the submodules it runs, and none of HEAVY nor
+# the standard modules it does not use: the launch of a command pays for no
+# other part of the package.  Each row also launches with ``python -S``, so
+# that no ``.pth`` file of site-packages loads a module before the package.
 @pytest.mark.parametrize(
-    "argv, code, modules",
+    "argv, code, modules, unused",
     [
-        (["--help"], 0, PACKAGE),
-        (["generate", "--n", "six"], 2, PACKAGE),
-        (["generate", "--n", "6", "--p", "3", "--m", "1"], 0, SYSTEM | {"pluckereqs.render"}),
-        (["export", "--in", "{system}", "--format", "csv"], 0, SYSTEM | {"pluckereqs.render"}),
-        (["check", "{simple}"], 0, DECIDE),
-        (["check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3"], 0, DECIDE),
-        (["check", str(DATA_DIR / "check_7_3_Q.json")], 1, DECIDE | {"pluckereqs.render"}),
+        (["--help"], 0, PACKAGE, {"json", "fractions"}),
+        (["generate", "--n", "six"], 2, PACKAGE, {"json", "fractions"}),
+        (["generate", "--n", "6", "--p", "3", "--m", "1"], 0, SYSTEM | {"pluckereqs.render"},
+         {"fractions"}),
+        (["export", "--in", "{system}", "--format", "csv"], 0, SYSTEM | {"pluckereqs.render"},
+         {"fractions"}),
+        (["check", "{simple}"], 0, DECIDE, set()),
+        (["check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3"], 0, DECIDE, set()),
+        (["check", str(DATA_DIR / "check_7_3_Q.json")], 1, DECIDE | {"pluckereqs.render"},
+         set()),
         (["check", str(DATA_DIR / "check_7_3_Q_i.json"), "--m", "1"], 1,
-         DECIDE | {"pluckereqs.render"}),
-        (["verify", "--n", "6", "--p", "3"], 0, STRUCTURE),
-        (["census", "--n", "6", "--p", "3"], 0, STRUCTURE),
-        (["probe", "--n", "6", "--p", "3", "--q", "0"], 0, STRUCTURE),
+         DECIDE | {"pluckereqs.render"}, set()),
+        (["verify", "--n", "6", "--p", "3"], 0, STRUCTURE, {"json", "fractions"}),
+        (["census", "--n", "6", "--p", "3"], 0, STRUCTURE, {"json"}),
+        (["probe", "--n", "6", "--p", "3", "--q", "0"], 0, STRUCTURE, {"fractions"}),
     ],
     ids=["help", "usage_error", "generate", "export", "check_simple", "selftest",
          "check_non_simple_Q", "check_non_simple_Q_i", "verify", "census", "probe"],
 )
-def test_cli_subcommand_loads_only_its_modules(tmp_path, argv, code, modules):
+def test_cli_subcommand_loads_only_its_modules(tmp_path, argv, code, modules, unused):
     system = tmp_path / "system.json"
     system.write_text(render(gen_plucker_like(GrassmannParams(6, 3)), "json"))
     simple = tmp_path / "simple.json"
@@ -765,10 +776,13 @@ def test_cli_subcommand_loads_only_its_modules(tmp_path, argv, code, modules):
     argv = [arg.format(system=system, simple=simple) for arg in argv]
     script = f"""
 import sys
+before = set(sys.modules)
 from pluckereqs.cli import main
 assert main({argv!r}) == {code!r}
 loaded = {{name for name in sys.modules if name.split(".")[0] == "pluckereqs"}}
 assert loaded == {modules!r}, sorted(loaded)
+stdlib = {{*{HEAVY!r}, *{unused!r}}} & (sys.modules.keys() - before)
+assert not stdlib, sorted(stdlib)
 import pluckereqs
 for name in {PACKAGE_NAMES!r}:
     getattr(pluckereqs, name)
@@ -780,11 +794,12 @@ exec("from pluckereqs import *", namespace)
 assert {{*{PACKAGE_NAMES!r}}} - {{"__version__"}} <= namespace.keys()
 """
     src = str(Path(__file__).parent.parent / "src")
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
+    for flags in ([], ["-S"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, (flags, result.stderr)
 
 
 def test_verify_pass(capsys):
