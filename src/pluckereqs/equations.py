@@ -17,19 +17,21 @@ basis-blade encoding of Dorst, Fontijne & Mann, *Geometric Algebra for
 Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
 ``& ~`` and an inversion count is a popcount.  One function,
 ``_raw_terms``, holds the sign rule; it gives one label's terms on masks.
-Masks leave this module in two places only: the rows of ``_raw_rows``,
-which ``check`` evaluates without building any equation, and the keys
-that ``_by_mask`` gives a p-vector's coefficients to match them.  Every
-other reader gets tuples: ``_tuple_terms`` maps a row's masks to tuples,
-the smaller factor on the left, for ``raw_equation`` and for ``generate
---raw``, which reads ``_raw_rows`` through it.  Each term's ``left`` and
-``right`` come from the intern table of ``GrassmannParams.multiindex``,
-the one multi-index reader, so every equation the process generates or
-reads, and every p-vector key, shares one tuple per distinct multi-index.
-``generate`` builds no equation: it passes rows ``(label, terms)`` of
-plain tuples to the writer one at a time and holds no whole system.
-Canonical forms are lifted from the blocks Gr(r, 2r), each canonicalized
-once per call (``_canonical_rows``).
+Masks leave this module in three places only: the rows of ``_raw_rows``,
+which ``check`` evaluates without building any equation, the keys that
+``_by_mask`` gives a p-vector's coefficients to match them, and the label
+masks that ``census`` counts on and that ``_weights`` yields to
+``verify``'s failure walk.  Every other reader gets tuples:
+``_tuple_terms`` maps a row's masks to tuples, the smaller factor on the
+left, for ``raw_equation`` and for ``generate --raw``, which reads
+``_raw_rows`` through it.  Each term's ``left`` and ``right`` come from
+the intern table of ``GrassmannParams.multiindex``, the one multi-index
+reader, so every equation the process generates or reads, and every
+p-vector key, shares one tuple per distinct multi-index.  ``generate``
+builds no equation: it passes rows ``(label, terms)`` of plain tuples to
+the writer one at a time and holds no whole system.  Canonical forms are
+lifted from the blocks Gr(r, 2r), each canonicalized once per call, along
+``_weights`` (``_canonical_rows``).
 """
 
 from __future__ import annotations
@@ -253,6 +255,25 @@ def _block_forms(r: int, m: int) -> list[tuple[QuadTerm, ...]]:
     return [canonicalize(raw_equation(block, j, k, m)).terms for j, k in _block_labels(r, m)]
 
 
+def _weights(params: GrassmannParams, m: int) -> Iterator[tuple[Label, int, int, list[int], MultiIndex]]:
+    """Each label moving ``m`` as ``(label, D, j | k, S, j')`` on masks, in system order.
+
+    ``D = j & k``, ``S`` holds the bits of ``j ^ k`` ascending and ``j'`` the
+    places in ``S`` (from 1) of ``j``'s entries: the ``j`` of the block label
+    of ``structure.strip``, which names that label once ``m`` is known.
+    """
+    j_list, k_list = _label_lists(params, m)
+    bits = [1 << i for i in params.indices]
+    k_masks = [(k, _MASKS[k][0]) for k in k_list]
+    for j in j_list:
+        j_mask = _MASKS[j][0]
+        for k, k_mask in k_masks:
+            sym = j_mask ^ k_mask
+            spread = [bit for bit in bits if sym & bit]
+            block_j = tuple([at for at, bit in enumerate(spread, 1) if j_mask & bit])
+            yield (j, k), j_mask & k_mask, j_mask | k_mask, spread, block_j
+
+
 def _canonical_rows(
     params: GrassmannParams, m: int, first_only: bool = False
 ) -> Iterator[tuple[Label, list[tuple[int, MultiIndex, MultiIndex]]]]:
@@ -261,40 +282,33 @@ def _canonical_rows(
     The terms are plain ``(c, left, right)`` tuples of interned factors:
     the rows a writer of ``render`` reads, with no equation built.  By
     ``structure.strip``'s corollary, the form at ``(j, k)`` is its block
-    form with each factor ``X`` lifted to ``D + S[X]``, ``D = j & k``, ``S =
-    j ^ k``; a term's factors split ``S``.  Equal non-trivial forms share
+    form with each factor ``X`` lifted to ``D + S[X]``, as :func:`_weights`
+    gives them; a term's factors split ``S``.  Equal non-trivial forms share
     ``D`` and ``S``, and lifting keeps label order, so a first occurrence is
     a block's first.  Block forms are read by :func:`_block_forms`, once per call.
     """
-    j_list, k_list = _label_lists(params, m)
+    check_width(params, m)
     templates = {}
     for r in range(m, min(params.p, params.n - params.p) + 1):
         seen = set()
         for (j, _), terms in zip(_block_labels(r, m), _block_forms(r, m)):
             first = bool(terms) and terms not in seen
             seen.add(terms)
-            key = tuple(x in j for x in range(1, 2 * r + 1))  # which places of S lie in j
-            templates[key] = first, [(c, tuple(x - 1 for x in left)) for c, left, _ in terms]
-    bits = [1 << i for i in params.indices]
-    k_masks = [(k, _MASKS[k][0]) for k in k_list]
+            templates[j] = first, [(c, tuple(x - 1 for x in left)) for c, left, _ in terms]
     table = _MULTIINDEX_BY_MASK
 
     def rows() -> Iterator[tuple[Label, list[tuple[int, MultiIndex, MultiIndex]]]]:
-        for j in j_list:
-            j_mask = _MASKS[j][0]
-            for k, k_mask in k_masks:
-                common, union = j_mask & k_mask, j_mask | k_mask
-                spread = [bit for bit in bits if (union ^ common) & bit]
-                first, template = templates[tuple([j_mask & bit > 0 for bit in spread])]
-                if first_only and not first:
-                    continue
-                terms = []
-                for c, left in template:
-                    lift = 0
-                    for at in left:
-                        lift |= spread[at]
-                    terms.append((c, table[common | lift], table[union ^ lift]))
-                yield (j, k), terms
+        for label, common, union, spread, block_j in _weights(params, m):
+            first, template = templates[block_j]
+            if first_only and not first:
+                continue
+            terms = []
+            for c, left in template:
+                lift = 0
+                for at in left:
+                    lift |= spread[at]
+                terms.append((c, table[common | lift], table[union ^ lift]))
+            yield label, terms
 
     return rows()
 

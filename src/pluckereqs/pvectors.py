@@ -40,7 +40,6 @@ assumption enters the code.
 
 from __future__ import annotations
 
-import random
 import re
 from bisect import bisect_left
 from collections import namedtuple
@@ -528,7 +527,8 @@ def is_simple(h: PVector, system_choice: str = "plucker", tolerance: float | Non
 
 def random_pvector(params: GrassmannParams, seed: int) -> PVector:
     """Independent small rational coefficients per multi-index; seeded."""
-    rng = random.Random(seed)
+    from random import Random  # here and in random_simple only: ``check FILE`` never loads it
+    rng = Random(seed)
     coeffs: dict[MultiIndex, Scalar] = {}
     for idx in combinations(params.indices, params.p):
         value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -539,7 +539,8 @@ def random_pvector(params: GrassmannParams, seed: int) -> PVector:
 
 def random_simple(params: GrassmannParams, seed: int) -> PVector:
     """Wedge of p random vectors with small rational entries; seeded."""
-    rng = random.Random(seed)
+    from random import Random
+    rng = Random(seed)
     vectors = [
         [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(params.n)]
         for _ in range(params.p)

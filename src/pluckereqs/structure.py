@@ -28,25 +28,27 @@ raw equation at (n, p), and its canonical form, is the one of a q = 0
 label of the block Gr(r, 2r), with its common part added back to both
 factors of every term.  So ``census`` and ``verify_structure`` read
 equations only at the q = 0 labels of the blocks r = 2..min(p, n-p), and
-``stratum_probe`` only at the block r = p - q; one rule reports a failed
-block check at each (n, p) label that strips to it.
+``stratum_probe`` only at the block r = p - q; ``equations._weights``
+walks a failed block check out to each (n, p) label that lifts from it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from . import _EXPORTS
 from .equations import (
+    _MASKS,
     Label,
     QuadraticEquation,
     QuadTerm,
     _block_forms,
     _block_labels,
     _label_lists,
+    _weights,
     canonicalize,
     collect_weighted,
     raw_equation,
@@ -150,9 +152,9 @@ class CensusReport(_Record, frozen=False):
 def census(params: GrassmannParams) -> CensusReport:
     """Count the two-index system per q stratum and compare to predictions.
 
-    The counts are one pass over the labels in system order that keeps
-    none.  A family is counted at its one 10-term label whose element of
-    ``j \\ k`` is the smallest of ``j ^ k``.
+    The counts are one pass over the label masks that keeps none: ``q`` is
+    the popcount of ``j & k``, and a family is counted at its one 10-term
+    label where the lowest bit of ``j ^ k`` lies in ``j``.
 
     What reads an equation is a block fact.  By :func:`strip` and its
     corollary, the canonical forms of stratum q are the lifts of those of
@@ -169,13 +171,14 @@ def census(params: GrassmannParams) -> CensusReport:
         raise ValueError(f"census needs 2 <= p <= n-2, got p={p}, n={n}")
     observed, families = [0] * (p - 1), 0
     j_list, k_list = _label_lists(params, 2)
+    k_masks = [_MASKS[k][0] for k in k_list]
     for j in j_list:
-        shared = set(j)
-        for k in k_list:
-            q_size = len(shared.intersection(k))
+        j_mask = _MASKS[j][0]
+        for k_mask in k_masks:
+            q_size = (j_mask & k_mask).bit_count()
             observed[q_size] += 1
             if q_size == p - 3:
-                families += min(shared.symmetric_difference(k)) in shared
+                families += j_mask & (j_mask ^ k_mask) & -(j_mask ^ k_mask) > 0
     classes, trivial, distinct = [], 0, True
     for q_size in range(p - 2, max(0, 2 * p - n) - 1, -1):
         r = p - q_size
@@ -546,9 +549,9 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
       3-term form is its label's alone (a trivial one fails).
 
     On a failed block check, one walk over the (n, p) labels in system
-    order files each that strips to a failed block label as a decomposition
-    failure and, if the r = 2 check failed, each that strips to ``(2, (),
-    (1, 2, 3, 4))`` (the 3-term labels) as a multiplicity failure.  A failed
+    order (``equations._weights``) files each whose block ``j'`` failed as
+    a decomposition failure and, if the r = 2 check failed, each with
+    ``j' = ()`` (the 3-term labels) as a multiplicity failure.  A failed
     family check is reported at every family of :func:`pair_families`.
     """
     n, p = params.n, params.p
@@ -560,10 +563,8 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     report.families_checked = counts.families_observed
     report.combinations_checked = len(pairs) * counts.families_observed
 
-    failed_blocks = {
-        (r, j, k)
-        for r in range(2, min(p, n - p) + 1)
-        for j, k in _block_labels(r, 2)
+    failed_blocks = {  # each by its j, which names a block label moving two
+        j for r in range(2, min(p, n - p) + 1) for j, k in _block_labels(r, 2)
         if not check_decomposition(GrassmannParams(2 * r, r), j, k)
     }
 
@@ -589,10 +590,9 @@ def verify_structure(params: GrassmannParams) -> VerifyReport:
     [three_term] = _block_forms(2, 2)
     three_term_failed = _block_forms(2, 1).count(three_term) != 4 or not three_term
     if failed_blocks or three_term_failed:
-        for label in product(*_label_lists(params, 2)):
-            stripped = strip(params, label)
-            if stripped in failed_blocks:
+        for label, _, _, _, block_j in _weights(params, 2):
+            if block_j in failed_blocks:
                 report.decomposition_failures.append(label)
-            if three_term_failed and stripped == (2, (), (1, 2, 3, 4)):
+            if three_term_failed and block_j == ():
                 report.multiplicity_failures.append(label)
     return report

@@ -742,27 +742,28 @@ HEAVY = {"dataclasses", "inspect", "typing"}
 
 
 # Each subcommand loads only the submodules it runs, and none of HEAVY nor
-# the standard modules it does not use: the launch of a command pays for no
-# other part of the package.  Each row also launches with ``python -S``, so
-# that no ``.pth`` file of site-packages loads a module before the package.
+# the standard modules it does not use (``random`` is for ``--selftest``
+# only): the launch of a command pays for no other part of the package.
+# Each row also launches with ``python -S``, so that no ``.pth`` file of
+# site-packages loads a module before the package.
 @pytest.mark.parametrize(
     "argv, code, modules, unused",
     [
-        (["--help"], 0, PACKAGE, {"json", "fractions"}),
-        (["generate", "--n", "six"], 2, PACKAGE, {"json", "fractions"}),
+        (["--help"], 0, PACKAGE, {"json", "fractions", "random"}),
+        (["generate", "--n", "six"], 2, PACKAGE, {"json", "fractions", "random"}),
         (["generate", "--n", "6", "--p", "3", "--m", "1"], 0, SYSTEM | {"pluckereqs.render"},
-         {"fractions"}),
+         {"fractions", "random"}),
         (["export", "--in", "{system}", "--format", "csv"], 0, SYSTEM | {"pluckereqs.render"},
-         {"fractions"}),
-        (["check", "{simple}"], 0, DECIDE, set()),
+         {"fractions", "random"}),
+        (["check", "{simple}"], 0, DECIDE, {"random"}),
         (["check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3"], 0, DECIDE, set()),
         (["check", str(DATA_DIR / "check_7_3_Q.json")], 1, DECIDE | {"pluckereqs.render"},
-         set()),
+         {"random"}),
         (["check", str(DATA_DIR / "check_7_3_Q_i.json"), "--m", "1"], 1,
-         DECIDE | {"pluckereqs.render"}, set()),
-        (["verify", "--n", "6", "--p", "3"], 0, STRUCTURE, {"json", "fractions"}),
-        (["census", "--n", "6", "--p", "3"], 0, STRUCTURE, {"json"}),
-        (["probe", "--n", "6", "--p", "3", "--q", "0"], 0, STRUCTURE, {"fractions"}),
+         DECIDE | {"pluckereqs.render"}, {"random"}),
+        (["verify", "--n", "6", "--p", "3"], 0, STRUCTURE, {"json", "fractions", "random"}),
+        (["census", "--n", "6", "--p", "3"], 0, STRUCTURE, {"json", "random"}),
+        (["probe", "--n", "6", "--p", "3", "--q", "0"], 0, STRUCTURE, {"fractions", "random"}),
     ],
     ids=["help", "usage_error", "generate", "export", "check_simple", "selftest",
          "check_non_simple_Q", "check_non_simple_Q_i", "verify", "census", "probe"],

@@ -32,7 +32,7 @@ from pluckereqs import (
     symmetric_difference,
     verify_structure,
 )
-from pluckereqs.equations import _canonical_rows, _raw_equations
+from pluckereqs.equations import _canonical_rows, _raw_equations, _weights
 from pluckereqs.multiindex import _INTERNED
 
 
@@ -110,6 +110,32 @@ def test_one_index_decomposition_validates_labels(params63):
         one_index_decomposition(params63, (1, 2), (1, 2, 3, 4, 5))
     with pytest.raises(ValueError, match="1..6"):
         one_index_decomposition(params63, [7], [1, 2, 3, 4, 8])
+
+
+def test_weights_strip_every_label():
+    # The walker's j' is strip's block j, and its D, j | k and S are the
+    # set computations, at every label with n <= 9 moving 1 or 2, in
+    # system order.
+    def mask(indices):
+        return sum(1 << x for x in indices)
+
+    for n in range(2, 10):
+        for p in range(1, n):
+            params = GrassmannParams(n, p)
+            for m in range(1, min(2, p, n - p) + 1):
+                labels = []
+                for label, common, union, spread, block_j in _weights(params, m):
+                    j, k = set(label[0]), set(label[1])
+                    assert block_j == strip(params, label)[1], label
+                    assert common == mask(j & k)
+                    assert union == mask(j | k)
+                    assert spread == [1 << x for x in sorted(j ^ k)]
+                    labels.append(label)
+                assert labels == [
+                    (j, k)
+                    for j in combinations(params.indices, p - m)
+                    for k in combinations(params.indices, p + m)
+                ]
 
 
 def test_structure_reads_hit_the_generated_tuples():
