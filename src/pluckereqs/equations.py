@@ -15,8 +15,8 @@ positive.  An empty term list is the trivial equation ``0 = 0``.
 Generation works on int bitmasks (bit ``i`` set for index ``i``), the
 basis-blade encoding of Dorst, Fontijne & Mann, *Geometric Algebra for
 Computer Science* (2007), ch. 19: a set union is ``|``, a difference is
-``& ~`` and an inversion count is a popcount.  One function,
-``_raw_terms``, holds the sign rule; it gives one label's terms on masks.
+``& ~`` and an inversion count is a popcount.  ``_raw_terms`` holds the
+generator's sign rule; it gives one label's terms on masks.
 Masks leave this module in three places only: the rows of ``_raw_rows``,
 which ``check`` evaluates without building any equation, the keys that
 ``_by_mask`` gives a p-vector's coefficients to match them, and the label

@@ -16,12 +16,12 @@ Covers four mechanically checkable facts about the two-index system:
   the probe reports their support statistics as data, asserting nothing.
 
 Each decomposition and pair identity is checked on raw polynomials only,
-as one signed sum: every term of every raw equation in it goes, times its
-weight, into one map keyed by monomial (``equations.collect_weighted``),
-and the identity holds exactly when the map ends empty.  The family,
-census-distinctness and multiplicity checks read canonical forms, all
-from one reader, ``equations._block_forms``, which ``generate`` lifts
-its forms from too.
+read as ``equations.raw_equation`` (so one patch of it reaches every read),
+as one signed sum: each term, times its weight, goes into one map keyed
+by monomial (``equations.collect_weighted``), and the identity holds
+exactly when the map ends empty.  The family, census-distinctness and
+multiplicity checks read canonical forms, all from one reader,
+``equations._block_forms``, which ``generate`` lifts its forms from too.
 
 One data path.  By the lemma in :func:`strip` and its corollary, every
 raw equation at (n, p), and its canonical form, is the one of a q = 0
@@ -39,7 +39,7 @@ from collections.abc import Iterable
 from itertools import combinations
 from math import comb
 
-from . import _EXPORTS
+from . import _EXPORTS, equations
 from .equations import (
     _MASKS,
     Label,
@@ -51,7 +51,6 @@ from .equations import (
     _weights,
     canonicalize,
     collect_weighted,
-    raw_equation,
 )
 from .multiindex import (
     GrassmannParams,
@@ -217,7 +216,8 @@ def one_index_decomposition(
     Returns ``[(sign_i, (j+i, k-i)) for i in k\\j]`` with
     ``sign_i = (-1) ** <j^k | i>``; the exact identity is
     ``sum_i sign_i * raw_1(j+i, k-i) == 2 * raw_2(j, k)`` after collecting
-    like terms.
+    like terms.  Its signs come from :func:`inversion_pairs`, not from
+    ``equations._raw_terms``, so a wrong generator sign rule fails it.
     """
     j = params.multiindex(j, params.p - 2)
     k = params.multiindex(k, params.p + 2)
@@ -233,10 +233,10 @@ def check_decomposition(params: GrassmannParams, j: Iterable[int], k: Iterable[i
 
     ``sum_i sign_i * raw_1(j+i, k-i) - 2 * raw_2(j, k)`` collects to nothing.
     """
-    doubled = raw_equation(params, j, k, 2)  # the one read of j and k, maybe one-shot
+    doubled = equations.raw_equation(params, j, k, 2)  # the one read of j and k, maybe one-shot
     weighted = [(-2, doubled.terms)]
     for sign, (pj, pk) in one_index_decomposition(params, *doubled.label):
-        weighted.append((sign, raw_equation(params, pj, pk, 1).terms))
+        weighted.append((sign, equations.raw_equation(params, pj, pk, 1).terms))
     return not collect_weighted(weighted)
 
 
@@ -287,8 +287,8 @@ def pair_combine(
         raise ValueError("pair combination needs two distinct member indices")
     if not (1 <= i <= 6 and 1 <= i2 <= 6):
         raise ValueError(f"member indices must lie in 1..6, got ({i}, {i2})")
-    first = raw_equation(params, *family.members[i - 1], 2)
-    second = raw_equation(params, *family.members[i2 - 1], 2)
+    first = equations.raw_equation(params, *family.members[i - 1], 2)
+    second = equations.raw_equation(params, *family.members[i2 - 1], 2)
     # Four monomials survive in a family.
     collected = collect_weighted(((1, first.terms), ((-1) ** (i + i2), second.terms)))
     terms = tuple(QuadTerm(c, left, right) for (left, right), c in collected.items())
@@ -307,9 +307,9 @@ def check_pair_combine(params: GrassmannParams, family: PairFamily, i: int, i2: 
     because it divides out the gcd signed by the first term.
     """
     weighted = (
-        (1, raw_equation(params, *family.members[i - 1], 2).terms),
-        ((-1) ** (i + i2), raw_equation(params, *family.members[i2 - 1], 2).terms),
-        (-2 * (-1) ** i2, raw_equation(params, *_combined_label(family, i, i2), 1).terms),
+        (1, equations.raw_equation(params, *family.members[i - 1], 2).terms),
+        ((-1) ** (i + i2), equations.raw_equation(params, *family.members[i2 - 1], 2).terms),
+        (-2 * (-1) ** i2, equations.raw_equation(params, *_combined_label(family, i, i2), 1).terms),
     )
     return not collect_weighted(weighted)
 

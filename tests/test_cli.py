@@ -803,6 +803,34 @@ assert {{*{PACKAGE_NAMES!r}}} - {{"__version__"}} <= namespace.keys()
         assert result.returncode == 0, (flags, result.stderr)
 
 
+def test_every_submodule_loads_only_the_standard_library():
+    # Every submodule, imported in an isolated interpreter without site (so
+    # no .pth file loads anything first), loads nothing outside the standard
+    # library (``sys.stdlib_module_names``, Python 3.10+) but the package
+    # itself, and none of HEAVY nor ``random``, which only the seeded
+    # p-vector draws of --selftest import.
+    src = Path(__file__).parent.parent / "src"
+    # Listed from the files: pkgutil itself imports typing.
+    names = sorted(path.stem for path in (src / "pluckereqs").glob("[!_]*.py"))
+    assert {"cli", "equations", "multiindex", "pvectors", "render", "structure"} <= {*names}
+    script = f"""
+import importlib, sys
+sys.path.insert(0, {str(src)!r})
+before = set(sys.modules)
+for name in {names!r}:
+    importlib.import_module("pluckereqs." + name)
+extra = {{name.split(".")[0] for name in set(sys.modules) - before}}
+extra -= set(sys.stdlib_module_names) | {{"pluckereqs"}}
+assert not extra, sorted(extra)
+heavy = {{*{sorted(HEAVY)!r}, "random"}} & set(sys.modules)
+assert not heavy, sorted(heavy)
+"""
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--n", "6", "--p", "3")
     assert code == 0

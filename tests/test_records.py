@@ -170,6 +170,13 @@ def test_record_keywords_and_defaults():
         GrassmannParams(6, p=3, q=1)
     with pytest.raises(ValueError, match="p must satisfy"):
         GrassmannParams(6, 7)
+    # GrassmannParams checks its own arguments; these reach _Record's.
+    with pytest.raises(TypeError, match=r"^QuadraticEquation\(\) takes 3 arguments, got 4$"):
+        QuadraticEquation(1, 2, 3, 4)
+    with pytest.raises(TypeError, match=r"^EquationSystem\(\) missing argument 'equations'$"):
+        EquationSystem(params, 1)
+    with pytest.raises(TypeError, match=r"^PVector\(\) got an unexpected argument 'colour'$"):
+        PVector(params, {}, colour=1)
 
 
 def test_verify_reports_do_not_share_lists():

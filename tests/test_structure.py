@@ -32,7 +32,9 @@ from pluckereqs import (
     symmetric_difference,
     verify_structure,
 )
-from pluckereqs.equations import _canonical_rows, _raw_equations, _weights
+from pluckereqs.equations import (
+    _MASKS, _MULTIINDEX_BY_MASK, _canonical_rows, _raw_equations, _weights, collect_weighted,
+)
 from pluckereqs.multiindex import _INTERNED
 
 
@@ -42,7 +44,6 @@ def _patch_raw_equation(monkeypatch, change):
         return change(raw_equation(params, j, k, m))
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", changed)
-    monkeypatch.setattr(pluckereqs.structure, "raw_equation", changed)
 
 
 def _corrupt_lifts(monkeypatch, corruptions):
@@ -75,7 +76,7 @@ class _RawReads:
     """Every raw equation the structural checks generate, and those still alive.
 
     Installed as ``raw_equation`` in ``equations``, where the block reader
-    ``_block_forms`` reads it, and in ``structure``; the whole-system
+    ``_block_forms`` and the structural checks read it; the whole-system
     generator is made to fail, so a check that reads a system is caught.
     """
 
@@ -88,7 +89,6 @@ class _RawReads:
             raise AssertionError(f"a structural check generated the whole m={m} system")
 
         monkeypatch.setattr(pluckereqs.equations, "raw_equation", self)
-        monkeypatch.setattr(pluckereqs.structure, "raw_equation", self)
         monkeypatch.setattr(pluckereqs.equations, "_raw_equations", whole_system)
 
     def __call__(self, params, j, k, m):
@@ -234,6 +234,30 @@ def test_decomposition_identity_raw_doubling(params63):
     lhs = collect_terms(linear_combination(parts, params63).terms)
     rhs = collect_terms(raw_equation(params63, *label, 2).terms)
     assert lhs == {key: 2 * value for key, value in rhs.items()}
+
+
+def test_decomposition_signs_are_not_the_generators(monkeypatch, params63):
+    # one_index_decomposition counts its signs with inversion_pairs, apart
+    # from the generator's sign rule, equations._raw_terms.  With that rule
+    # giving every term sign +1, all 36 identities at (6,3) fail.  They
+    # balance when their weights come from the same patched rule, so a
+    # decomposition that read its signs and labels off _raw_terms would pass.
+    real = pluckereqs.equations._raw_terms
+
+    def unsigned(j_mask, k, k_mask, parity, m):
+        return [(1, left, right) for _, left, right in real(j_mask, k, k_mask, parity, m)]
+
+    monkeypatch.setattr(pluckereqs.equations, "_raw_terms", unsigned)
+    labels = [(j, k) for j in combinations(range(1, 7), 1) for k in combinations(range(1, 7), 5)]
+    assert verify_structure(params63).decomposition_failures == labels
+    assert len(labels) == 36
+    for j, k in labels:
+        (j_mask, j_parity), (k_mask, k_parity) = _MASKS[j], _MASKS[k]
+        weighted = [(-2, raw_equation(params63, j, k, 2).terms)]
+        for sign, left, right in unsigned(j_mask, k, k_mask, j_parity ^ k_parity, 1):
+            one = raw_equation(params63, _MULTIINDEX_BY_MASK[left], _MULTIINDEX_BY_MASK[right], 1)
+            weighted.append((sign, one.terms))
+        assert not collect_weighted(weighted), (j, k)
 
 
 def test_decomposition_identity_every_label_up_to_n8():
@@ -420,7 +444,6 @@ def test_stratum_probe_reads_one_weight_block(monkeypatch):
         return raw_equation(params, j, k, m)
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", recording)
-    monkeypatch.setattr(pluckereqs.structure, "raw_equation", recording)
     report = stratum_probe(GrassmannParams(12, 6), 1)
     assert calls == [GrassmannParams(10, 5)] * comb(10, 3)  # 120 calls
     assert report.equation_count == multinomial(12, [1, 3, 7, 1]) == 15840
@@ -885,11 +908,13 @@ def test_verify_structure_identities_match_reference(monkeypatch, corruption):
         by_label = {
             (m, eq.label): eq for m, system in ((1, one_index), (2, two_index)) for eq in system
         }
-        monkeypatch.setattr(
-            pluckereqs.structure, "raw_equation", lambda params, j, k, m: by_label[m, (j, k)]
-        )
         reference = _reference_failures(params, one_index, two_index)
-        assert _per_label_failures(params) == reference, (n, p)
+        # Undone before the next point, whose systems are generated clean.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                pluckereqs.equations, "raw_equation", lambda params, j, k, m: by_label[m, (j, k)]
+            )
+            assert _per_label_failures(params) == reference, (n, p)
         assert reference == (expected_decomposition, expected_combination), (n, p)
     expected_points = {"clean": 0, "scaled_coefficient": len(_POINTS_UP_TO_8), "dropped_target_term": 6}
     assert corrupted_points == expected_points[corruption]
@@ -909,7 +934,6 @@ def test_census_counts_a_repeated_label(monkeypatch):
         return repeated if (at, eq.label, m) == (block, second, 2) else eq
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", repeating)
-    monkeypatch.setattr(pluckereqs.structure, "raw_equation", repeating)
     report = census(params)
     assert report.total_observed == report.total_predicted
     assert all(entry.ok for entry in report.classes)
@@ -1125,7 +1149,6 @@ def test_verify_by_blocks_fails_where_verify_structure_does(monkeypatch, capsys,
         return mutant(raw_equation(params, j, k, m), m)
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", mutated)
-    monkeypatch.setattr(pluckereqs.structure, "raw_equation", mutated)
     params = GrassmannParams(7, 4)
     report = verify_structure(params)
     decomposition, combination = _per_label_failures(params)
@@ -1174,7 +1197,6 @@ def _drop_last_term_at(monkeypatch, block, label):
         return _drop_last_term(eq) if params == block and eq.label == label else eq
 
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", dropped)
-    monkeypatch.setattr(pluckereqs.structure, "raw_equation", dropped)
 
 
 # verify_structure checks each identity once per block label and reports a
@@ -1223,9 +1245,12 @@ def test_verify_structure_lifts_a_failed_one_index_block_label(monkeypatch, n, p
 
 def test_one_patch_point_reaches_every_block_read(monkeypatch):
     # generate, census and verify read block forms through one reader,
-    # equations._block_forms, so patching raw_equation in equations alone
-    # reaches all three: an r = 3 block label without its last term changes
-    # the canonical stream and fails the census and the family structure.
+    # equations._block_forms, and the identity checks read raw equations
+    # as equations.raw_equation, so patching raw_equation in equations
+    # alone reaches every read: an r = 3 block label without its last term
+    # changes the canonical stream, fails the census and the family
+    # structure, and fails the decomposition at the 7 labels of (7,3) that
+    # strip to it, one per weight.
     params, block, label = GrassmannParams(7, 3), GrassmannParams(6, 3), ((1,), (2, 3, 4, 5, 6))
     clean = list(_canonical_rows(params, 2))
 
@@ -1236,7 +1261,15 @@ def test_one_patch_point_reaches_every_block_read(monkeypatch):
     monkeypatch.setattr(pluckereqs.equations, "raw_equation", dropped)
     assert list(_canonical_rows(params, 2)) != clean
     assert not census(params).ok
-    assert verify_structure(params).family_failures
+    report = verify_structure(params)
+    assert report.family_failures
+    assert report.decomposition_failures == [
+        (j, k)
+        for j in combinations(params.indices, 1)
+        for k in combinations(params.indices, 5)
+        if strip(params, (j, k)) == (3, *label)
+    ]
+    assert len(report.decomposition_failures) == 7
 
 
 def test_census_without_a_family_stratum_has_no_ten_term_class():
