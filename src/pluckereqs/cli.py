@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from io import TextIOBase
@@ -51,9 +52,12 @@ def _batches(pieces: Iterable[str]) -> Iterator[str]:
 def _write_output(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces, in batches, to the file ``out`` or to stdout.
 
-    On stdout each batch goes to the binary layer whole: a write-through
-    text layer over an unbuffered pipe passes a short write on silently,
-    and a reader closing early must end the command with an I/O error.
+    It is the one writer of stdout, ``--help`` included.  On stdout each
+    batch goes to the binary layer whole: a write-through text layer over an
+    unbuffered pipe passes a short write on silently.  When stdout fails (a
+    closed reader, a full device), its descriptor is pointed at the null
+    device before the ``OSError`` is re-raised, so the exit flush of the
+    bytes left buffered cannot fail again outside ``main``.
     """
     if out is not None and out != "-":
         with open(out, "w", encoding="utf-8") as handle:
@@ -62,16 +66,21 @@ def _write_output(pieces: Iterable[str], out: str | None) -> None:
         return
     stdout = sys.stdout
     binary = getattr(stdout, "buffer", None)
-    if binary is None:  # a text-only stream, such as io.StringIO
+    try:
+        if binary is None:  # a text-only stream, such as io.StringIO
+            for batch in _batches(pieces):
+                stdout.write(batch)
+            return
+        stdout.flush()
         for batch in _batches(pieces):
-            stdout.write(batch)
-        return
-    stdout.flush()
-    for batch in _batches(pieces):
-        data = memoryview(batch.encode(stdout.encoding, stdout.errors))
-        while data:
-            data = data[binary.write(data):]
-    binary.flush()
+            data = memoryview(batch.encode(stdout.encoding, stdout.errors))
+            while data:
+                data = data[binary.write(data):]
+        binary.flush()
+    except OSError:
+        with contextlib.suppress(OSError), open(os.devnull, "wb") as null:  # io.StringIO has no descriptor
+            os.dup2(null.fileno(), stdout.fileno())
+        raise
 
 
 def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIOBase]:
@@ -122,11 +131,11 @@ def _run_selftest(args: argparse.Namespace) -> int:
     if params.p == params.n:
         raise ValueError(f"--selftest needs p < n: no equation system exists at p = n = {params.n}")
     count = args.selftest
-    failures = 0
-    for offset in range(count):
-        if not is_simple(random_simple(params, args.seed + offset), "plucker"):
-            failures += 1
-            print(f"simple vector at seed {args.seed + offset} flagged as non-simple")
+    flagged = [
+        f"simple vector at seed {args.seed + offset} flagged as non-simple\n"
+        for offset in range(count)
+        if not is_simple(random_simple(params, args.seed + offset), "plucker")
+    ]
     # The chart verdict against each system that exists at (n, p), read
     # row by row up to the first violated one.
     widths = range(1, min(2, params.p, params.n - params.p) + 1)
@@ -138,10 +147,10 @@ def _run_selftest(args: argparse.Namespace) -> int:
         violated = (next(_violations(_raw_rows(params, m), coeffs, h.field, tol), None) for m in widths)
         agreements += all(verdict == (first is None) for first in violated)
     wedges = f"{count} wedge vectors clean"
-    if failures:
-        wedges = f"{failures} of {count} wedge vectors flagged as non-simple"
-    print(f"selftest: {wedges}, {agreements}/{count} verdicts agree")
-    if failures or agreements != count:
+    if flagged:
+        wedges = f"{len(flagged)} of {count} wedge vectors flagged as non-simple"
+    _write_output([*flagged, f"selftest: {wedges}, {agreements}/{count} verdicts agree\n"], None)
+    if flagged or agreements != count:
         return EXIT_NEGATIVE
     return EXIT_OK
 
@@ -170,7 +179,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     # its zero-vector convention, so the zero vector is rejected where any
     # other vector would be.
     if is_simple(h, choice, args.tolerance):
-        print("simple (zero vector)" if h.is_zero else "simple")
+        _write_output(["simple (zero vector)\n" if h.is_zero else "simple\n"], None)
         return EXIT_OK
     from .equations import _by_mask, _raw_rows
     from .pvectors import _violations, checked_tolerance
@@ -195,25 +204,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     params = GrassmannParams(args.n, args.p)
     report = verify_structure(params)
-    print(
-        f"decomposition identity: {report.decompositions_checked - len(report.decomposition_failures)}"
-        f"/{report.decompositions_checked} labels ok"
-    )
     c = report.census
-    print(
+    verdict = "PASS" if report.ok else f"FAIL at {report.first_failure}"
+    lines = [
+        f"decomposition identity: {report.decompositions_checked - len(report.decomposition_failures)}"
+        f"/{report.decompositions_checked} labels ok",
         f"census: total {c.total_observed}/{c.total_predicted}, "
-        f"distinct={c.all_distinct}, nontrivial={c.all_nontrivial}"
-    )
-    print(
+        f"distinct={c.all_distinct}, nontrivial={c.all_nontrivial}",
         f"families: {report.families_checked} checked, "
-        f"{report.combinations_checked} pair combinations checked"
-    )
-    print(f"3-term multiplicities (4x one-index, 1x two-index): {report.multiplicity_ok}")
-    if report.ok:
-        print(f"VERIFY (n={args.n}, p={args.p}): PASS")
-        return EXIT_OK
-    print(f"VERIFY (n={args.n}, p={args.p}): FAIL at {report.first_failure}")
-    return EXIT_NEGATIVE
+        f"{report.combinations_checked} pair combinations checked",
+        f"3-term multiplicities (4x one-index, 1x two-index): {report.multiplicity_ok}",
+        f"VERIFY (n={args.n}, p={args.p}): {verdict}",
+    ]
+    _write_output(["\n".join(lines) + "\n"], None)
+    return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -287,8 +291,17 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """Help goes to stdout through ``_write_output``; every subparser is of this class too."""
+        if file is None:
+            _write_output([self.format_help()], None)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pluckereqs",
         description="Generate, check and verify quadratic Grassmann coordinate identities.",
     )
@@ -354,11 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
     # The cyclic collector is paused for the command and the caller's state
     # restored after it.  Every object the package builds is acyclic (tuples,
     # QuadTerm named tuples, slotted record classes, and dicts and lists of
@@ -370,7 +378,10 @@ def main(argv: list[str] | None = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = parser.parse_args(argv)  # --help writes its text here
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,7 +43,7 @@ from math import gcd
 from operator import itemgetter
 
 from . import _EXPORTS
-from .multiindex import _INTERNED, GrassmannParams, MultiIndex, _Record, difference
+from .multiindex import _INTERNED, GrassmannParams, MultiIndex, _Memo, _Record, difference
 
 Label = tuple[MultiIndex, MultiIndex]
 
@@ -106,35 +106,28 @@ def check_width(params: GrassmannParams, m: int) -> int:
     return m
 
 
-class _InternTable(dict):
-    """Mask -> multi-index tuple; a missing mask is converted once and kept."""
-
-    def __missing__(self, mask: int) -> MultiIndex:
-        idx = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        idx = self[mask] = _INTERNED.setdefault(idx, idx)
-        return idx
+def _multiindex_of_mask(mask: int) -> MultiIndex:
+    idx = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return _INTERNED.setdefault(idx, idx)
 
 
-class _MaskTable(dict):
-    """Multi-index -> (bitmask, parity-above mask); a missing multi-index is computed once.
+def _masks_of(idx: MultiIndex) -> tuple[int, int]:
+    """A multi-index's bitmask and parity-above mask.
 
     Bit ``i`` of the parity-above mask is the parity of the number of
     entries above ``i``.  Only the generator and :func:`_by_mask` ask for
     masks: a mask has as many bits as the largest entry, so no reader builds
     one.
     """
-
-    def __missing__(self, idx: MultiIndex) -> tuple[int, int]:
-        mask = parity = 0
-        for i in idx:
-            mask |= 1 << i
-            parity ^= (1 << i) - 1  # bits 0..i-1: the positions i lies above
-        self[idx] = mask, parity
-        return mask, parity
+    mask = parity = 0
+    for i in idx:
+        mask |= 1 << i
+        parity ^= (1 << i) - 1  # bits 0..i-1: the positions i lies above
+    return mask, parity
 
 
-_MULTIINDEX_BY_MASK = _InternTable()
-_MASKS = _MaskTable()
+_MULTIINDEX_BY_MASK = _Memo(_multiindex_of_mask)
+_MASKS = _Memo(_masks_of)
 
 
 def _raw_terms(j_mask: int, k: MultiIndex, k_mask: int, parity: int, m: int) -> list[tuple[int, int, int]]:

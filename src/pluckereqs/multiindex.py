@@ -51,6 +51,18 @@ def as_multiindex(values: Iterable[int]) -> MultiIndex:
     return idx
 
 
+class _Memo(dict):
+    """A dict that builds a missing value once with ``build(key)``: a hit is one dict subscript."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class _Record:
     """A value record whose fields are its ``__slots__``, two or more.
 
@@ -114,6 +126,8 @@ class GrassmannParams(_Record):
     __slots__ = ("n", "p")
 
     def __init__(self, n: int, p: int) -> None:
+        if type(n) is not int or type(p) is not int:
+            raise ValueError(f"n and p must be integers, got n={n!r}, p={p!r}")
         if n < 1:
             raise ValueError(f"n must be a positive integer, got {n}")
         if not 1 <= p <= n:

@@ -59,7 +59,7 @@ __all__ = _EXPORTS["pvectors"]
 
 
 class GaussianRational(_Record):
-    """Exact complex scalar ``re + im*i`` with rational parts."""
+    """Exact complex scalar ``re + im*i`` with rational parts, equal to an equal int or Fraction."""
 
     __slots__ = ("re", "im")
 
@@ -126,6 +126,13 @@ class GaussianRational(_Record):
         if other is None:
             return NotImplemented
         return other / self
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self.re if not self.im else self._values)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

@@ -41,29 +41,13 @@ from io import TextIOBase
 from . import _EXPORTS, FORMATS
 from .documents import JsonText, json_int, read_document
 from .equations import EquationSystem, Label, QuadraticEquation, QuadTerm, check_width
-from .multiindex import _INT_ONLY, GrassmannParams, MultiIndex
+from .multiindex import _INT_ONLY, GrassmannParams, MultiIndex, _Memo
 
 __all__ = _EXPORTS["render"]
 
 # One equation as a writer reads it: its label and its ``(c, left, right)`` terms.
 _Terms = Sequence[tuple[int, MultiIndex, MultiIndex]]
 _Row = tuple[Label, _Terms]
-
-
-class _Memo(dict):
-    """A dict that builds a missing value with ``build(key)`` and keeps it.
-
-    One render call formats each distinct multi-index once: the hit path
-    is a plain dict lookup.
-    """
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
 
 
 def _names(n: int) -> _Memo:

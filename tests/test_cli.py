@@ -25,6 +25,7 @@ from pluckereqs import (
     canonicalize,
     dedupe,
     gen_generalized,
+    gen_plucker,
     gen_plucker_like,
     pvector,
     pvector_to_json,
@@ -1395,3 +1396,84 @@ def test_reader_closing_early_exits_3(tmp_path, unbuffered, command, n, p):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("i/o error: "), err
+
+
+# One small output per command: buffered, it waits in stdout's 8 KiB buffer
+# unless the command flushes it, and a failure left there would come back
+# at the interpreter's exit flush, outside main, as exit 120.
+_SMALL_OUTPUTS = {
+    "help": ["--help"],
+    "verify": ["verify", "--n", "6", "--p", "3"],
+    "census-text": ["census", "--n", "8", "--p", "4"],
+    "census-json": ["census", "--n", "8", "--p", "4", "--format", "json"],
+    "probe-json": ["probe", "--n", "9", "--p", "4", "--q", "0"],
+    "probe-text": ["probe", "--n", "9", "--p", "4", "--q", "0", "--format", "text"],
+    "check-simple": ["check", "{tmp}/simple.json"],
+    "check-not-simple": ["check", str(DATA_DIR / "check_7_3_Q.json"), "--m", "1"],
+    "selftest": ["check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3"],
+    "generate": ["generate", "--n", "5", "--p", "2"],
+    "export": ["export", "--in", "{tmp}/system.json"],
+}
+
+
+def _failing_stdout(kind):
+    if kind == "dev-full":
+        return open("/dev/full", "wb")
+    read, write = os.pipe()
+    os.close(read)  # a reader that is gone before the first byte
+    return os.fdopen(write, "wb")
+
+
+@pytest.mark.parametrize("command", list(_SMALL_OUTPUTS))
+@pytest.mark.parametrize(
+    "stdout_kind",
+    [
+        "closed-pipe",
+        pytest.param("dev-full", marks=[
+            pytest.mark.slow,
+            pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"),
+        ]),
+    ],
+)
+@pytest.mark.parametrize(
+    "unbuffered", [False, pytest.param(True, marks=pytest.mark.slow)], ids=["buffered", "unbuffered"]
+)
+def test_failing_stdout_exits_3_for_every_command(tmp_path, command, stdout_kind, unbuffered):
+    (tmp_path / "simple.json").write_text(pvector_to_json(random_simple(GrassmannParams(7, 3), 1)))
+    (tmp_path / "system.json").write_text(render(gen_plucker(GrassmannParams(6, 3)), "json"))
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in _SMALL_OUTPUTS[command]]
+    with _failing_stdout(stdout_kind) as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "pluckereqs.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    err = result.stderr.decode()
+    lines = err.splitlines()
+    assert result.returncode == 3, err
+    assert len(lines) == 1 and lines[0].startswith("i/o error: "), err
+
+
+def test_write_output_is_the_one_stdout_writer():
+    # Every print of the package goes to stderr, and sys.stdout is named only
+    # inside cli._write_output.
+    import ast
+
+    def stdout_uses(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "stdout"]
+
+    for path in sorted((ROOT / "src" / "pluckereqs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writers = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_write_output" and path.name == "cli.py"
+        ]
+        assert len(stdout_uses(tree)) == sum(len(stdout_uses(node)) for node in writers), path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                assert any(
+                    k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords
+                ), f"{path.name}:{node.lineno}"

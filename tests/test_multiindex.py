@@ -16,7 +16,8 @@ from pluckereqs import (
     subsets_of_size,
     symmetric_difference,
 )
-from pluckereqs.multiindex import _INTERNED
+from pluckereqs.equations import _MASKS, _MULTIINDEX_BY_MASK
+from pluckereqs.multiindex import _INTERNED, _Memo
 
 multiindices = st.sets(st.integers(1, 12), max_size=6).map(lambda s: tuple(sorted(s)))
 
@@ -79,6 +80,30 @@ def test_params_validation():
         GrassmannParams(5, 0)
     with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
         GrassmannParams(0, 1)
+    with pytest.raises(ValueError, match="^p must satisfy 1 <= p <= n, got p=6, n=5$"):
+        GrassmannParams(5, 6)
+
+
+@pytest.mark.parametrize(
+    "n, p, shown",
+    [(6.0, 3, "n=6.0, p=3"), (6, 3.0, "n=6, p=3.0"), (True, True, "n=True, p=True"), ("6", 3, "n='6', p=3")],
+)
+def test_params_refuse_what_is_not_exactly_int(n, p, shown):
+    # 6.0 and True equal ints, so a params built from them would equal
+    # GrassmannParams(6, 3) and fail later, in the generators.
+    with pytest.raises(ValueError, match=f"^n and p must be integers, got {shown}$"):
+        GrassmannParams(n, p)
+
+
+def test_memo_builds_each_key_once():
+    calls = []
+    memo = _Memo(lambda key: calls.append(key) or 2 * key)
+    assert [memo[key] for key in (3, 1, 3, 3, 1)] == [6, 2, 6, 6, 2]
+    assert calls == [3, 1]
+    assert memo == {3: 6, 1: 2}
+    # The generator's mask tables are memos: a second read is the stored value.
+    assert _MASKS[(1, 3)] is _MASKS[(1, 3)] == (0b1010, 0b0110)
+    assert _MULTIINDEX_BY_MASK[0b1010] == (1, 3)
 
 
 def test_inversion_pairs_examples():

@@ -64,6 +64,28 @@ def test_gaussian_rational_arithmetic():
         1.5 - a
 
 
+def test_gaussian_rational_equals_an_equal_int_or_fraction(params63):
+    # As complex(1) == 1: equal values compare equal and hash alike.  A float
+    # is refused here as in the arithmetic, and a tuple of the parts is no
+    # Gaussian rational.
+    for value in (0, 1, -3, Fraction(1, 2)):
+        assert GaussianRational(value) == value and value == GaussianRational(value)
+        assert hash(GaussianRational(value)) == hash(value)
+        assert GaussianRational(value) - value == GaussianRational(0)
+    assert GaussianRational(1, 1) != 1
+    assert GaussianRational(Fraction(1, 2), 3) == GaussianRational(Fraction(2, 4), 3)
+    assert hash(GaussianRational(Fraction(1, 2), 3)) == hash(GaussianRational(Fraction(2, 4), 3))
+    assert GaussianRational(1) != 1.0 and GaussianRational(Fraction(1, 2)) != 0.5
+    assert GaussianRational(1) != (Fraction(1), Fraction(0))
+    assert {GaussianRational(2): "two"}[2] == "two"
+    # So a satisfied equation evaluates to 0 on a simple Q_i vector.
+    lifted = {idx: GaussianRational(1, 2) * v for idx, v in random_simple(params63, 1).coeffs.items()}
+    h = pvector(params63, lifted, "Q_i")
+    assert h.field == "Q_i" and is_simple(h)
+    for eq in [*gen_plucker(params63), *gen_plucker_like(params63)]:
+        assert evaluate(eq, h) == 0, eq.label
+
+
 def test_zero_in_each_field(params63):
     # An absent coefficient reads as the field's own zero, and scaling by 0
     # gives the zero vector of the same field.
