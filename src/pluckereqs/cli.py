@@ -49,38 +49,43 @@ def _batches(pieces: Iterable[str]) -> Iterator[str]:
         yield "".join(batch)
 
 
-def _write_output(pieces: Iterable[str], out: str | None) -> None:
-    """Write the pieces, in batches, to the file ``out`` or to stdout.
+def _write_output(pieces: Iterable[str], out: str | None, stream: str = "stdout") -> None:
+    """Write the pieces, in batches, to the file ``out`` or to ``sys.<stream>``.
 
-    It is the one writer of stdout, ``--help`` included.  On stdout each
-    batch goes to the binary layer whole: a write-through text layer over an
-    unbuffered pipe passes a short write on silently.  When stdout fails (a
-    closed reader, a full device), its descriptor is pointed at the null
-    device before the ``OSError`` is re-raised, so the exit flush of the
-    bytes left buffered cannot fail again outside ``main``.
+    It is the one writer of stdout and stderr, the parser's messages and
+    ``main``'s error line included.  On a standard stream each batch goes to
+    the binary layer whole: a write-through text layer over an unbuffered
+    pipe passes a short write on silently.  A stream that is missing (closed
+    at launch) or fails (a closed reader, a full device) has its descriptor
+    pointed at the null device, so the exit flush cannot fail again outside
+    ``main``.  Then a failed stdout re-raises the ``OSError`` (exit 3), and a
+    failed stderr is dropped: an unwritable report never changes the exit code.
     """
     if out is not None and out != "-":
         with open(out, "w", encoding="utf-8") as handle:
             for batch in _batches(pieces):
                 handle.write(batch)
         return
-    stdout = sys.stdout
-    binary = getattr(stdout, "buffer", None)
+    handle = getattr(sys, stream)
     try:
+        if handle is None:
+            raise OSError(f"{stream} is closed")
+        binary = getattr(handle, "buffer", None)
         if binary is None:  # a text-only stream, such as io.StringIO
             for batch in _batches(pieces):
-                stdout.write(batch)
+                handle.write(batch)
             return
-        stdout.flush()
+        handle.flush()
         for batch in _batches(pieces):
-            data = memoryview(batch.encode(stdout.encoding, stdout.errors))
+            data = memoryview(batch.encode(handle.encoding, handle.errors))
             while data:
                 data = data[binary.write(data):]
         binary.flush()
     except OSError:
-        with contextlib.suppress(OSError), open(os.devnull, "wb") as null:  # io.StringIO has no descriptor
-            os.dup2(null.fileno(), stdout.fileno())
-        raise
+        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "wb") as null:  # None, io.StringIO
+            os.dup2(null.fileno(), handle.fileno())
+        if stream == "stdout":
+            raise
 
 
 def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIOBase]:
@@ -292,12 +297,12 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None) -> None:
-        """Help goes to stdout through ``_write_output``; every subparser is of this class too."""
-        if file is None:
-            _write_output([self.format_help()], None)
-        else:
-            super().print_help(file)
+    def _print_message(self, message: str, file=None) -> None:
+        """argparse's one writer: help comes with ``sys.stdout``, usage and errors with ``sys.stderr``.
+
+        Every subparser is of this class too.  When both are None (closed at launch), stdout's rule holds.
+        """
+        _write_output([message], None, "stdout" if file is sys.stdout else "stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,14 +388,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, report = EXIT_USAGE, f"error: {exc}\n"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, report = EXIT_IO, f"i/o error: {exc}\n"
     finally:
         if was_enabled:
             gc.enable()
+    _write_output([report], None, "stderr")
+    return code
 
 
 if __name__ == "__main__":

@@ -915,6 +915,41 @@ def test_census_out_of_range(capsys):
     assert "2 <= p <= n-2" in err
 
 
+def _relabelled_for_dual(text: str, n: int, p: int) -> str:
+    """The lines printed at (n, p) with p read as n - p and each stratum's q as q + n - 2p.
+
+    The Hodge star maps Gr(p, n) onto Gr(n - p, n) and sends a label with
+    |j & k| = q to one with |j & k| = q + n - 2p, so the strata, counts and
+    term counts at (n, n - p) are those at (n, p), relabelled.
+    """
+    dual = n - p
+    lines = []
+    in_table = False
+    for line in text.splitlines():
+        line = line.replace(f"({n},{p})", f"({n},{dual})").replace(f"(n={n}, p={p})", f"(n={n}, p={dual})")
+        if line.startswith("total "):
+            in_table = False
+        if in_table:  # census rows: kind in columns 0-7, q in columns 9-11
+            line = f"{line[:9]}{int(line[9:12]) + n - 2 * p:>3}{line[12:]}"
+        if line.split()[:2] == ["kind", "q"]:
+            in_table = True
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_verify_and_census_agree_at_p_and_n_minus_p(capsys, n):
+    # Every 2 <= p <= n - 2, p > n/2 included, which no pinned command covers.
+    for p in range(2, n - 1):
+        for command in ("verify", "census"):
+            code, out, _ = run(capsys, command, "--n", str(n), "--p", str(p))
+            dual_code, dual_out, _ = run(capsys, command, "--n", str(n), "--p", str(n - p))
+            assert code == dual_code == 0
+            assert _relabelled_for_dual(out, n, p) == dual_out, (command, n, p)
+            if 2 * p != n:
+                assert out != dual_out  # the relabelling is no identity
+
+
 def test_export_round_trip(tmp_path, capsys):
     source = tmp_path / "sys.json"
     code, _, _ = run(
@@ -1376,10 +1411,6 @@ def test_generate_and_export_peak_rss_per_document_byte(tmp_path):
 )
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_reader_closing_early_exits_3(tmp_path, unbuffered, command, n, p):
-    env = {**os.environ, "PYTHONPATH": _SRC}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     argv = ["generate", "--n", str(n), "--p", str(p)]
     if command == "check":
         path = tmp_path / "h.json"
@@ -1387,7 +1418,7 @@ def test_reader_closing_early_exits_3(tmp_path, unbuffered, command, n, p):
         argv = ["check", str(path), "--m", "1"]
     with subprocess.Popen(
         [sys.executable, "-m", "pluckereqs.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_launch_env(unbuffered),
     ) as proc:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -1416,64 +1447,162 @@ _SMALL_OUTPUTS = {
 }
 
 
-def _failing_stdout(kind):
-    if kind == "dev-full":
-        return open("/dev/full", "wb")
+def _launch_env(unbuffered: bool) -> dict[str, str]:
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _closed_pipe():
     read, write = os.pipe()
     os.close(read)  # a reader that is gone before the first byte
     return os.fdopen(write, "wb")
 
 
-@pytest.mark.parametrize("command", list(_SMALL_OUTPUTS))
-@pytest.mark.parametrize(
-    "stdout_kind",
-    [
-        "closed-pipe",
-        pytest.param("dev-full", marks=[
-            pytest.mark.slow,
-            pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"),
-        ]),
-    ],
-)
-@pytest.mark.parametrize(
-    "unbuffered", [False, pytest.param(True, marks=pytest.mark.slow)], ids=["buffered", "unbuffered"]
-)
+def _failing_stdout_cases():
+    # Where stdout goes: a pipe whose reader is gone, /dev/full, that pipe
+    # shared with stderr (as `2>&1 | head` makes it), or nowhere, fd 1
+    # closed at launch.  Tier-1 runs the buffered launches but /dev/full's,
+    # and the unbuffered verify and generate ones where stderr is shared or
+    # stdout closed; the rest are slow.
+    for unbuffered in (False, True):
+        for kind in ("closed-pipe", "dev-full", "shared-pipe", "closed-fd"):
+            for command in _SMALL_OUTPUTS:
+                fast = kind != "dev-full" and (
+                    not unbuffered or (kind != "closed-pipe" and command in ("verify", "generate"))
+                )
+                marks = [] if fast else [pytest.mark.slow]
+                if kind == "dev-full":
+                    marks.append(pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"))
+                buffering = "unbuffered" if unbuffered else "buffered"
+                yield pytest.param(command, kind, unbuffered, marks=marks, id=f"{buffering}-{kind}-{command}")
+
+
+@pytest.mark.parametrize("command, stdout_kind, unbuffered", list(_failing_stdout_cases()))
 def test_failing_stdout_exits_3_for_every_command(tmp_path, command, stdout_kind, unbuffered):
     (tmp_path / "simple.json").write_text(pvector_to_json(random_simple(GrassmannParams(7, 3), 1)))
     (tmp_path / "system.json").write_text(render(gen_plucker(GrassmannParams(6, 3)), "json"))
-    env = {**os.environ, "PYTHONPATH": _SRC}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in _SMALL_OUTPUTS[command]]
-    with _failing_stdout(stdout_kind) as stdout:
+    launch = [sys.executable, "-m", "pluckereqs.cli", *argv]
+    env = _launch_env(unbuffered)
+    if stdout_kind == "closed-fd":
         result = subprocess.run(
-            [sys.executable, "-m", "pluckereqs.cli", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+            launch, stderr=subprocess.PIPE, env=env, timeout=120, preexec_fn=lambda: os.close(1)
         )
-    err = result.stderr.decode()
+    else:
+        with open("/dev/full", "wb") if stdout_kind == "dev-full" else _closed_pipe() as stdout:
+            stderr = stdout if stdout_kind == "shared-pipe" else subprocess.PIPE
+            result = subprocess.run(launch, stdout=stdout, stderr=stderr, env=env, timeout=120)
+    err = (result.stderr or b"").decode()
     lines = err.splitlines()
     assert result.returncode == 3, err
-    assert len(lines) == 1 and lines[0].startswith("i/o error: "), err
+    if stdout_kind != "shared-pipe":  # there the error line meets the closed pipe too
+        assert len(lines) == 1 and lines[0].startswith("i/o error: "), err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_shared_pipe_closing_after_a_line_exits_3(unbuffered):
+    # `generate --n 9 --p 4 2>&1 | head -1`: the reader leaves after one
+    # line of about 1 MB, which overruns the pipe buffer, and the error line
+    # meets the same closed pipe.
+    with subprocess.Popen(
+        [sys.executable, "-m", "pluckereqs.cli", "generate", "--n", "9", "--p", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=_launch_env(unbuffered),
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 3
+
+
+# Launches whose stderr alone goes to a pipe whose reader is gone, and the
+# exit code each must keep: a report that cannot be written changes nothing.
+_STDERR_CASES = {
+    "census-input-error": (["census", "--n", "5", "--p", "1"], 2),
+    "verify-usage-error": (["verify", "--n", "6"], 2),
+    "unknown-subcommand": (["nonsense"], 2),
+    "check-missing-file": (["check", "{tmp}/missing.json"], 3),
+    "verify-pass": (["verify", "--n", "6", "--p", "3"], 0),
+}
+
+
+@pytest.mark.parametrize(
+    "unbuffered, command",
+    [
+        pytest.param(
+            unbuffered, command,
+            marks=[pytest.mark.slow] if unbuffered and not command.startswith("verify") else [],
+            id=f"{'unbuffered' if unbuffered else 'buffered'}-{command}",
+        )
+        for unbuffered in (False, True)
+        for command in _STDERR_CASES
+    ],
+)
+def test_failing_stderr_keeps_the_exit_code(tmp_path, unbuffered, command):
+    argv, code = _STDERR_CASES[command]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with _closed_pipe() as stderr:
+        result = subprocess.run(
+            [sys.executable, "-m", "pluckereqs.cli", *argv],
+            stdout=subprocess.PIPE, stderr=stderr, env=_launch_env(unbuffered), timeout=120,
+        )
+    assert result.returncode == code
+    if code == 0:
+        assert result.stdout.endswith(b"VERIFY (n=6, p=3): PASS\n")
+    else:
+        assert result.stdout == b""
+
+
+def test_help_is_the_parser_text(monkeypatch):
+    # `--help` and each `<subcommand> --help` print argparse's own text,
+    # through _write_output.  COLUMNS fixes the width in both processes;
+    # tests/data/pins.json leaves --help unpinned, since argparse's wording
+    # differs across Python versions.
+    import argparse
+
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    expected = {(): parser.format_help()}
+    expected.update({(name,): sub.format_help() for name, sub in commands.choices.items()})
+    for prefix, text in expected.items():
+        result = subprocess.run(
+            [sys.executable, "-m", "pluckereqs.cli", *prefix, "--help"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": _SRC}, timeout=120,
+        )
+        assert (result.returncode, result.stdout.decode(), result.stderr) == (0, text, b""), prefix
 
 
 def test_write_output_is_the_one_stdout_writer():
-    # Every print of the package goes to stderr, and sys.stdout is named only
-    # inside cli._write_output.
+    # No print is left in the package, and a standard stream is looked up
+    # only inside cli._write_output, which writes it.  Elsewhere sys.stdout
+    # and sys.stderr are only compared by identity: the parser telling help
+    # from its errors.
     import ast
 
-    def stdout_uses(node):
-        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "stdout"]
+    def stream_uses(node):
+        return [
+            n for n in ast.walk(node)
+            if (isinstance(n, ast.Attribute) and n.attr in ("stdout", "stderr"))
+            or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr" and n.args
+                and ast.unparse(n.args[0]) == "sys")
+        ]
 
+    writers = 0
     for path in sorted((ROOT / "src" / "pluckereqs").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        writers = [
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "_write_output" and path.name == "cli.py"
-        ]
-        assert len(stdout_uses(tree)) == sum(len(stdout_uses(node)) for node in writers), path.name
+        allowed = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
-                assert any(
-                    k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords
-                ), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.FunctionDef) and node.name == "_write_output" and path.name == "cli.py":
+                writers += 1
+                allowed.update(map(id, stream_uses(node)))
+            if isinstance(node, ast.Compare) and all(isinstance(op, ast.Is) for op in node.ops):
+                for operand in (node.left, *node.comparators):
+                    if isinstance(operand, ast.Attribute):
+                        allowed.add(id(operand))
+            if isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) != "print", f"{path.name}:{node.lineno}"
+        for node in stream_uses(tree):
+            assert id(node) in allowed, f"{path.name}:{node.lineno}"
+    assert writers == 1
