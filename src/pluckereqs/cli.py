@@ -90,6 +90,8 @@ def _write_output(pieces: Iterable[str], out: str | None, stream: str = "stdout"
 
 def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIOBase]:
     if path is None or path == "-":
+        if sys.stdin is None:  # fd 0 closed at launch
+            raise OSError("stdin is closed")
         return contextlib.nullcontext(sys.stdin)
     return open(path, "r", encoding="utf-8")
 

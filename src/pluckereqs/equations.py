@@ -228,12 +228,17 @@ def _raw_equations(params: GrassmannParams, m: int) -> Iterator[QuadraticEquatio
 
 
 def _label_lists(params: GrassmannParams, m: int) -> tuple[list[MultiIndex], ...]:
-    """Check ``m``; the interned j's and k's of the system, in order."""
-    check_width(params, m)
-    return tuple(
-        [params.multiindex(idx, size) for idx in combinations(params.indices, size)]
-        for size in (params.p - m, params.p + m)
-    )
+    """Check ``m``; the interned j's and k's of the system, in order, built once per ``(params, m)``."""
+    if (params, m) not in _LABEL_LISTS:
+        check_width(params, m)
+        _LABEL_LISTS[params, m] = tuple(
+            [params.multiindex(idx, size) for idx in combinations(params.indices, size)]
+            for size in (params.p - m, params.p + m)
+        )
+    return _LABEL_LISTS[params, m]
+
+
+_LABEL_LISTS: dict[tuple[GrassmannParams, int], tuple[list[MultiIndex], ...]] = {}
 
 
 def _block_labels(r: int, m: int) -> Iterator[Label]:

@@ -18,18 +18,20 @@ embedding (Griffiths & Harris, *Principles of Algebraic Geometry*, ch. 1
 section 5), with no equation system: the coefficients one index away from
 a pivot coefficient give p vectors, and ``h`` is simple exactly when their
 wedge is a multiple of ``h``.  Both systems cut out the same set, so the
-verdict does not depend on the system chosen.  The exact fields need no
-division.  For f64, ``tol`` bounds the deviation of that wedge from
-``h / lam_max``, where ``lam_max`` is the largest coefficient and the
-pivot; :func:`residual` keeps the per-equation relative bound above.
+verdict does not depend on the system chosen.  Exact fields build no
+wedge: one raw row per key, by increasing distance from the pivot, settles
+that key, up to the first violated row.  For f64, ``tol`` bounds the
+deviation of the wedge from ``h / lam_max``, where ``lam_max`` is the
+largest coefficient and the pivot; :func:`residual` keeps the
+per-equation relative bound above.
 
 One loop, ``_violations``, evaluates terms.  It reads rows ``(label,
 terms)`` and a coefficient map keyed the way the terms are:
 :func:`residual` and :func:`evaluate` pass equations on multi-index keys,
-and ``check`` passes the raw rows of ``equations._raw_rows`` on bitmask
-keys, so it builds no equation.  The exact fields are evaluated on plain
-integers: the coefficients are multiplied by the lcm of their
-denominators, and a Q_i row is summed as two integers, its real and
+and ``check`` and the exact chart pass raw rows (``equations._raw_terms``)
+on bitmask keys, so they build no equation.  The exact fields are
+evaluated on plain integers: the coefficients are multiplied by the lcm of
+their denominators, and a Q_i row is summed as two integers, its real and
 imaginary parts.  A violation becomes a ``Fraction`` or
 :class:`GaussianRational` only when it is reported.
 
@@ -41,7 +43,6 @@ assumption enters the code.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -49,7 +50,7 @@ from itertools import combinations
 from math import frexp, isfinite, lcm, ldexp, prod
 
 from . import _EXPORTS
-from .documents import JsonText, json_int, read_document
+from .equations import _MASKS, _MULTIINDEX_BY_MASK, _by_mask, _raw_terms
 from .equations import EquationSystem, Label, QuadraticEquation, check_width
 from .multiindex import GrassmannParams, MultiIndex, _Record
 
@@ -147,8 +148,7 @@ class GaussianRational(_Record):
 class _GaussInt:
     """Exact Gaussian integer ``re + im*i``, the cleared form of a Q_i scalar.
 
-    Only the ring operations the wedge and the chart test need are defined;
-    integer operands are the real products of the wedge.
+    Only the ring operations the wedge needs are defined.
     """
 
     __slots__ = ("re", "im")
@@ -163,21 +163,14 @@ class _GaussInt:
     def __neg__(self) -> "_GaussInt":
         return _GaussInt(-self.re, -self.im)
 
-    def __mul__(self, other: "_GaussInt | int") -> "_GaussInt":
-        if isinstance(other, int):
-            return _GaussInt(self.re * other, self.im * other)
+    def __mul__(self, other: "_GaussInt") -> "_GaussInt":
         return _GaussInt(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    __rmul__ = __mul__
-
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _GaussInt) and self.re == other.re and self.im == other.im
 
 
 Scalar = Fraction | GaussianRational | float
@@ -278,26 +271,28 @@ def _uncleared(value: int | _GaussInt, denominator: int) -> Fraction | GaussianR
 def _wedge_coeffs(rows: Sequence[Mapping[int, Scalar]]) -> dict[MultiIndex, Scalar]:
     """Non-zero coefficients of the wedge of sparse rows ``{column: value}``.
 
-    Built as ``((r1 ^ r2) ^ r3) ^ ...``: appending ``e_j`` to a sorted
-    blade ``e_K`` passes every entry of ``K`` above ``j``, so each product
-    carries the sign ``(-1) ** #{k in K : k > j}``.  Only ring operations
-    are used, so the result is exact for integer and Gaussian-integer rows.
+    Built as ``((r1 ^ r2) ^ r3) ^ ...`` on blade masks: ``e_j`` joins
+    ``e_K`` unless bit ``j`` of ``K`` is set, and the product's sign is the
+    parity of ``(K >> (j+1)).bit_count()``, the entries of ``K`` above
+    ``j``.  The masks become interned tuples at the end, in order.  Only
+    ring operations between row entries are used, so integer and
+    Gaussian-integer rows give exact results.
     """
-    blades: dict[MultiIndex, Scalar] = {(): 1}
-    for row in rows:
-        grown: dict[MultiIndex, Scalar] = {}
+    blades: dict[int, Scalar] = {1 << j: value for j, value in rows[0].items() if value}
+    for row in rows[1:]:
+        columns = [(1 << j, j + 1, value) for j, value in row.items()]
+        grown: dict[int, Scalar] = {}
         for key, weight in blades.items():
-            for j, value in row.items():
-                pos = bisect_left(key, j)
-                if pos < len(key) and key[pos] == j:
+            for bit, above, value in columns:
+                if key & bit:
                     continue
                 product = weight * value
-                if (len(key) - pos) % 2:
+                if (key >> above).bit_count() & 1:
                     product = -product
-                target = key[:pos] + (j,) + key[pos:]
+                target = key | bit
                 grown[target] = grown[target] + product if target in grown else product
         blades = {key: value for key, value in grown.items() if value}
-    return blades
+    return {_MULTIINDEX_BY_MASK[key]: value for key, value in blades.items()}
 
 
 def wedge(vectors: Sequence[Sequence]) -> PVector:
@@ -454,30 +449,39 @@ def residual(system: EquationSystem, h: PVector, tolerance: float | None = None)
     return Residual(max((size(value) for _, value in violations), default=zero), violations)
 
 
-def _chart_is_simple(coeffs: Mapping[MultiIndex, object], p: int, tol: float | None = None) -> bool:
-    """Decomposability of the non-zero coefficients ``coeffs`` in one affine chart.
+def _chart_is_simple(h: PVector, tol: float) -> bool:
+    """Decomposability of the non-zero ``h`` in the affine chart ``lam_I != 0``.
 
-    Let ``I = (i_1 < ... < i_p)`` be the pivot key and ``c = coeffs[I]``.
-    Row ``a`` holds ``c`` at ``i_a``, zero at the rest of ``I``, and at each
-    ``j`` outside ``I`` the coefficient of ``I`` with ``i_a`` replaced by
-    ``j``, negated when an odd number of entries of ``I`` lie strictly
-    between ``i_a`` and ``j``.  The rows span the point's subspace read in
-    the affine chart ``lam_I != 0``, so ``h`` is simple exactly when their
-    wedge equals ``c**(p-1) * h``.
+    With ``I = (i_1 < ... < i_p)`` the pivot key and ``c = h_I``, row ``a``
+    holds ``c`` at ``i_a``, zero at the rest of ``I``, and at each ``j``
+    outside ``I`` the coefficient of ``I`` with ``i_a`` replaced by ``j``,
+    negated when an odd number of entries of ``I`` lie strictly between
+    them.  The rows' wedge ``w`` is simple, and ``g = w / c**(p-1)`` agrees
+    with ``h`` at the distances ``|K \\ I|`` 0 and 1.
 
-    Exact (cleared) coefficients pivot on the smallest key.  Floats (``tol``
-    given) pivot on the largest magnitude, ties going to the smallest key,
-    and are divided by it, so ``c`` is 1; each wedge coefficient must then
-    lie within ``tol`` of the matching coefficient of ``h / c``.
+    Lemma: for ``K`` at distance ``D >= 2`` and ``a`` in ``I \\ K``, the
+    one-index row at ``(I - a, K + a)`` holds ``lam_I lam_K`` with
+    coefficient +-1; its other terms ``lam_{I-a+i} lam_{K+a-i}``, ``i`` in
+    ``K \\ I``, have factors at distances 1 and ``D-1``.  If ``h`` and ``g``
+    agree below ``D``, the row, zero on ``g``, is ``+-c * (h_K - g_K)`` on
+    ``h``.  By induction on ``D``, all rows vanish exactly when ``h = g``,
+    i.e. when ``h`` is simple (a simple ``h`` satisfies every row).  So any
+    order of the rows gives the verdict; by increasing ``D``, the first
+    violated row marks a least-``D`` key where ``h`` and ``g`` differ.
+
+    Exact fields pivot on the smallest key and evaluate the rows of
+    :func:`_witness_rows` on cleared integers up to the first violated one,
+    with no division and no wedge.  Floats pivot on the largest magnitude,
+    ties going to the smallest key, and are divided by it (``c = 1``); each
+    coefficient of ``w`` must lie within ``tol`` of that of ``h / c``.
     """
-    if tol is None:
-        pivot_idx = min(coeffs)
-    else:
-        pivot_idx = min(coeffs, key=lambda key: (-abs(coeffs[key]), key))
-        largest = coeffs[pivot_idx]
-        coeffs = {key: value / largest for key, value in coeffs.items()}
-    pivot = coeffs[pivot_idx]
-    rows = [{i: pivot} for i in pivot_idx]
+    if h.field != "f64":
+        return _witness(h) is None
+    coeffs = h.coeffs
+    pivot_idx = min(coeffs, key=lambda key: (-abs(coeffs[key]), key))
+    largest = coeffs[pivot_idx]
+    coeffs = {key: value / largest for key, value in coeffs.items()}
+    rows = [{i: coeffs[pivot_idx]} for i in pivot_idx]
     for key, value in coeffs.items():
         moved = [pos for pos, j in enumerate(key) if j not in pivot_idx]
         if len(moved) != 1:
@@ -486,17 +490,41 @@ def _chart_is_simple(coeffs: Mapping[MultiIndex, object], p: int, tol: float | N
         a = next(pos for pos, i in enumerate(pivot_idx) if i not in key)
         rows[a][key[below]] = -value if (below - a) % 2 else value
     blades = _wedge_coeffs(rows)
-    if tol is not None:
-        return all(
-            abs(blades.get(key, 0.0) - coeffs.get(key, 0.0)) <= tol
-            for key in blades.keys() | coeffs.keys()
-        )
-    scale = 1
-    for _ in range(p - 1):
-        scale = scale * pivot
-    return len(blades) == len(coeffs) and all(
-        blades.get(key) == scale * value for key, value in coeffs.items()
-    )
+    keys = blades.keys() | coeffs.keys()
+    return all(abs(blades.get(key, 0.0) - coeffs.get(key, 0.0)) <= tol for key in keys)
+
+
+# The last (params, pivot) asked for and its witness rows: deciding many
+# vectors at one point builds them once, and a process holds one pivot's.
+_LAST_WITNESS_ROWS: list = [None, None]
+
+
+def _witness_rows(params: GrassmannParams, pivot: MultiIndex) -> list[tuple[Label, list]]:
+    """The raw one-index row at ``(pivot - a, K + a)``, on masks, of each ``K`` at distance ``D >= 2``.
+
+    ``a`` is the least entry of ``pivot`` outside ``K``.  A row has ``D + 1``
+    terms, and the rows come by ``(D, K)``.
+    """
+    last, rows = _LAST_WITNESS_ROWS  # one read of the pair: another thread may replace it
+    if last != (params, pivot):
+        pivot_mask, rows = _MASKS[pivot][0], []
+        for key_mask in map(sum, combinations([1 << i for i in params.indices], params.p)):
+            missing = pivot_mask & ~key_mask
+            if missing.bit_count() >= 2:
+                a = missing & -missing
+                j, k = _MULTIINDEX_BY_MASK[pivot_mask ^ a], _MULTIINDEX_BY_MASK[key_mask | a]
+                parity = _MASKS[j][1] ^ _MASKS[k][1]
+                rows.append(((j, k), _raw_terms(pivot_mask ^ a, k, key_mask | a, parity, 1)))
+        rows.sort(key=lambda row: len(row[1]))
+        _LAST_WITNESS_ROWS[:] = (params, pivot), rows
+    return rows
+
+
+def _witness(h: PVector) -> Label | None:
+    """The label of the first witness row the exact, non-zero ``h`` violates; None if ``h`` is simple."""
+    rows = _witness_rows(h.params, min(h.coeffs))
+    first = next(_violations(rows, _by_mask(h.coeffs), h.field, 0.0), None)
+    return None if first is None else first[0]
 
 
 def _normalize_choice(system_choice: str) -> str:
@@ -527,9 +555,7 @@ def is_simple(h: PVector, system_choice: str = "plucker", tolerance: float | Non
         check_width(h.params, 1)
     if h.is_zero:
         return True
-    if h.field == "f64":
-        return _chart_is_simple(h.coeffs, h.params.p, tol)
-    return _chart_is_simple(_cleared(h.coeffs, h.field)[0], h.params.p)
+    return _chart_is_simple(h, tol)
 
 
 def random_pvector(params: GrassmannParams, seed: int) -> PVector:
@@ -605,6 +631,8 @@ def _entry_from_dict(entry: dict, field: str) -> tuple[MultiIndex, Scalar]:
 
 
 def _pvector_from_document(data: dict) -> PVector:
+    from .documents import json_int
+
     params = GrassmannParams(json_int(data["n"], "n"), json_int(data["p"], "p"))
     field = data["field"]
     if field not in FIELDS:
@@ -620,6 +648,8 @@ def _pvector_from_document(data: dict) -> PVector:
 
 def pvector_from_dict(data: dict) -> PVector:
     """Parse the p-vector JSON document; every malformed input raises ``ValueError``."""
+    from .documents import read_document
+
     return read_document(_pvector_from_document, data, "p-vector")
 
 
@@ -629,13 +659,13 @@ def pvector_to_json(h: PVector) -> str:
     return json.dumps(pvector_to_dict(h), indent=2) + "\n"
 
 
-def _pvector_from_text(text: JsonText) -> PVector:
+def _pvector_from_text(text) -> PVector:
     """Read a p-vector document; no key may repeat at the top level or in a coefficient.
 
-    The top-level object and each object entry of a ``"coeffs"`` array are
-    read member by member.  A document that is not an object, and an entry
-    that is not an object, are decoded whole and refused by
-    :func:`_pvector_from_document`.
+    ``text`` is a ``documents.JsonText``.  The top-level object and each
+    object entry of a ``"coeffs"`` array are read member by member.  A
+    document that is not an object, and an entry that is not an object,
+    are decoded whole and refused by :func:`_pvector_from_document`.
     """
     if text.peek() != "{":
         data = text.decode()
@@ -650,7 +680,7 @@ def _pvector_from_text(text: JsonText) -> PVector:
     return _pvector_from_document(data)
 
 
-def _entry_from_text(text: JsonText):
+def _entry_from_text(text):
     """One ``"coeffs"`` entry: an object read member by member, any other value whole."""
     if text.peek() != "{":
         return text.decode()
@@ -658,4 +688,7 @@ def _entry_from_text(text: JsonText):
 
 
 def pvector_from_json(text: str) -> PVector:
+    # The readers import documents (and json) only when they parse: ``--selftest`` parses none.
+    from .documents import JsonText, read_document
+
     return read_document(_pvector_from_text, JsonText(text), "p-vector")

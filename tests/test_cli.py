@@ -757,7 +757,8 @@ HEAVY = {"dataclasses", "inspect", "typing"}
         (["export", "--in", "{system}", "--format", "csv"], 0, SYSTEM | {"pluckereqs.render"},
          {"fractions", "random"}),
         (["check", "{simple}"], 0, DECIDE, {"random"}),
-        (["check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3"], 0, DECIDE, set()),
+        (["check", "--selftest", "3", "--seed", "1", "--n", "6", "--p", "3"], 0,
+         DECIDE - {"pluckereqs.documents"}, {"json"}),
         (["check", str(DATA_DIR / "check_7_3_Q.json")], 1, DECIDE | {"pluckereqs.render"},
          {"random"}),
         (["check", str(DATA_DIR / "check_7_3_Q_i.json"), "--m", "1"], 1,
@@ -1552,6 +1553,19 @@ def test_failing_stderr_keeps_the_exit_code(tmp_path, unbuffered, command):
         assert result.stdout.endswith(b"VERIFY (n=6, p=3): PASS\n")
     else:
         assert result.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["check", "-"], ["export"], ["export", "--in", "-"]], ids=" ".join
+)
+def test_closed_stdin_is_an_io_error(argv):
+    # With fd 0 closed at launch sys.stdin is None: a command that reads
+    # stdin exits 3 with one line, never 1 (a verdict) nor 2 (bad JSON).
+    result = subprocess.run(
+        [sys.executable, "-m", "pluckereqs.cli", *argv], capture_output=True,
+        env=_launch_env(False), timeout=120, preexec_fn=lambda: os.close(0),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (3, b"", b"i/o error: stdin is closed\n")
 
 
 def test_help_is_the_parser_text(monkeypatch):

@@ -14,6 +14,7 @@ from pluckereqs import (
     QuadraticEquation,
     QuadTerm,
     canonicalize,
+    collect_terms,
     evaluate,
     gen_plucker,
     gen_plucker_like,
@@ -24,11 +25,13 @@ from pluckereqs import (
     pvector_to_json,
     random_pvector,
     random_simple,
+    raw_equation,
     residual,
     scaled,
     wedge,
 )
 from pluckereqs.multiindex import _INTERNED
+from pluckereqs.pvectors import _witness, _witness_rows
 
 E = [[1 if c == r else 0 for c in range(6)] for r in range(6)]
 
@@ -612,6 +615,149 @@ def _field_value(eq, h):
     for c, left, right in eq.terms:
         total = total + c * h.coeffs.get(left, zero) * h.coeffs.get(right, zero)
     return total
+
+
+def _distance(pivot, key):
+    return len(set(key) - set(pivot))
+
+
+def _witness_key(pivot, label):
+    """The key ``K`` of the witness row at ``label = (pivot - a, K + a)``."""
+    j, k = label
+    return tuple(sorted(set(k) - (set(pivot) - set(j))))
+
+
+def _indices_of(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_witness_rows_hold_the_pivot_monomial_once():
+    # The chart lemma, for every pivot I and key K at every (n, p) with
+    # n <= 8: K's row is the raw one-index row at its label, holds
+    # lam_I lam_K with coefficient +-1, and every other term's factors lie
+    # at distances 1 and D - 1 from I.  The rows cover each K at D >= 2
+    # once, by increasing D and then K.
+    for n in range(2, 9):
+        for p in range(1, n):
+            params = GrassmannParams(n, p)
+            keys = list(combinations(params.indices, p))
+            for pivot in keys:
+                order = []
+                for label, terms in _witness_rows(params, pivot):
+                    key = _witness_key(pivot, label)
+                    d = _distance(pivot, key)
+                    order.append((d, key))
+                    monomials = [(c, *sorted(map(_indices_of, factors))) for c, *factors in terms]
+                    assert collect_terms(monomials) == collect_terms(raw_equation(params, *label, 1).terms)
+                    pivot_terms = [c for c, left, right in monomials if {left, right} == {pivot, key}]
+                    assert pivot_terms in ([1], [-1]), (pivot, label)
+                    assert len(monomials) == d + 1
+                    for _, left, right in monomials:
+                        if {left, right} != {pivot, key}:
+                            assert sorted((_distance(pivot, left), _distance(pivot, right))) == sorted((1, d - 1))
+                assert order == sorted((_distance(pivot, key), key) for key in keys if _distance(pivot, key) >= 2)
+
+
+def _chart_mismatches(h):
+    """Each ``(D, K)``, ascending, where the chart wedge differs from ``c**(p-1) * h``.
+
+    The chart rows at ``h``'s smallest key ``I`` (``c = h_I``) are built here
+    and wedged with :func:`wedge`: an oracle apart from the witness rows.
+    """
+    pivot, p = min(h.coeffs), h.params.p
+    zero = Fraction(0) if h.field == "Q" else GaussianRational(0)
+    c = h.coeffs[pivot]
+    rows = []
+    for i_a in pivot:
+        row = []
+        for j in h.params.indices:
+            if j in pivot:
+                row.append(c if j == i_a else zero)
+                continue
+            value = h.coeffs.get(tuple(sorted(set(pivot) - {i_a} | {j})), zero)
+            between = sum(min(i_a, j) < i < max(i_a, j) for i in pivot)
+            row.append(-value if between % 2 else value)
+        rows.append(row)
+    chart = wedge(rows)
+    scale = 1
+    for _ in range(p - 1):
+        scale = scale * c
+    mismatches = sorted(
+        (_distance(pivot, key), key)
+        for key in combinations(h.params.indices, p)
+        if chart.coeffs.get(key, zero) != scale * h.coeffs.get(key, zero)
+    )
+    assert all(d >= 2 for d, _ in mismatches)  # the chart agrees with h at distances 0 and 1
+    return mismatches
+
+
+def _witness_agrees_with_the_chart(h):
+    mismatches = _chart_mismatches(h)
+    label = _witness(h)
+    assert is_simple(h) == (label is None) == (not mismatches)
+    if label is not None:
+        pivot = min(h.coeffs)
+        key = _witness_key(pivot, label)
+        assert (_distance(pivot, key), key) == mismatches[0]
+        assert evaluate(raw_equation(h.params, *label, 1), h)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(exact_pvectors(), sparse_exact_pvectors()))
+@example(pvector(GrassmannParams(6, 3), {(1, 2, 3): 1, (4, 5, 6): 1}))
+@example(pvector(GrassmannParams(4, 2), {(1, 2): 1, (1, 4): 1, (2, 3): 1}))
+@example(pvector(GrassmannParams(6, 3), {(1, 2, 3): 1, (1, 4, 5): 1, (4, 5, 6): 1}))  # mismatches at D = 2 and 3
+def test_witness_is_the_least_distance_chart_mismatch(h):
+    # The witness row is the first one, by increasing D and then K, at a
+    # key where the chart wedge differs from c**(p-1) * h, and it is
+    # violated; a simple h has no witness.
+    if not h.is_zero:
+        _witness_agrees_with_the_chart(h)
+
+
+def _perturbed(h, rng, d):
+    """``h`` with up to two coefficients at distance ``d`` from its smallest key moved.
+
+    Applied to a simple ``h``, its least chart mismatches then lie at ``d``.
+    """
+    pivot, coeffs = min(h.coeffs), dict(h.coeffs)
+    at_d = [key for key in combinations(h.params.indices, h.params.p) if _distance(pivot, key) == d]
+    for key in rng.sample(at_d, min(2, len(at_d))):
+        coeffs[key] = coeffs.get(key, 0) + 1
+    return pvector(h.params, coeffs)
+
+
+def test_witness_on_seeded_vectors():
+    rng = random.Random(48)
+    gaussian = GaussianRational(Fraction(1, 3), Fraction(2))
+    for n, p in ((6, 2), (7, 3), (8, 4), (9, 4)):
+        params = GrassmannParams(n, p)
+        for seed in range(4):
+            simple = random_simple(params, seed)
+            perturbed = [_perturbed(simple, rng, d) for d in range(2, p + 1)]
+            for h in (random_pvector(params, seed), simple, *perturbed):
+                _witness_agrees_with_the_chart(h)
+                coeffs = {key: v * gaussian for key, v in h.coeffs.items()}
+                _witness_agrees_with_the_chart(pvector(params, coeffs, "Q_i"))
+
+
+def test_witness_row_is_violated_at_12_6():
+    # Seeded random, sparse and two-wedge vectors at (12,6): the witness
+    # row, rebuilt by raw_equation, is violated; a wedge has no witness.
+    params = GrassmannParams(12, 6)
+    rng = random.Random(20261022)
+    keys = list(combinations(params.indices, 6))
+    vectors = [random_pvector(params, seed) for seed in range(3)]
+    for size in (2, 5, 40):
+        values = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(size))
+        vectors.append(pvector(params, dict(zip(rng.sample(keys, size), values))))
+    first, second = random_simple(params, 1).coeffs, random_simple(params, 2).coeffs
+    vectors.append(pvector(params, {key: first.get(key, 0) + second.get(key, 0) for key in keys}))
+    vectors.append(pvector(params, {key: GaussianRational(v, -v) for key, v in vectors[0].coeffs.items()}, "Q_i"))
+    for h in vectors:
+        label = _witness(h)
+        assert label is not None and evaluate(raw_equation(params, *label, 1), h)
+    assert _witness(random_simple(params, 3)) is None
 
 
 def _reference_residual(system, h):
